@@ -5,12 +5,20 @@ row so that the total cost is minimal.  Among equal-cost optima the solver
 returns the lexicographically smallest column-major row tuple, so results
 are reproducible across runs and platforms.
 
-The core is a shortest-augmenting-path solver with dual potentials.
-Rectangular inputs are padded to square with a finite sentinel (max entry
-plus one) instead of infinity, which keeps the potential updates free of
-overflow.  The potentials then drive the tie-break pass: a row can replace
-the chosen one in some optimal solution only if its reduced cost is zero,
-so for generic costs the pass inspects nothing and costs nothing.
+The primal comes from ``scipy.optimize.linear_sum_assignment`` (Crouse's
+shortest-augmenting-path method, IEEE TAES 2016), which returns some
+optimum but no dual potentials and no fixed tie order.  Optimal duals are
+recovered from the primal as shortest-path potentials over the k columns:
+unmatched rows take u = 0, and each matched row turns dual feasibility
+into difference constraints between columns.  The mean of all
+shortest-path potentials (Floyd-Warshall on k + 1 nodes) leaves a zero
+reduced cost only where every optimal dual has one.
+
+A row can replace the chosen one in some optimal solution only if its
+reduced cost is zero (complementary slackness), so the tie-break pass
+returns at once when no such row lies above a chosen row.  Otherwise it
+fixes columns left to right and verifies each candidate row by re-solving
+the residual problem, which on degenerate costs means a few extra solves.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatch, InfeasibleK, NonFiniteEntry
 
@@ -56,7 +65,8 @@ def solve_lap(cost: np.ndarray) -> AssignmentResult:
     if not np.isfinite(cost).all():
         raise NonFiniteEntry("cost matrix contains non-finite entries")
 
-    col_to_row, u, v = _solve_padded(cost)
+    col_to_row = _primal(cost)
+    u, v = _duals(cost, col_to_row)
     col_to_row = _lexicographic_refine(cost, col_to_row, u, v)
     total = float(cost[col_to_row, np.arange(k)].sum())
     return AssignmentResult(col_to_row, total)
@@ -73,69 +83,47 @@ def discretize(y: np.ndarray) -> np.ndarray:
     return res.as_matrix(y.shape[0])
 
 
-def _solve_padded(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the rectangular problem; returns (col_to_row, row duals, col duals)."""
-    p, k = cost.shape
-    if p == k:
-        padded = cost
-    else:
-        # Dummy columns all share one sentinel value, so they shift every
-        # completion by the same constant and cannot disturb the optimum.
-        sentinel = float(cost.max()) + 1.0
-        padded = np.full((p, p), sentinel)
-        padded[:, :k] = cost
-    row_of, u, v = _solve_square(padded)
-    return row_of[:k], u, v[:k]
+def _primal(cost: np.ndarray) -> np.ndarray:
+    """Some optimal row per column (p >= k); not tie-broken."""
+    # on the transpose scipy returns the columns in order, so its second
+    # output is already indexed by column
+    return linear_sum_assignment(cost.T)[1].astype(np.intp)
 
 
-def _solve_square(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shortest-augmenting-path assignment on a square matrix.
+def _duals(cost: np.ndarray, col_to_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal dual potentials (u, v) for an optimal ``col_to_row``.
 
-    Returns the column-to-row map and optimal dual potentials (u, v) with
-    a[i, j] - u[i] - v[j] >= 0 for all pairs and equality on matches.
-    Scans work on full-length vectors; visited columns carry an infinite
-    distance so they drop out of both the relaxation and the argmin.
+    They satisfy cost[i, c] - u[i] - v[c] >= 0 everywhere, with equality on
+    the chosen entries, u = 0 on unmatched rows and u <= 0 on matched ones.
+    With u fixed by v on matched rows, feasibility is a system of
+    difference constraints v[c] - v[c'] <= cost[row(c'), c] - cost[row(c'), c']
+    plus the bounds cost[row(c), c] <= v[c] <= (column minimum over the
+    unmatched rows), written as edges to and from a source node with v = 0.
+    An optimal primal leaves no negative cycle, so every row and every
+    negated column of the all-pairs shortest distances is a feasible
+    potential.  Their mean is tight exactly on the constraints that lie on
+    a zero-weight cycle, which every optimal dual must meet with equality:
+    so a zero reduced cost off the chosen entries marks a real tie.
     """
-    n = a.shape[0]
-    u = np.zeros(n)
-    v = np.zeros(n)
-    row_of = np.full(n, -1, dtype=np.intp)
-    scanned = np.empty(n, dtype=np.intp)  # visited columns, in visit order
-    for i in range(n):
-        minv = np.full(n, np.inf)
-        way = np.full(n, -1, dtype=np.intp)  # predecessor column; -1 is the root
-        n_scanned = 0
-        i0 = i
-        j_prev = -1
-        while True:
-            cur = a[i0] - (u[i0] + v)
-            if n_scanned:
-                cur[scanned[:n_scanned]] = np.inf
-            better = cur < minv
-            minv[better] = cur[better]
-            way[better] = j_prev
-            j1 = int(np.argmin(minv))  # ties resolve to the lowest column
-            delta = minv[j1]
-            visited = scanned[:n_scanned]
-            u[row_of[visited]] += delta
-            v[visited] -= delta
-            u[i] += delta
-            minv -= delta  # infinities stay infinite on visited columns
-            minv[j1] = np.inf
-            scanned[n_scanned] = j1
-            n_scanned += 1
-            if row_of[j1] < 0:
-                while True:  # augment along the alternating path
-                    jp = way[j1]
-                    if jp < 0:
-                        row_of[j1] = i
-                        break
-                    row_of[j1] = row_of[jp]
-                    j1 = jp
-                break
-            i0 = int(row_of[j1])
-            j_prev = j1
-    return row_of, u, v
+    p, k = cost.shape
+    lo = cost[col_to_row, np.arange(k)]
+    square = p == k
+    d = np.zeros((k, k) if square else (k + 1, k + 1))
+    d[:k, :k] = cost[col_to_row] - lo[:, None]
+    if not square:
+        unmatched = np.ones(p, dtype=bool)
+        unmatched[col_to_row] = False
+        d[k, :k] = cost[unmatched].min(axis=0)
+        d[:k, k] = -lo
+    for m in range(d.shape[0]):  # Floyd-Warshall
+        np.minimum(d, d[:, m, None] + d[m], out=d)
+    centre = 0.5 * (d.mean(axis=0) - d.mean(axis=1))
+    # a square problem has no unmatched row, so all potentials may shift
+    # together; the shift that makes max(u) = 0 keeps u <= 0
+    v = centre[:k] - (centre[k] if not square else float((centre - lo).min()))
+    u = np.zeros(p)
+    u[col_to_row] = lo - v
+    return u, v
 
 
 def _lexicographic_refine(
@@ -150,14 +138,17 @@ def _lexicographic_refine(
     """
     p, k = cost.shape
     tol = TIE_TOL * max(1.0, float(np.abs(cost).max()))
+    tight = cost - u[:, None] - v <= tol
+    above = np.arange(p)[:, None] < col_to_row
+    if not (tight & above).any():
+        return col_to_row
     cur = np.array(col_to_row, dtype=np.intp)
     value = float(cost[cur, np.arange(k)].sum())
     fixed = np.zeros(p, dtype=bool)
     prefix = 0.0
     for c in range(k):
         r_cur = int(cur[c])
-        reduced = cost[:r_cur, c] - u[:r_cur] - v[c]
-        candidates = np.flatnonzero(~fixed[:r_cur] & (reduced <= tol))
+        candidates = np.flatnonzero(~fixed[:r_cur] & tight[:r_cur, c])
         n_rest = k - c - 1
         for r in candidates:
             r = int(r)
@@ -171,7 +162,7 @@ def _lexicographic_refine(
                 bound = prefix + cost[r, c] + float(sub.min(axis=0).sum())
                 if bound > value + tol:
                     continue
-                sub_rows, _, _ = _solve_padded(sub)
+                sub_rows = _primal(sub)
                 sub_total = float(sub[sub_rows, np.arange(n_rest)].sum())
             else:
                 sub_rows = np.empty(0, dtype=np.intp)

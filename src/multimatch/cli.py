@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse or validation error,
 3 solved with warnings (some continuation stage hit its sweep limit).
-All commands are deterministic given identical inputs and seeds, and
-results never depend on --threads.
+All commands are deterministic given identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--r", type=int, default=None, help="rank bound of the geometric fit")
     slv.add_argument("--rho", default=None, help="comma-separated coupling schedule")
     slv.add_argument("--seed", type=int, default=None)
-    slv.add_argument("--threads", type=int, default=1)
     slv.add_argument("--max-sweeps", type=int, default=100)
     slv.add_argument("--max-inner", type=int, default=500)
     slv.set_defaults(func=_cmd_solve)
@@ -138,7 +136,6 @@ def _cmd_solve(args) -> int:
         seed=int(merged["seed"]),
         max_sweeps=args.max_sweeps,
         max_inner=args.max_inner,
-        threads=args.threads,
     )
     instance = validate_instance(features, scores, config)
     state = solve(instance, config)

@@ -9,7 +9,6 @@ prunes unreliable matches, so no similarity threshold is applied here.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -45,22 +44,14 @@ def pairwise_match(desc_i: np.ndarray, desc_j: np.ndarray) -> np.ndarray:
     return res.as_matrix(p_j).T
 
 
-def scores_from_descriptors(features: list[FeatureSet], threads: int = 1) -> PairwiseScores:
+def scores_from_descriptors(features: list[FeatureSet]) -> PairwiseScores:
     """Match every image pair of a feature list into canonical score blocks."""
     missing = [f.image_id for f in features if f.descriptors is None]
     if missing:
         raise MatchingError(f"images without descriptors: {missing}")
     sizes = tuple(f.p for f in features)
-    pairs = list(combinations(range(len(features)), 2))
-
-    def match(pair: tuple[int, int]) -> np.ndarray:
-        i, j = pair
-        return pairwise_match(features[i].descriptors, features[j].descriptors)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            matched = list(pool.map(match, pairs))
-    else:
-        matched = [match(pair) for pair in pairs]
-    blocks = {pair: block.astype(float) for pair, block in zip(pairs, matched)}
+    blocks = {
+        (i, j): pairwise_match(features[i].descriptors, features[j].descriptors).astype(float)
+        for i, j in combinations(range(len(features)), 2)
+    }
     return PairwiseScores(blocks, sizes)

@@ -158,19 +158,33 @@ def cycle_check(blocks, max_triplets: int | None = None, seed: int = 0) -> float
                 return np.asarray(store[(i, j)])
             return np.asarray(store[(j, i)]).T
 
-    triplets = [
-        (i, z, j)
-        for i, z, j in itertools.permutations(range(n), 3)
-    ]
-    if max_triplets is not None and len(triplets) > max_triplets:
+    total = n * (n - 1) * (n - 2)
+    if max_triplets is not None and total > max_triplets:
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(triplets), size=max_triplets, replace=False)
-        triplets = [triplets[t] for t in idx]
+        idx = rng.choice(total, size=max_triplets, replace=False)
+        triplets = zip(*(a.tolist() for a in _decode_triplets(idx, n)))
+    else:
+        triplets = itertools.permutations(range(n), 3)
     worst = 0.0
     for i, z, j in triplets:
         viol = np.abs(get(i, j) - get(i, z) @ get(z, j)).max()
         worst = max(worst, float(viol))
     return worst
+
+
+def _decode_triplets(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ordered triplets at positions ``idx`` of permutations(range(n), 3).
+
+    Position t has first element t // ((n-1)(n-2)); the rest of t indexes
+    the remaining values in increasing order, so no triplet list is built.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    i, rest = np.divmod(idx, (n - 1) * (n - 2))
+    a, b = np.divmod(rest, n - 2)
+    z = a + (a >= i)
+    j = b + (b >= np.minimum(i, z))
+    j += j >= np.maximum(i, z)
+    return i, z, j
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,6 @@ class SolverConfig:
     seed: int = 0
     init_jitter: float = 0.25  # seeded relative jitter on the uniform start
     normalize_coords: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         self.k = int(self.k)
@@ -258,8 +257,6 @@ class SolverConfig:
             raise MatchingError("iteration limits must be at least 1")
         if self.init_jitter < 0:
             raise MatchingError("init jitter must be nonnegative")
-        if self.threads < 1:
-            raise MatchingError("thread count must be at least 1")
 
 
 @dataclass

@@ -22,7 +22,6 @@ the input frame on the final state.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,7 +245,6 @@ def update_X(
     coords: list[np.ndarray],
     lam: float,
     rho: float,
-    threads: int = 1,
 ) -> SelectionLabeling:
     """Exact per-image refresh of the binary selection at fixed y and z.
 
@@ -259,20 +257,15 @@ def update_X(
     k = y.shape[1]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
 
-    def refresh(i: int) -> np.ndarray:
+    blocks = []
+    for i, p in enumerate(sizes):
         yi = y[offsets[i] : offsets[i + 1]]
         if lam:
             cost = lam * _squared_distances(coords[i], z[2 * i : 2 * i + 2])
             cost -= 2.0 * rho * yi
         else:
             cost = -2.0 * rho * yi
-        return solve_lap(cost).as_matrix(sizes[i])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(refresh, range(len(coords))))
-    else:
-        blocks = [refresh(i) for i in range(len(coords))]
+        blocks.append(solve_lap(cost).as_matrix(p))
     return SelectionLabeling(blocks, k)
 
 
@@ -365,7 +358,7 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
                 inner_tol=config.inner_tol,
                 max_inner=config.max_inner,
             )
-            x = update_X(y, z, coords, config.lam, rho, threads=config.threads)
+            x = update_X(y, z, coords, config.lam, rho)
             xs = x.stacked()
             z = update_Z(x, coords, config.r)
             total = _record(trace, stage, sweep, w, y, x, xs, z, coords, config.lam, rho)

@@ -8,21 +8,22 @@ import pytest
 from multimatch import FeatureSet, PairwiseScores, SelectionLabeling
 
 
-def enumerate_lap(cost):
+def enumerate_lap(cost, tol=0.0):
     """Exhaustive minimum-cost assignment; lexicographically smallest optimum.
 
-    Iterates row tuples in lexicographic order, keeping the first strict
-    minimum, which matches the library's documented tie-breaking.
+    Iterates row tuples in lexicographic order and returns the first whose
+    total is within ``tol`` of the minimum, which matches the library's
+    documented tie-breaking.  With the default ``tol=0`` that is the first
+    strict minimum; a small ``tol`` also counts totals that differ only by
+    rounding (0.1 + 0.2 against 0.3) as ties.
     """
     cost = np.asarray(cost, dtype=float)
     p, k = cost.shape
-    best_rows, best_total = None, np.inf
-    for rows in itertools.permutations(range(p), k):
-        total = cost[list(rows), np.arange(k)].sum()
-        if total < best_total:
-            best_total = total
-            best_rows = rows
-    return np.array(best_rows), float(best_total)
+    tuples = list(itertools.permutations(range(p), k))
+    totals = [cost[list(rows), np.arange(k)].sum() for rows in tuples]
+    best = min(totals)
+    t = next(t for t, total in enumerate(totals) if total <= best + tol)
+    return np.array(tuples[t]), float(totals[t])
 
 
 def naive_cycle_objective(w, y):

@@ -33,8 +33,6 @@ from multimatch import (
 from multimatch.solver import selection_objective
 from conftest import enumerate_lap, random_feasible_y, random_labeling
 
-cvxpy = pytest.importorskip("cvxpy")
-
 SIZES = dict(n=10, u=10, outliers_per_image=10)  # shared planted geometry
 
 
@@ -158,6 +156,7 @@ def test_criterion_6_tiny_global_optimality():
 
 
 def test_criterion_7_projection_correctness(rng):
+    cvxpy = pytest.importorskip("cvxpy")
     worst = 0.0
     for case in range(50):
         n_img = int(rng.integers(1, 4))

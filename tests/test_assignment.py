@@ -3,7 +3,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from multimatch import InfeasibleK, NonFiniteEntry, discretize, solve_lap
+from multimatch.assignment import _duals, _primal
 from conftest import enumerate_lap
+
+# square and rectangular shapes small enough to enumerate
+TIE_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (4, 2), (5, 3), (6, 4), (7, 3), (7, 4)]
 
 
 def test_zero_diagonal_two_by_two():
@@ -47,6 +51,66 @@ def test_matches_enumeration_on_random_matrices(rng):
         rows, total = enumerate_lap(cost)
         assert res.column_to_row.tolist() == rows.tolist()
         assert res.total_cost == total
+
+
+def test_matches_enumeration_on_integer_ties(rng):
+    for p, k in TIE_SHAPES:
+        for _ in range(40):
+            cost = rng.integers(0, 3, size=(p, k)).astype(float)
+            res = solve_lap(cost)
+            rows, total = enumerate_lap(cost)
+            assert res.column_to_row.tolist() == rows.tolist()
+            assert res.total_cost == total
+
+
+def test_matches_enumeration_on_rounded_ties(rng):
+    # sums of one-decimal costs tie only up to rounding, so the oracle
+    # takes the same tolerance as the solver
+    for p, k in TIE_SHAPES:
+        for _ in range(40):
+            cost = np.round(rng.random((p, k)), 1)
+            res = solve_lap(cost)
+            rows, total = enumerate_lap(cost, tol=1e-9)
+            assert res.column_to_row.tolist() == rows.tolist()
+            assert res.total_cost == total
+
+
+def _certificate(cost):
+    rows = _primal(cost)
+    u, v = _duals(cost, rows)
+    reduced = cost - u[:, None] - v
+    matched = np.zeros(cost.shape[0], dtype=bool)
+    matched[rows] = True
+    return rows, u, reduced, matched
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 4), (12, 8), (13, 12), (13, 13), (40, 20)])
+@pytest.mark.parametrize("kind", ["normal", "integers", "rounded"])
+def test_recovered_duals_certify_optimality(rng, shape, kind):
+    p, k = shape
+    for _ in range(30):
+        if kind == "normal":
+            cost = rng.normal(size=shape)
+        elif kind == "integers":
+            cost = rng.integers(0, 3, size=shape).astype(float)
+        else:
+            cost = np.round(rng.random(shape), 1)
+        rows, u, reduced, matched = _certificate(cost)
+        assert reduced.min() >= -1e-9
+        assert np.abs(reduced[rows, np.arange(k)]).max() <= 1e-9
+        assert (u[~matched] == 0.0).all()
+        assert (u[matched] <= 1e-9).all()
+
+
+def test_recovered_duals_leave_no_zero_off_the_optimum_on_generic_costs(rng):
+    # a unique optimum admits duals with a positive reduced cost on every
+    # other entry; with those the tie-break pass has nothing to verify
+    for p, k in [(5, 5), (12, 8), (13, 12), (13, 13), (40, 20)]:
+        for _ in range(30):
+            cost = rng.normal(size=(p, k))
+            rows, _, reduced, _ = _certificate(cost)
+            reduced[rows, np.arange(k)] = np.inf
+            assert reduced.min() > 1e-9
 
 
 def test_agrees_with_scipy_on_total_cost(rng):

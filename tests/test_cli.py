@@ -83,15 +83,6 @@ def test_solve_warning_exit_code(tmp_path):
     assert code == 3
 
 
-def test_solve_threads_do_not_change_output(tmp_path):
-    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
-    run(synth_args(problem, truth, seed=11, corrupt=0.2))
-    one, four = tmp_path / "one.json", tmp_path / "four.json"
-    run(["solve", "--problem", problem, "--out", one, "--threads", 1])
-    run(["solve", "--problem", problem, "--out", four, "--threads", 4])
-    assert one.read_bytes() == four.read_bytes()
-
-
 def test_eval_matches_library_metrics(tmp_path, capsys):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=7, corrupt=0.2, sigma=0.01))

@@ -90,9 +90,6 @@ def test_scores_from_descriptors_build_valid_instance(rng):
     assert set(scores.blocks) == {(0, 1), (0, 2), (1, 2)}
     inst = validate_instance(features, scores, SolverConfig(k=2))
     assert inst.m == 12
-    threaded = scores_from_descriptors(features, threads=3)
-    for key, blk in scores.blocks.items():
-        assert np.array_equal(blk, threaded.blocks[key])
 
 
 def test_scores_from_descriptors_requires_descriptors(rng):

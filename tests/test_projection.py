@@ -10,11 +10,10 @@ from multimatch import (
 )
 from conftest import random_feasible_y
 
-cvxpy = pytest.importorskip("cvxpy")
-
 
 def qp_project(y, sizes):
     """Independent QP oracle for the constraint-set projection."""
+    import cvxpy
     m, k = y.shape
     v = cvxpy.Variable((m, k))
     cons = [v >= 0, cvxpy.sum(v, axis=1) <= 1]
@@ -44,6 +43,7 @@ def test_row_capped_mixed_signs():
 
 
 def test_row_capped_matches_qp(rng):
+    cvxpy = pytest.importorskip("cvxpy")
     for _ in range(25):
         v = rng.normal(scale=1.5, size=4)
         x = cvxpy.Variable(4)
@@ -69,6 +69,7 @@ def test_col_simplex_sorted_threshold_case():
 
 
 def test_col_simplex_matches_qp(rng):
+    cvxpy = pytest.importorskip("cvxpy")
     for _ in range(25):
         v = rng.normal(scale=2.0, size=5)
         x = cvxpy.Variable(5)
@@ -97,6 +98,7 @@ def test_project_c_symmetric_two_by_two():
 
 
 def test_project_c_matches_qp_oracle(rng):
+    pytest.importorskip("cvxpy")
     for _ in range(15):
         n_img = int(rng.integers(1, 3))
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_img))

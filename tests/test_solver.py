@@ -272,17 +272,6 @@ def test_update_x_optimal_against_single_image_swaps(rng):
         off += p
 
 
-def test_update_x_thread_count_does_not_change_result(rng):
-    sizes = (5, 4, 6)
-    y = random_feasible_y(rng, sizes, 3)
-    coords = [rng.random((2, p)) for p in sizes]
-    z = rng.random((6, 3))
-    a = update_X(y, z, coords, 1.0, 2.0, threads=1)
-    b = update_X(y, z, coords, 1.0, 2.0, threads=4)
-    for x1, x2 in zip(a.assignments, b.assignments):
-        assert np.array_equal(x1, x2)
-
-
 def test_update_z_identity_when_rank_already_low(rng):
     lab = random_labeling(rng, [5, 5], 3)
     coords = [rng.random((2, 5)), rng.random((2, 5))]
