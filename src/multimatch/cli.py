@@ -165,8 +165,6 @@ def _cmd_eval(args) -> int:
     print(f"precision {stats.precision!r} {instance_id}")
     if stats.vacuous:
         print(f"vacuous 1 {instance_id}")
-    violation = metrics.cycle_check(labeling, max_triplets=512)
-    print(f"cycle_check {violation!r} {instance_id}")
     if args.problem is not None:
         features, _, _ = serialize.load_problem(args.problem)
         coords = _aligned_coords(features, lab_ids)

@@ -141,22 +141,19 @@ def pck(
 def cycle_check(blocks, max_triplets: int | None = None, seed: int = 0) -> float:
     """Maximum triplet composition violation max_ijz ||P_ij - P_iz P_zj||_inf.
 
-    ``blocks`` is a selection labeling or a mapping from ordered index
-    pairs to match matrices (a missing direction falls back to the stored
-    transpose).  All ordered triplets are checked unless ``max_triplets``
-    asks for a seeded subsample.
+    ``blocks`` maps ordered index pairs to match matrices (a missing
+    direction falls back to the stored transpose).  All ordered triplets
+    are checked unless ``max_triplets`` asks for a seeded subsample.  A
+    selection labeling needs no check: its induced matches X_i X_j^T are
+    cycle-consistent by construction, since X_z^T X_z = I_k.
     """
-    if isinstance(blocks, SelectionLabeling):
-        n = blocks.n
-        get = blocks.pair_matrix
-    else:
-        n = max(max(i, j) for i, j in blocks.keys()) + 1
-        store = dict(blocks)
+    n = max(max(i, j) for i, j in blocks.keys()) + 1
+    store = dict(blocks)
 
-        def get(i: int, j: int) -> np.ndarray:
-            if (i, j) in store:
-                return np.asarray(store[(i, j)])
-            return np.asarray(store[(j, i)]).T
+    def get(i: int, j: int) -> np.ndarray:
+        if (i, j) in store:
+            return np.asarray(store[(i, j)])
+        return np.asarray(store[(j, i)]).T
 
     total = n * (n - 1) * (n - 2)
     if max_triplets is not None and total > max_triplets:

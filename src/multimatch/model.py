@@ -207,29 +207,24 @@ class SelectionLabeling:
 
 @dataclass
 class SolverConfig:
-    """All tunables of the joint solver.
+    """The tunables of the joint solver.
 
     ``k`` is the number of features selected per image, ``r`` the rank bound
-    of the geometric fit, ``lam`` the geometric weight, and ``rho_schedule``
-    the increasing sequence of coupling weights.  Step control covers the
-    projected-gradient line search; tolerances bound the inner loop, the
-    per-stage sweeps, and the outer stopping rule.
+    of the geometric fit, ``lam`` the geometric weight, ``rho_schedule`` the
+    increasing sequence of coupling weights, ``max_inner`` the cap on
+    accepted projected-gradient steps per Y update, ``max_sweeps`` the cap
+    on (Y, X, Z) sweeps per rho stage, and ``seed`` the seed of the jittered
+    start.  Step control and stopping tolerances are constants of the
+    solver module.
     """
 
     k: int
     r: int = 4
     lam: float = 1.0
     rho_schedule: tuple[float, ...] = (1.0, 10.0, 100.0)
-    eta0: float | None = None  # None: 1 / (||Y||_2^2 + ||W||_inf + rho)
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    inner_tol: float = 1e-6
     max_inner: int = 500
-    outer_tol: float = 1e-7
     max_sweeps: int = 100
     seed: int = 0
-    init_jitter: float = 0.25  # seeded relative jitter on the uniform start
-    normalize_coords: bool = True
 
     def __post_init__(self):
         self.k = int(self.k)
@@ -245,18 +240,8 @@ class SolverConfig:
             raise MatchingError("rho schedule must be positive and nonempty")
         if any(b <= a for a, b in zip(self.rho_schedule, self.rho_schedule[1:])):
             raise MatchingError("rho schedule must be strictly increasing")
-        if not (0 < self.backtrack < 1):
-            raise MatchingError("backtracking factor must lie in (0, 1)")
-        if not (0 < self.armijo < 1):
-            raise MatchingError("Armijo constant must lie in (0, 1)")
-        if self.eta0 is not None and self.eta0 <= 0:
-            raise MatchingError("initial step size must be positive")
-        if min(self.inner_tol, self.outer_tol) <= 0:
-            raise MatchingError("tolerances must be positive")
         if min(self.max_inner, self.max_sweeps) < 1:
             raise MatchingError("iteration limits must be at least 1")
-        if self.init_jitter < 0:
-            raise MatchingError("init jitter must be nonnegative")
 
 
 @dataclass

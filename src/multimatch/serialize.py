@@ -12,6 +12,7 @@ per recorded sweep.
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -77,19 +78,59 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
             )
         index = {f.image_id: i for i, f in enumerate(features)}
         sizes = tuple(f.p for f in features)
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        for rec in doc.get("pairwise", []):
-            i, j = index[str(rec["i"])], index[str(rec["j"])]
-            block = np.zeros((sizes[i], sizes[j]))
-            for r, c, v in rec["entries"]:
-                block[int(r), int(c)] = float(v)
-            blocks[(i, j)] = block
+        blocks = _score_blocks(doc.get("pairwise", []), index, sizes)
         defaults = dict(doc.get("solver_defaults", {}))
         if "rho_schedule" in defaults:
             defaults["rho_schedule"] = tuple(float(r) for r in defaults["rho_schedule"])
         return features, PairwiseScores(blocks, sizes), defaults
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed problem document ({exc})") from exc
+
+
+def _score_blocks(records, index: dict[str, int], sizes) -> dict[tuple[int, int], np.ndarray]:
+    """Dense score blocks from the pairwise records of a problem document.
+
+    The entries of all records are parsed as one [row, col, value] table
+    and scattered into one buffer that the blocks view.  Every index must
+    be an integer inside its block, every (row, col) may appear once in a
+    block and every ordered image pair once in the document; anything else
+    raises :class:`ParseError`.
+    """
+    keys = [(index[str(rec["i"])], index[str(rec["j"])]) for rec in records]
+    if len(set(keys)) < len(keys):
+        raise ParseError("an image pair is listed twice")
+    counts = np.array([len(rec["entries"]) for rec in records], dtype=np.int64)
+    entries = [e for rec in records for e in rec["entries"]]
+    if any(len(e) != 3 for e in entries):
+        raise ParseError("a pairwise entry is not a [row, col, value] triple")
+    values = itertools.chain.from_iterable(entries)
+    table = np.fromiter(values, float, 3 * len(entries)).reshape(-1, 3)
+    shapes = np.asarray(sizes, dtype=np.int64)[np.array(keys, dtype=np.int64).reshape(-1, 2)]
+    owner = np.repeat(np.arange(len(keys)), counts)
+
+    def reject(bad: np.ndarray, what: str):
+        rec = records[owner[bad][0]]
+        raise ParseError(f"pair ({rec['i']}, {rec['j']}): {what}")
+
+    position = table[:, :2]
+    integral = (np.isfinite(position) & (position == np.trunc(position))).all(axis=1)
+    if not integral.all():
+        reject(~integral, "an entry index is not an integer")
+    outside = ((position < 0) | (position >= shapes[owner])).any(axis=1)
+    if outside.any():
+        reject(outside, "an entry index lies outside the block")
+    rows, cols = position.astype(np.int64).T
+    areas = shapes.prod(axis=1)
+    starts = np.cumsum(areas) - areas
+    flat = starts[owner] + rows * shapes[owner, 1] + cols
+    order = np.argsort(flat, kind="stable")
+    repeated = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeated.size:
+        reject(repeated, "an entry (row, col) is listed twice")
+    buffer = np.zeros(int(areas.sum()))
+    buffer[flat] = table[:, 2]
+    bounds = zip(starts.tolist(), (starts + areas).tolist(), map(tuple, shapes.tolist()))
+    return {key: buffer[a:b].reshape(shape) for key, (a, b, shape) in zip(keys, bounds)}
 
 
 def _pairs_document(ids, sizes, labels, extra: dict) -> str:
@@ -113,7 +154,14 @@ def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
     try:
         _check_version(doc)
         ids, labels = _read_pairs(doc)
-        return ids, labels, int(doc["universe_size"])
+        universe = int(doc["universe_size"])
+        for image_id, lab in zip(ids, labels):
+            used = lab[lab >= 0]
+            if (used >= universe).any() or np.unique(used).size < used.size:
+                raise ParseError(
+                    f"image {image_id}: labels must be -1 or distinct values in [0, {universe})"
+                )
+        return ids, labels, universe
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed ground-truth document ({exc})") from exc
 
@@ -134,7 +182,9 @@ def load_labeling(path) -> tuple[list[str], SelectionLabeling]:
     try:
         _check_version(doc)
         ids, labels = _read_pairs(doc)
-        return ids, SelectionLabeling.from_labels(labels, int(doc["k"]))
+        labeling = SelectionLabeling.from_labels(labels, int(doc["k"]))
+        labeling.validate()
+        return ids, labeling
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed labeling document ({exc})") from exc
 
@@ -178,13 +228,27 @@ def _check_version(doc: dict) -> None:
 
 
 def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
+    """Per-image labels from (candidate, label) pairs; -1 marks unlisted candidates.
+
+    Candidates must be distinct integers in [0, p) and labels integers of
+    at least -1; anything else raises :class:`ParseError`.
+    """
     ids, labels = [], []
     if not doc["images"]:
         raise ParseError("document lists no images")
     for rec in doc["images"]:
         ids.append(str(rec["id"]))
         lab = np.full(int(rec["p"]), -1, dtype=int)
-        for c, l in rec["pairs"]:
-            lab[int(c)] = int(l)
+        pairs = np.asarray(rec["pairs"], dtype=float).reshape(len(rec["pairs"]), 2)
+        if not (np.isfinite(pairs) & (pairs == np.trunc(pairs))).all():
+            raise ParseError(f"image {ids[-1]}: candidates and labels must be integers")
+        cand, label = pairs.astype(int).T
+        if (cand < 0).any() or (cand >= lab.size).any() or np.unique(cand).size < cand.size:
+            raise ParseError(
+                f"image {ids[-1]}: candidates must be distinct indices in [0, {lab.size})"
+            )
+        if (label < -1).any():
+            raise ParseError(f"image {ids[-1]}: labels must be -1 or nonnegative")
+        lab[cand] = label
         labels.append(lab)
     return ids, labels

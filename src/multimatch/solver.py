@@ -17,6 +17,10 @@ increases within a fixed-rho stage.  Coordinates are preconditioned to a
 per-image centered frame of mean norm sqrt(2) so that the geometric weight
 acts on the same scale as the score residual; the fit is mapped back to
 the input frame on the final state.
+
+Step control is fixed here rather than configured: the backtracking
+factor, the Armijo constant, the inner and outer stopping tolerances and
+the start-point jitter are the module constants below.
 """
 
 from __future__ import annotations
@@ -38,7 +42,12 @@ from .model import (
 )
 from .projection import project_onto_C
 
-STALL_ETA = 1e-12
+STALL_ETA = 1e-12  # a line search that shrinks the step below this stalls
+BACKTRACK = 0.5  # step shrink factor per rejected trial
+ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+INNER_TOL = 1e-6  # relative objective drop that ends update_Y
+OUTER_TOL = 1e-7  # relative objective drop that ends a rho stage
+INIT_JITTER = 0.25  # seeded relative jitter on the uniform start
 
 
 @dataclass(frozen=True)
@@ -95,44 +104,53 @@ def _inf_norm(w) -> float:
     return float(abs(w).sum(axis=1).max())
 
 
+def _cycle(w, y: np.ndarray, wsq: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cycle term at y given ||w||_F^2, plus the w @ y and y^T y it contracts through."""
+    wy = w @ y
+    gram = y.T @ y
+    return 0.25 * (wsq - 2.0 * float(np.vdot(y, wy)) + float((gram * gram).sum())), wy, gram
+
+
+def _coupling(y: np.ndarray, xs: np.ndarray, rho: float) -> float:
+    if not rho:
+        return 0.0
+    diff = y - xs
+    return 0.5 * rho * float((diff * diff).sum())
+
+
 def objective_cycle(w, y: np.ndarray) -> float:
     """Quarter squared Frobenius mismatch between the scores and y y^T.
 
     Evaluated without forming the m x m product: the cross term contracts
     through w @ y and the quartic term through the k x k Gram matrix.
     """
-    y = np.asarray(y, dtype=float)
-    wy = w @ y
-    gram = y.T @ y
-    return 0.25 * (_frob2(w) - 2.0 * float(np.vdot(y, wy)) + float((gram * gram).sum()))
+    return _cycle(w, np.asarray(y, dtype=float), _frob2(w))[0]
 
 
-def objective_geo(x, z: np.ndarray, coords: list[np.ndarray]) -> float:
+def objective_geo(x: SelectionLabeling, z: np.ndarray, coords: list[np.ndarray]) -> float:
     """Half squared residual between selected coordinates and the fit z."""
-    blocks = x.assignments if isinstance(x, SelectionLabeling) else x
     total = 0.0
-    for i, (xi, ci) in enumerate(zip(blocks, coords)):
+    for i, (xi, ci) in enumerate(zip(x.assignments, coords)):
         diff = ci @ xi - z[2 * i : 2 * i + 2]
         total += float((diff * diff).sum())
     return 0.5 * total
 
 
-def objective_total(w, y, x, z, coords, lam: float, rho: float) -> float:
-    """Full objective: cycle term + lam * geometric term + coupling term."""
-    xs = x.stacked() if isinstance(x, SelectionLabeling) else np.asarray(x, dtype=float)
-    val = objective_cycle(w, y)
-    if lam:
-        val += lam * objective_geo(x, z, coords)
-    if rho:
-        diff = xs - y
-        val += 0.5 * rho * float((diff * diff).sum())
-    return val
+def objective_components(
+    w, y, x: SelectionLabeling, z, coords, lam: float, rho: float
+) -> tuple[float, float, float]:
+    """The (cycle, lam * geometric, coupling) terms of the full objective.
+
+    Their sum is the objective the solver minimizes; a trace record stores
+    the three terms and that sum.
+    """
+    geo = lam * objective_geo(x, z, coords) if lam else 0.0
+    return objective_cycle(w, y), geo, _coupling(y, x.stacked(), rho)
 
 
-def assemble_measurements(x, coords: list[np.ndarray]) -> np.ndarray:
+def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
     """Stack the coordinates of the selected features into a 2n x k matrix."""
-    blocks = x.assignments if isinstance(x, SelectionLabeling) else x
-    return np.vstack([ci @ xi for xi, ci in zip(blocks, coords)])
+    return np.vstack([ci @ xi for xi, ci in zip(x.assignments, coords)])
 
 
 def normalize_coordinates(
@@ -171,9 +189,7 @@ def update_Y(
     sizes,
     *,
     eta0: float | None = None,
-    backtrack: float = 0.5,
-    armijo: float = 1e-4,
-    inner_tol: float = 1e-6,
+    inner_tol: float = INNER_TOL,
     max_inner: int = 500,
 ) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
@@ -184,22 +200,16 @@ def update_Y(
     1 / (||y||_2^2 + ||w||_inf + rho).  Stops when the relative objective
     decrease falls below ``inner_tol`` or after ``max_inner`` accepted
     steps.  Returns (new y, objective history, stalled flag); the stalled
-    flag reports a line search that shrank the step below 1e-12 without
-    finding decrease, in which case the current iterate is kept.
+    flag reports a line search that shrank the step below ``STALL_ETA``
+    without finding decrease, in which case the current iterate is kept.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     wsq = _frob2(w)
-    use_rho = float(rho) != 0.0
 
     def value(yc: np.ndarray):
-        wy = w @ yc
-        gram = yc.T @ yc
-        val = 0.25 * (wsq - 2.0 * float(np.vdot(yc, wy)) + float((gram * gram).sum()))
-        if use_rho:
-            diff = yc - x
-            val += 0.5 * rho * float((diff * diff).sum())
-        return val, wy, gram
+        cycle, wy, gram = _cycle(w, yc, wsq)
+        return cycle + _coupling(yc, x, rho), wy, gram
 
     f_cur, wy, gram = value(y)
     history = [f_cur]
@@ -209,7 +219,7 @@ def update_Y(
     stalled = False
     for _ in range(max_inner):
         grad = y @ gram - wy
-        if use_rho:
+        if rho:
             grad += rho * (y - x)
         eta = eta0
         accepted = False
@@ -217,10 +227,10 @@ def update_Y(
             y_new = project_onto_C(y - eta * grad, sizes)
             f_new, wy_new, gram_new = value(y_new)
             decrease = float(np.vdot(grad, y - y_new))
-            if f_new <= f_cur - armijo * decrease:
+            if f_new <= f_cur - ARMIJO * decrease:
                 accepted = True
                 break
-            eta *= backtrack
+            eta *= BACKTRACK
         if not accepted:
             stalled = True
             break
@@ -291,21 +301,8 @@ def initialize(w, config: SolverConfig, sizes) -> tuple[np.ndarray, SelectionLab
     k = config.k
     rng = np.random.default_rng(config.seed)
     y0 = np.vstack([np.full((p, k), 1.0 / p) for p in sizes])
-    if config.init_jitter:
-        y0 = y0 * (1.0 + config.init_jitter * rng.random(y0.shape))
-    y0 = project_onto_C(y0, sizes)
-    y, history, _ = update_Y(
-        y0,
-        np.zeros_like(y0),
-        w,
-        0.0,
-        sizes,
-        eta0=config.eta0,
-        backtrack=config.backtrack,
-        armijo=config.armijo,
-        inner_tol=config.inner_tol,
-        max_inner=config.max_inner,
-    )
+    y0 = project_onto_C(y0 * (1.0 + INIT_JITTER * rng.random(y0.shape)), sizes)
+    y, history, _ = update_Y(y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner)
     layout = BlockLayout(sizes)
     x = SelectionLabeling([discretize(block) for block in layout.split(y)], k)
     return y, x, history
@@ -315,7 +312,7 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     """Run initialization plus the full continuation schedule.
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
-    objective stops decreasing relative to ``config.outer_tol``; hitting
+    objective stops decreasing relative to ``OUTER_TOL``; hitting
     ``config.max_sweeps`` first is recorded as a warning on the state.
     The trace carries the initialization objective per accepted step and
     one record per sweep and stage thereafter.
@@ -325,11 +322,7 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     if config.k > min(sizes):
         raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(sizes)}")
     w = assemble_block(instance.scores)
-    coords_raw = instance.coordinates
-    if config.normalize_coords:
-        coords, transforms = normalize_coordinates(coords_raw)
-    else:
-        coords, transforms = coords_raw, None
+    coords, transforms = normalize_coordinates(instance.coordinates)
 
     trace: list[TraceRecord] = []
     y, x, init_history = initialize(w, config, sizes)
@@ -342,54 +335,33 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     rho = config.rho_schedule[-1]
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
-        xs = x.stacked()
-        prev = _record(trace, stage, 0, w, y, x, xs, z, coords, config.lam, rho)
+        parts = objective_components(w, y, x, z, coords, config.lam, rho)
+        trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         for sweep in range(1, config.max_sweeps + 1):
-            y, _, _ = update_Y(
-                y,
-                xs,
-                w,
-                rho,
-                sizes,
-                eta0=config.eta0,
-                backtrack=config.backtrack,
-                armijo=config.armijo,
-                inner_tol=config.inner_tol,
-                max_inner=config.max_inner,
-            )
+            y, _, _ = update_Y(y, x.stacked(), w, rho, sizes, max_inner=config.max_inner)
             x = update_X(y, z, coords, config.lam, rho)
-            xs = x.stacked()
             z = update_Z(x, coords, config.r)
-            total = _record(trace, stage, sweep, w, y, x, xs, z, coords, config.lam, rho)
-            if prev - total <= config.outer_tol * max(1.0, abs(prev)):
+            parts = objective_components(w, y, x, z, coords, config.lam, rho)
+            trace.append(TraceRecord(stage, sweep, *parts, sum(parts)))
+            prev, total = trace[-2].total, trace[-1].total
+            if prev - total <= OUTER_TOL * max(1.0, abs(prev)):
                 converged = True
                 break
-            prev = total
         if not converged:
             warnings_list.append(f"max sweeps ({config.max_sweeps}) reached at {stage}")
 
-    m_pixel = assemble_measurements(x, coords_raw)
-    z_pixel = denormalize_fit(z, transforms) if transforms is not None else z.copy()
     return SolverState(
         y=y,
         labeling=x,
-        measurement=MeasurementEstimate(m_pixel, z_pixel),
+        measurement=MeasurementEstimate(
+            assemble_measurements(x, instance.coordinates), denormalize_fit(z, transforms)
+        ),
         rho=float(rho),
         objective_trace=trace,
         layout=layout,
         warnings=warnings_list,
     )
-
-
-def _record(trace, stage, iteration, w, y, x, xs, z, coords, lam, rho) -> float:
-    cycle = objective_cycle(w, y)
-    geo = lam * objective_geo(x, z, coords) if lam else 0.0
-    diff = xs - y
-    coupling = 0.5 * rho * float((diff * diff).sum())
-    total = cycle + geo + coupling
-    trace.append(TraceRecord(stage, iteration, cycle, geo, coupling, total))
-    return total
 
 
 def selection_objective(w, labeling: SelectionLabeling, coords: list[np.ndarray], lam: float, r: int) -> float:

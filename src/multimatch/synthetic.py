@@ -164,9 +164,8 @@ def brute_force_solve(
 
     The objective matches the solver's own accounting: the score term at
     the binary labeling and the geometric term at its optimal rank-r fit,
-    in the solver's normalized coordinate frame when the config enables
-    normalization.  Refuses instances whose labeling count exceeds
-    ``budget``.
+    in the solver's normalized coordinate frame.  Refuses instances whose
+    labeling count exceeds ``budget``.
     """
     sizes = [f.p for f in instance.features]
     k = config.k
@@ -178,9 +177,7 @@ def brute_force_solve(
                 f"{count}+ labelings exceed the enumeration budget {budget}"
             )
     w = assemble_block(instance.scores).toarray()
-    coords = instance.coordinates
-    if config.normalize_coords:
-        coords, _ = normalize_coordinates(coords)
+    coords, _ = normalize_coordinates(instance.coordinates)
 
     best_obj = np.inf
     best: SelectionLabeling | None = None

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import multimatch
 from multimatch import pair_stats, recall
 from multimatch.cli import main
 from multimatch.serialize import load_labeling, load_truth
@@ -75,6 +78,15 @@ def test_solve_parse_error_exit_code(tmp_path):
     assert run(["solve", "--problem", bad, "--out", tmp_path / "l.json"]) == 2
 
 
+def test_solve_malformed_entry_is_parse_error(tmp_path):
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    run(synth_args(problem, truth))
+    doc = json.loads(problem.read_text())
+    doc["pairwise"][0]["entries"].append([-1, 0, 1.0])
+    problem.write_text(json.dumps(doc))
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 2
+
+
 def test_solve_warning_exit_code(tmp_path):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
@@ -102,7 +114,6 @@ def test_eval_matches_library_metrics(tmp_path, capsys):
     stats = pair_stats(lab, tlabels)
     assert metrics["recall"] == stats.recall
     assert metrics["precision"] == stats.precision
-    assert metrics["cycle_check"] == 0.0
     assert "rank_tail_ratio" in metrics
 
 
@@ -145,8 +156,12 @@ def test_reconstruct_small_k_fails(tmp_path):
 
 
 def test_console_entrypoint_runs():
+    # the child imports the same multimatch as this process, installed or not
+    src = str(Path(multimatch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "multimatch.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "multimatch.cli", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout

@@ -130,11 +130,6 @@ def test_pck_validates_inputs():
         pck(pts, pts, 10, 10, 1.5)
 
 
-def test_cycle_check_zero_for_any_labeling(rng):
-    lab = random_labeling(rng, [4, 4, 5, 3], 2)
-    assert cycle_check(lab) == 0.0
-
-
 def test_cycle_check_detects_corrupted_block(rng):
     lab = random_labeling(rng, [3, 3, 3], 2)
     blocks = {

@@ -100,6 +100,23 @@ def test_trace_is_csv(tmp_path):
     assert len(lines) == 3
 
 
+def _two_image_problem(pairwise):
+    images = [{"id": "a", "coordinates": [[0, 1, 2], [0, 1, 2]]},
+              {"id": "b", "coordinates": [[0, 1, 2], [2, 1, 0]]}]
+    return {"format_version": 1, "images": images, "pairwise": pairwise}
+
+
+MALFORMED_PAIRWISE = [
+    [{"i": "a", "j": "b", "entries": [[-1, 0, 1.0]]}],  # negative index
+    [{"i": "a", "j": "b", "entries": [[0, 3, 1.0]]}],  # past the block
+    [{"i": "a", "j": "b", "entries": [[1.7, 0, 1.0]]}],  # not an integer
+    [{"i": "a", "j": "b", "entries": [[0, 1, 0.3], [0, 1, 0.9]]}],  # repeated (row, col)
+    [{"i": "a", "j": "b", "entries": [[0, 1, 0.3]]},
+     {"i": "a", "j": "b", "entries": [[1, 1, 0.9]]}],  # pair listed twice
+    [{"i": "a", "j": "b", "entries": [[0, 1], [1, 1, 0.9, 0]]}],  # not triples
+]
+
+
 def test_load_problem_rejects_bad_documents(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json at all")
@@ -113,6 +130,21 @@ def test_load_problem_rejects_bad_documents(tmp_path):
         load_problem(bad)
     with pytest.raises(ParseError):
         load_problem(tmp_path / "missing.json")
+    for pairwise in MALFORMED_PAIRWISE:
+        bad.write_text(json.dumps(_two_image_problem(pairwise)))
+        with pytest.raises(ParseError):
+            load_problem(bad)
+
+
+def test_load_problem_keeps_both_directions_of_a_pair(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_two_image_problem([
+        {"i": "a", "j": "b", "entries": [[0, 1, 0.3], [2, 0, 1.0]]},
+        {"i": "b", "j": "a", "entries": [[1, 0, 0.5]]},
+    ])))
+    _, scores, _ = load_problem(path)
+    assert np.array_equal(scores.blocks[(0, 1)], [[0, 0.3, 0], [0, 0, 0], [1.0, 0, 0]])
+    assert np.array_equal(scores.blocks[(1, 0)], [[0, 0, 0], [0.5, 0, 0], [0, 0, 0]])
 
 
 def test_load_labeling_rejects_empty_images(tmp_path):
@@ -120,3 +152,42 @@ def test_load_labeling_rejects_empty_images(tmp_path):
     path.write_text(json.dumps({"format_version": 1, "k": 2, "images": []}))
     with pytest.raises(ParseError):
         load_labeling(path)
+
+
+def _pairs_doc(pairs_per_image, **extra):
+    images = [{"id": f"i{t}", "p": 3, "pairs": pairs} for t, pairs in enumerate(pairs_per_image)]
+    return json.dumps({"format_version": 1, **extra, "images": images})
+
+
+def test_sidecars_reject_malformed_pairs(tmp_path):
+    path = tmp_path / "doc.json"
+    bad_pairs = ([[-1, 0], [0, 1]], [[3, 0], [0, 1]], [[0.5, 0], [1, 1]],  # candidate index
+                 [[0, 0], [0, 1]], [[0, 0.7], [1, 1]], [[0, 0], [1, 1], [2, -5]])  # repeat, label
+    for bad in bad_pairs:
+        path.write_text(_pairs_doc([[[0, 0], [1, 1]], bad], k=2))
+        with pytest.raises(ParseError):
+            load_labeling(path)
+        path.write_text(_pairs_doc([[[0, 0], [1, 1]], bad], universe_size=2))
+        with pytest.raises(ParseError):
+            load_truth(path)
+
+
+def test_load_labeling_rejects_invalid_labeling(tmp_path):
+    path = tmp_path / "lab.json"
+    path.write_text(_pairs_doc([[[0, 0], [1, 1]], [[0, 0], [2, 0]]], k=2))  # label 0 twice
+    with pytest.raises(ParseError):
+        load_labeling(path)
+    path.write_text(_pairs_doc([[[0, 0], [1, 1]], [[0, 0]]], k=2))  # label 1 unused
+    with pytest.raises(ParseError):
+        load_labeling(path)
+    path.write_text(_pairs_doc([[[0, 0], [1, 1]], [[2, 1], [0, 0]]], k=2))
+    _, lab = load_labeling(path)
+    assert [l.tolist() for l in lab.labels()] == [[0, 1, -1], [0, -1, 1]]
+
+
+def test_load_truth_rejects_invalid_labels(tmp_path):
+    path = tmp_path / "truth.json"
+    for bad in ([[0, 0], [1, 0]], [[0, 2]]):  # label repeated, label past the universe
+        path.write_text(_pairs_doc([[[0, 0], [1, 1]], bad], universe_size=2))
+        with pytest.raises(ParseError):
+            load_truth(path)

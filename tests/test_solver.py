@@ -10,9 +10,9 @@ from multimatch import (
     feasibility_gap,
     initialize,
     normalize_coordinates,
+    objective_components,
     objective_cycle,
     objective_geo,
-    objective_total,
     project_onto_C,
     recall,
     generate,
@@ -92,8 +92,8 @@ def test_objective_total_zero_for_consistent_state(rng):
     w = xs @ xs.T
     coords = [rng.random((2, 3)), rng.random((2, 3))]
     m_tilde = assemble_measurements(lab, coords)
-    total = objective_total(w, xs, lab, m_tilde, coords, lam=1.0, rho=5.0)
-    assert total == pytest.approx(0.0, abs=1e-12)
+    parts = objective_components(w, xs, lab, m_tilde, coords, lam=1.0, rho=5.0)
+    assert sum(parts) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_total_decomposes(rng):
@@ -104,17 +104,12 @@ def test_objective_total_decomposes(rng):
     coords = [rng.random((2, 4)), rng.random((2, 4))]
     z = rng.random((4, 2))
     lam, rho = 0.7, 3.0
-    expected = (
-        naive_cycle_objective(w, y)
-        + lam * naive_geo_objective(lab.assignments, z, coords)
-        + 0.5 * rho * ((lab.stacked() - y) ** 2).sum()
-    )
-    assert objective_total(w, y, lab, z, coords, lam, rho) == pytest.approx(expected, rel=1e-9)
-    no_rho = objective_total(w, y, lab, z, coords, lam, 0.0)
-    assert no_rho == pytest.approx(
-        naive_cycle_objective(w, y) + lam * naive_geo_objective(lab.assignments, z, coords),
-        rel=1e-9,
-    )
+    cycle, geo, coupling = objective_components(w, y, lab, z, coords, lam, rho)
+    assert cycle == pytest.approx(naive_cycle_objective(w, y), rel=1e-9)
+    assert geo == pytest.approx(lam * naive_geo_objective(lab.assignments, z, coords), rel=1e-9)
+    assert coupling == pytest.approx(0.5 * rho * ((lab.stacked() - y) ** 2).sum(), rel=1e-9)
+    assert objective_components(w, y, lab, z, coords, lam, 0.0) == (cycle, geo, 0.0)
+    assert objective_components(w, y, lab, z, coords, 0.0, rho) == (cycle, 0.0, coupling)
 
 
 def gradient_fd(w, y, x, rho, h=1e-5):
@@ -366,6 +361,16 @@ def test_solve_trace_monotone_within_stages():
         by_stage.setdefault(rec.stage, []).append(rec.total)
     for stage, vals in by_stage.items():
         assert (np.diff(vals) <= 1e-9).all(), stage
+
+
+def test_solve_trace_totals_are_component_sums():
+    planted = generate(5, 4, outliers_per_image=2, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.2, seed=4)
+    state = solve(planted.instance, SolverConfig(k=4, seed=4))
+    for rec in state.objective_trace:
+        assert rec.total == rec.cycle + rec.geo + rec.coupling
+    w = assemble_block(planted.instance.scores)
+    assert state.objective_trace[-1].cycle == objective_cycle(w, state.y)
 
 
 def test_solve_with_huge_rho_matches_initialize_then_discretize():
