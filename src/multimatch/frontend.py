@@ -12,10 +12,11 @@ from __future__ import annotations
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assignment import solve_lap
 from .errors import DimensionMismatch, MatchingError
-from .model import FeatureSet, PairwiseScores
+from .model import BlockLayout, FeatureSet, PairwiseScores
 
 
 def similarity(desc_i: np.ndarray, desc_j: np.ndarray) -> np.ndarray:
@@ -45,13 +46,17 @@ def pairwise_match(desc_i: np.ndarray, desc_j: np.ndarray) -> np.ndarray:
 
 
 def scores_from_descriptors(features: list[FeatureSet]) -> PairwiseScores:
-    """Match every image pair of a feature list into canonical score blocks."""
+    """Match every image pair (i < j) of a feature list into one upper-triangular score matrix."""
     missing = [f.image_id for f in features if f.descriptors is None]
     if missing:
         raise MatchingError(f"images without descriptors: {missing}")
-    sizes = tuple(f.p for f in features)
-    blocks = {
-        (i, j): pairwise_match(features[i].descriptors, features[j].descriptors).astype(float)
-        for i, j in combinations(range(len(features)), 2)
-    }
-    return PairwiseScores(blocks, sizes)
+    layout = BlockLayout(tuple(f.p for f in features))
+    offsets = layout.offsets
+    rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for i, j in combinations(range(layout.n), 2):
+        r, c = np.nonzero(pairwise_match(features[i].descriptors, features[j].descriptors))
+        rows.append(offsets[i] + r)
+        cols.append(offsets[j] + c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    matrix = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(layout.m, layout.m))
+    return PairwiseScores(matrix, layout.sizes)

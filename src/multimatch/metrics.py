@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PairwiseScores, SelectionLabeling
+from .model import BlockLayout, PairwiseScores, SelectionLabeling
 
 
 @dataclass(frozen=True)
@@ -45,32 +45,31 @@ def _as_labels(x) -> list[np.ndarray]:
     return [np.asarray(lab, dtype=int) for lab in x]
 
 
-def _label_positions(lab: np.ndarray) -> dict[int, int]:
-    return {int(l): int(c) for c, l in enumerate(lab) if l >= 0}
+def _pair_count(labels: np.ndarray) -> int:
+    """Sum of C(count, 2) over the distinct values of nonnegative codes."""
+    counts = np.bincount(labels)
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def pair_stats(predicted, truth) -> MatchStats:
     """Count induced pairs over all image pairs (i < j) against the truth.
 
     Both arguments are selection labelings or per-image label arrays
-    (-1 marks unlabeled candidates).  A predicted pair is correct when both
-    candidates carry the same non-negative truth label.
+    (-1 marks unlabeled candidates), with no label repeated in one image.
+    A predicted pair is correct when both candidates carry the same
+    non-negative truth label; a label shared by c images makes C(c, 2) pairs.
     """
-    pred = [_label_positions(lab) for lab in _as_labels(predicted)]
-    true = [_label_positions(lab) for lab in _as_labels(truth)]
-    if len(pred) != len(true):
-        raise ValueError("prediction and truth must cover the same images")
-    true_inv = [{c: l for l, c in t.items()} for t in true]
-    n_true = n_pred = n_correct = 0
-    for i, j in itertools.combinations(range(len(pred)), 2):
-        n_true += len(true[i].keys() & true[j].keys())
-        for lab in pred[i].keys() & pred[j].keys():
-            n_pred += 1
-            a, b = pred[i][lab], pred[j][lab]
-            ta = true_inv[i].get(a)
-            if ta is not None and ta == true_inv[j].get(b):
-                n_correct += 1
-    return MatchStats(n_true, n_pred, n_correct)
+    pred, true = _as_labels(predicted), _as_labels(truth)
+    if [len(lab) for lab in pred] != [len(lab) for lab in true]:
+        raise ValueError("prediction and truth must cover the same images and candidates")
+    if not pred:
+        return MatchStats(0, 0, 0)
+    pred, true = np.concatenate(pred), np.concatenate(true)
+    joint = (pred >= 0) & (true >= 0)
+    joint_codes = pred[joint] * (true.max() + 1) + true[joint]
+    return MatchStats(
+        _pair_count(true[true >= 0]), _pair_count(pred[pred >= 0]), _pair_count(joint_codes)
+    )
 
 
 def recall(predicted, truth) -> float:
@@ -86,26 +85,19 @@ def precision(predicted, truth) -> float:
 def scores_pair_stats(scores: PairwiseScores, truth, threshold: float = 0.5) -> MatchStats:
     """Pair counts treating strong off-diagonal score entries as predictions.
 
-    Grades the raw pairwise input the same way a labeling is graded, so
-    input and solved precision are directly comparable.
+    Grades the pairwise input the same way a labeling is graded, so input
+    and solved precision are directly comparable.  Every entry of canonical
+    ``scores`` above the diagonal blocks that scores at least ``threshold``
+    (> 0) is one predicted pair.
     """
-    true = [_label_positions(lab) for lab in _as_labels(truth)]
-    true_inv = [{c: l for l, c in t.items()} for t in true]
-    n = scores.n
-    n_true = n_pred = n_correct = 0
-    for i, j in itertools.combinations(range(n), 2):
-        n_true += len(true[i].keys() & true[j].keys())
-        try:
-            block = scores.block(i, j)
-        except KeyError:
-            continue
-        rows, cols = np.nonzero(block >= threshold)
-        n_pred += rows.size
-        for a, b in zip(rows, cols):
-            ta = true_inv[i].get(int(a))
-            if ta is not None and ta == true_inv[j].get(int(b)):
-                n_correct += 1
-    return MatchStats(n_true, n_pred, n_correct)
+    true = np.concatenate(_as_labels(truth))
+    w = scores.matrix.tocoo()
+    layout = BlockLayout(scores.sizes)
+    upper = layout.locate(w.row)[0] < layout.locate(w.col)[0]
+    strong = upper & (w.data >= threshold)
+    a, b = true[w.row[strong]], true[w.col[strong]]
+    correct = int(((a >= 0) & (a == b)).sum())
+    return MatchStats(_pair_count(true[true >= 0]), int(strong.sum()), correct)
 
 
 def selected_inlier_fraction(predicted, truth) -> float:

@@ -3,7 +3,8 @@
 A matching problem is posed on a collection of n images.  Image i
 contributes p_i candidate feature points (2D coordinates, optionally a
 unit-norm descriptor per candidate) and every image pair (i, j) carries a
-p_i x p_j score block whose entries grade candidate-to-candidate matches.
+p_i x p_j score block whose entries grade candidate-to-candidate matches;
+the blocks are held together as one sparse matrix over all candidates.
 A solution selects k candidates per image and labels them consistently,
 encoded as per-image binary matrices with row sums at most one and column
 sums exactly one (each of the k labels is realized once in every image).
@@ -57,6 +58,12 @@ class BlockLayout:
         """Views of the per-image row blocks of an (m, ...) array."""
         return [stacked[self.block_slice(i)] for i in range(self.n)]
 
+    def locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Image and local candidate index of each stacked candidate index."""
+        offsets = np.asarray(self.offsets)
+        image = np.searchsorted(offsets, index, side="right") - 1
+        return image, index - offsets[image]
+
 
 @dataclass
 class FeatureSet:
@@ -97,25 +104,27 @@ class FeatureSet:
 
 @dataclass
 class PairwiseScores:
-    """Score blocks keyed by ordered image-index pairs.
+    """Pairwise scores: one sparse m x m matrix over the stacked candidates.
 
-    ``blocks[(i, j)]`` is the p_i x p_j score matrix between images i and j.
-    Canonical (validated) instances store keys with i <= j only, diagonal
-    blocks equal to the identity, and symmetric content; use
-    :func:`validate_instance` to canonicalize raw input.
+    Candidates are numbered image by image as in :class:`BlockLayout`.  Raw
+    scores may store a pair in either orientation or both; a pair with no
+    stored entry scores 0.  Canonical scores, as :func:`validate_instance`
+    returns them, are block-upper-triangular with identity diagonal blocks
+    and every score in [0, 1].
     """
 
-    blocks: dict[tuple[int, int], np.ndarray]
+    matrix: sp.csr_matrix
     sizes: tuple[int, ...]
 
     def __post_init__(self):
         self.sizes = tuple(int(p) for p in self.sizes)
-        self.blocks = {
-            (int(i), int(j)): np.asarray(b, dtype=float) for (i, j), b in self.blocks.items()
-        }
-        for i, j in self.blocks:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise DimensionMismatch(f"block key ({i}, {j}) out of range for n={self.n}")
+        # a private copy: sum_duplicates sorts the indices in place
+        self.matrix = sp.csr_matrix(self.matrix, dtype=float, copy=True)
+        self.matrix.sum_duplicates()
+        if self.matrix.shape != (self.m, self.m):
+            raise DimensionMismatch(
+                f"score matrix has shape {self.matrix.shape}, expected ({self.m}, {self.m})"
+            )
 
     @property
     def n(self) -> int:
@@ -125,13 +134,27 @@ class PairwiseScores:
     def m(self) -> int:
         return sum(self.sizes)
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Return the (i, j) block, transposing a stored (j, i) block if needed."""
-        if (i, j) in self.blocks:
-            return self.blocks[(i, j)]
-        if (j, i) in self.blocks:
-            return self.blocks[(j, i)].T
-        raise KeyError((i, j))
+    @property
+    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        """Dense p_i x p_j block of every (i, j) holding a stored entry.
+
+        Rebuilt on each access; writing to a block leaves ``matrix`` as it
+        is.  Keys keep the stored orientation, and canonical scores include
+        their identity (i, i) blocks.
+        """
+        w = self.matrix.tocoo()
+        layout = BlockLayout(self.sizes)
+        (bi, rows), (bj, cols) = layout.locate(w.row), layout.locate(w.col)
+        key = bi * self.n + bj
+        order = np.argsort(key, kind="stable")
+        keys, starts = np.unique(key[order], return_index=True)
+        out = {}
+        for key, sel in zip(keys.tolist(), np.split(order, starts[1:])):
+            i, j = divmod(key, self.n)
+            block = np.zeros((self.sizes[i], self.sizes[j]))
+            block[rows[sel], cols[sel]] = w.data[sel]
+            out[(i, j)] = block
+        return out
 
 
 @dataclass
@@ -271,14 +294,14 @@ class ProblemInstance:
 def validate_instance(
     features: list[FeatureSet], scores: PairwiseScores, config: SolverConfig
 ) -> ProblemInstance:
-    """Check shapes and ranges, symmetrize the scores, and force identity diagonals.
+    """Check shapes and ranges, and canonicalize the scores.
 
-    Off-diagonal blocks are averaged with the transpose of their reversed
-    counterpart when both orders are supplied.  Diagonal blocks are replaced
-    by the identity regardless of input: a candidate always matches itself.
-    Raises :class:`InfeasibleK` when ``config.k`` exceeds some image's
-    candidate count, :class:`DimensionMismatch` on shape disagreements, and
-    :class:`NonFiniteEntry` on NaN or infinite scores.
+    Diagonal blocks become the identity: a candidate always matches itself.
+    A pair stored in both orientations is averaged, 0.5 * (fwd + rev.T),
+    one stored once is taken as it is, and the result is folded into the
+    upper block triangle.  Raises :class:`InfeasibleK` when ``config.k``
+    exceeds some image's candidate count, :class:`DimensionMismatch` on
+    shape disagreements, and :class:`NonFiniteEntry` on NaN or infinite scores.
     """
     if not features:
         raise DimensionMismatch("at least one image is required")
@@ -286,7 +309,6 @@ def validate_instance(
     if len(set(ids)) != len(ids):
         raise MatchingError("image ids must be unique")
     sizes = tuple(f.p for f in features)
-    n = len(sizes)
     if config.k > min(sizes):
         raise InfeasibleK(
             f"k={config.k} exceeds the smallest candidate count {min(sizes)}"
@@ -296,69 +318,40 @@ def validate_instance(
             f"score sizes {scores.sizes} disagree with feature counts {sizes}"
         )
 
-    canonical: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(n):
-        canonical[(i, i)] = np.eye(sizes[i])
-    seen = set()
-    for (i, j), block in scores.blocks.items():
-        if i == j:
-            if block.shape != (sizes[i], sizes[i]):
-                raise DimensionMismatch(
-                    f"block ({i}, {i}) has shape {block.shape}, expected square {sizes[i]}"
-                )
-            continue  # replaced by the identity
-        a, b = min(i, j), max(i, j)
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        fwd = scores.blocks.get((a, b))
-        rev = scores.blocks.get((b, a))
-        for blk, shape, key in ((fwd, (sizes[a], sizes[b]), (a, b)), (rev, (sizes[b], sizes[a]), (b, a))):
-            if blk is not None and blk.shape != shape:
-                raise DimensionMismatch(
-                    f"block {key} has shape {blk.shape}, expected {shape}"
-                )
-        if fwd is not None and rev is not None:
-            merged = 0.5 * (fwd + rev.T)
-        elif fwd is not None:
-            merged = fwd.copy()
-        else:
-            merged = rev.T.copy()
-        if not np.isfinite(merged).all():
-            raise NonFiniteEntry(f"block ({a}, {b}) contains non-finite scores")
-        if merged.min() < -SCORE_RANGE_SLACK or merged.max() > 1.0 + SCORE_RANGE_SLACK:
-            raise MatchingError(f"block ({a}, {b}) has scores outside [0, 1]")
-        canonical[(a, b)] = np.clip(merged, 0.0, 1.0)
-
-    return ProblemInstance(list(features), PairwiseScores(canonical, sizes))
+    layout = BlockLayout(sizes)
+    n, m = layout.n, layout.m
+    raw = scores.matrix.tocoo()
+    (bi, _), (bj, _) = layout.locate(raw.row), layout.locate(raw.col)
+    off = bi != bj
+    rows, cols, vals, bi, bj = raw.row[off], raw.col[off], raw.data[off], bi[off], bj[off]
+    if not np.isfinite(vals).all():
+        t = np.flatnonzero(~np.isfinite(vals))[0]
+        raise NonFiniteEntry(f"block ({bi[t]}, {bj[t]}) contains non-finite scores")
+    lower = bi > bj
+    pair = np.minimum(bi, bj) * n + np.maximum(bi, bj)
+    both = np.intersect1d(pair[lower], pair[~lower])
+    rows, cols = np.where(lower, cols, rows), np.where(lower, rows, cols)
+    merged = sp.coo_matrix((vals, (rows, cols)), shape=(m, m))
+    merged.sum_duplicates()  # adds the two orientations of a pair
+    (bi, _), (bj, _) = layout.locate(merged.row), layout.locate(merged.col)
+    merged.data[np.isin(bi * n + bj, both)] *= 0.5
+    bad = (merged.data < -SCORE_RANGE_SLACK) | (merged.data > 1.0 + SCORE_RANGE_SLACK)
+    if bad.any():
+        t = np.flatnonzero(bad)[0]
+        raise MatchingError(f"block ({bi[t]}, {bj[t]}) has scores outside [0, 1]")
+    np.clip(merged.data, 0.0, 1.0, out=merged.data)
+    canonical = merged.tocsr()
+    canonical.eliminate_zeros()
+    return ProblemInstance(
+        list(features), PairwiseScores(canonical + sp.identity(m, format="csr"), sizes)
+    )
 
 
 def assemble_block(scores: PairwiseScores) -> sp.csr_matrix:
-    """Assemble the m x m symmetric score matrix from canonical blocks.
+    """The symmetric m x m score matrix: canonical scores plus their mirror image.
 
-    The block at (row offset i, column offset j) equals the (i, j) score
-    block; the (j, i) position receives its transpose.  Returned sparse so
-    the solver's per-iteration products stay linear in the number of stored
-    matches rather than quadratic in m.
+    Sparse, so the solver's per-iteration products stay linear in the
+    number of stored matches rather than quadratic in m.
     """
-    layout = BlockLayout(scores.sizes)
-    offsets = layout.offsets
-    if any(i > j for (i, j) in scores.blocks):
-        raise DimensionMismatch("assemble_block expects canonical scores (keys with i <= j)")
-    rows, cols, vals = [], [], []
-    for (i, j), block in scores.blocks.items():
-        r, c = np.nonzero(block)
-        v = block[r, c]
-        rows.append(r + offsets[i])
-        cols.append(c + offsets[j])
-        vals.append(v)
-        if i != j:
-            rows.append(c + offsets[j])
-            cols.append(r + offsets[i])
-            vals.append(v)
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    w = sp.coo_matrix((vals, (rows, cols)), shape=(layout.m, layout.m))
-    return w.tocsr()
+    w = scores.matrix
+    return (w + sp.triu(w, 1).T).tocsr()

@@ -17,9 +17,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParseError
-from .model import FeatureSet, PairwiseScores, SelectionLabeling
+from .model import BlockLayout, FeatureSet, PairwiseScores, SelectionLabeling
 from .solver import TraceRecord
 
 FORMAT_VERSION = 1
@@ -40,13 +41,15 @@ def problem_document(
             rec["descriptors"] = [list(map(float, row)) for row in f.descriptors]
         images.append(rec)
     ids = [f.image_id for f in features]
+    w = scores.matrix.tocoo()
+    layout = BlockLayout(scores.sizes)
+    (bi, rows), (bj, cols) = layout.locate(w.row), layout.locate(w.col)
+    keep = np.flatnonzero((bi != bj) & (w.data != 0))  # identity diagonals are implicit
+    keep = keep[np.lexsort((cols[keep], rows[keep], bj[keep], bi[keep]))]
+    table = zip(*(a[keep].tolist() for a in (bi, bj, rows, cols, w.data)))
     pairwise = []
-    for (i, j) in sorted(scores.blocks):
-        if i == j:
-            continue  # identity diagonals are implicit in the format
-        block = scores.blocks[(i, j)]
-        rows, cols = np.nonzero(block)
-        entries = [[int(r), int(c), float(block[r, c])] for r, c in zip(rows, cols)]
+    for (i, j), group in itertools.groupby(table, key=lambda e: e[:2]):
+        entries = [[r, c, v] for _, _, r, c, v in group]
         pairwise.append({"i": ids[i], "j": ids[j], "entries": entries})
     doc = {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
     if defaults:
@@ -76,27 +79,33 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
                     None if desc is None else np.asarray(desc, dtype=float),
                 )
             )
+        if not features:
+            raise ParseError("document lists no images")
         index = {f.image_id: i for i, f in enumerate(features)}
-        sizes = tuple(f.p for f in features)
-        blocks = _score_blocks(doc.get("pairwise", []), index, sizes)
+        if len(index) < len(features):
+            raise ParseError("an image id is listed twice")
+        layout = BlockLayout(tuple(f.p for f in features))
+        scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout.sizes)
         defaults = dict(doc.get("solver_defaults", {}))
         if "rho_schedule" in defaults:
             defaults["rho_schedule"] = tuple(float(r) for r in defaults["rho_schedule"])
-        return features, PairwiseScores(blocks, sizes), defaults
+        return features, scores, defaults
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed problem document ({exc})") from exc
 
 
-def _score_blocks(records, index: dict[str, int], sizes) -> dict[tuple[int, int], np.ndarray]:
-    """Dense score blocks from the pairwise records of a problem document.
+def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr_matrix:
+    """The m x m score matrix of the pairwise records of a problem document.
 
-    The entries of all records are parsed as one [row, col, value] table
-    and scattered into one buffer that the blocks view.  Every index must
-    be an integer inside its block, every (row, col) may appear once in a
-    block and every ordered image pair once in the document; anything else
-    raises :class:`ParseError`.
+    The entries of all records are parsed as one [row, col, value] table.
+    Every index must be an integer inside its block, every (row, col) may
+    appear once in a block, every ordered image pair once in the document,
+    and no record may pair an image with itself; anything else raises
+    :class:`ParseError`.
     """
     keys = [(index[str(rec["i"])], index[str(rec["j"])]) for rec in records]
+    if any(i == j for i, j in keys):
+        raise ParseError("a record pairs an image with itself")
     if len(set(keys)) < len(keys):
         raise ParseError("an image pair is listed twice")
     counts = np.array([len(rec["entries"]) for rec in records], dtype=np.int64)
@@ -105,8 +114,9 @@ def _score_blocks(records, index: dict[str, int], sizes) -> dict[tuple[int, int]
         raise ParseError("a pairwise entry is not a [row, col, value] triple")
     values = itertools.chain.from_iterable(entries)
     table = np.fromiter(values, float, 3 * len(entries)).reshape(-1, 3)
-    shapes = np.asarray(sizes, dtype=np.int64)[np.array(keys, dtype=np.int64).reshape(-1, 2)]
     owner = np.repeat(np.arange(len(keys)), counts)
+    images = np.array(keys, dtype=np.int64).reshape(-1, 2)[owner]  # (i, j) of every entry
+    shapes = np.asarray(layout.sizes, dtype=np.int64)[images]
 
     def reject(bad: np.ndarray, what: str):
         rec = records[owner[bad][0]]
@@ -116,21 +126,16 @@ def _score_blocks(records, index: dict[str, int], sizes) -> dict[tuple[int, int]
     integral = (np.isfinite(position) & (position == np.trunc(position))).all(axis=1)
     if not integral.all():
         reject(~integral, "an entry index is not an integer")
-    outside = ((position < 0) | (position >= shapes[owner])).any(axis=1)
+    outside = ((position < 0) | (position >= shapes)).any(axis=1)
     if outside.any():
         reject(outside, "an entry index lies outside the block")
-    rows, cols = position.astype(np.int64).T
-    areas = shapes.prod(axis=1)
-    starts = np.cumsum(areas) - areas
-    flat = starts[owner] + rows * shapes[owner, 1] + cols
+    rows, cols = (np.asarray(layout.offsets, dtype=np.int64)[images] + position.astype(np.int64)).T
+    flat = rows * layout.m + cols
     order = np.argsort(flat, kind="stable")
     repeated = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeated.size:
         reject(repeated, "an entry (row, col) is listed twice")
-    buffer = np.zeros(int(areas.sum()))
-    buffer[flat] = table[:, 2]
-    bounds = zip(starts.tolist(), (starts + areas).tolist(), map(tuple, shapes.tolist()))
-    return {key: buffer[a:b].reshape(shape) for key, (a, b, shape) in zip(keys, bounds)}
+    return sp.csr_matrix((table[:, 2], (rows, cols)), shape=(layout.m, layout.m))
 
 
 def _pairs_document(ids, sizes, labels, extra: dict) -> str:
@@ -230,8 +235,8 @@ def _check_version(doc: dict) -> None:
 def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
     """Per-image labels from (candidate, label) pairs; -1 marks unlisted candidates.
 
-    Candidates must be distinct integers in [0, p) and labels integers of
-    at least -1; anything else raises :class:`ParseError`.
+    Image ids must be distinct, candidates distinct integers in [0, p) and
+    labels integers of at least -1; anything else raises :class:`ParseError`.
     """
     ids, labels = [], []
     if not doc["images"]:
@@ -251,4 +256,6 @@ def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
             raise ParseError(f"image {ids[-1]}: labels must be -1 or nonnegative")
         lab[cand] = label
         labels.append(lab)
+    if len(set(ids)) < len(ids):
+        raise ParseError("an image id is listed twice")
     return ids, labels

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InstanceTooLarge
 from .model import (
@@ -135,7 +136,7 @@ def generate(
         pos[lab[sel]] = np.nonzero(sel)[0]
         positions.append(pos)
 
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+    rows, cols = [], []
     for i in range(n):
         for j in range(i + 1, n):
             targets = positions[j].copy()
@@ -145,11 +146,12 @@ def generate(
                 free = np.setdiff1d(np.arange(p), positions[j], assume_unique=False)
                 pool = np.concatenate([targets[victims], free])
                 targets[victims] = rng.choice(pool, size=n_corrupt, replace=False)
-            w = np.zeros((p, p))
-            w[positions[i], targets] = 1.0
-            blocks[(i, j)] = w
+            rows.append(i * p + positions[i])
+            cols.append(j * p + targets)
 
-    scores = PairwiseScores(blocks, tuple(p for _ in range(n)))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    matrix = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * p, n * p))
+    scores = PairwiseScores(matrix, tuple(p for _ in range(n)))
     instance = validate_instance(features, scores, SolverConfig(k=u))
     ground_truth = SelectionLabeling.from_labels(labels, u)
     return PlantedInstance(instance, ground_truth, scene, cameras)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from multimatch import FeatureSet, PairwiseScores, SelectionLabeling
 
@@ -78,13 +79,50 @@ def toy_features(sizes, rng=None, image_ids=None):
     ]
 
 
+def scores_from_blocks(blocks, sizes):
+    """Raw scores storing every entry of every given p_i x p_j block, zeros included."""
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for (i, j), block in blocks.items():
+        r, c = np.indices(np.shape(block))
+        rows.append(offsets[i] + r.ravel())
+        cols.append(offsets[j] + c.ravel())
+        vals.append(np.asarray(block, dtype=float).ravel())
+    m = int(offsets[-1])
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return PairwiseScores(sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr(), tuple(sizes))
+
+
+def dense_merge_oracle(blocks, sizes):
+    """Canonical dense scores from raw blocks, pair by pair.
+
+    Diagonal blocks become the identity; a pair given in both orientations
+    is averaged, one given once is taken as it is, and the result is
+    clipped to [0, 1] in the upper block triangle.
+    """
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    w = np.eye(int(offsets[-1]))
+    for i, j in itertools.combinations(range(len(sizes)), 2):
+        fwd, rev = blocks.get((i, j)), blocks.get((j, i))
+        if fwd is None and rev is None:
+            continue
+        if fwd is None:
+            merged = np.asarray(rev).T
+        elif rev is None:
+            merged = np.asarray(fwd)
+        else:
+            merged = 0.5 * (np.asarray(fwd) + np.asarray(rev).T)
+        w[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = np.clip(merged, 0.0, 1.0)
+    return w
+
+
 def random_scores(rng, sizes):
     """Random symmetric-enough raw score blocks for every pair i < j."""
     blocks = {}
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):
             blocks[(i, j)] = rng.random((sizes[i], sizes[j]))
-    return PairwiseScores(blocks, tuple(sizes))
+    return scores_from_blocks(blocks, sizes)
 
 
 @pytest.fixture

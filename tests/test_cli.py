@@ -87,6 +87,22 @@ def test_solve_malformed_entry_is_parse_error(tmp_path):
     assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 2
 
 
+def test_self_pair_and_repeated_image_id_are_parse_errors(tmp_path):
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    labeling = tmp_path / "l.json"
+    run(synth_args(problem, truth))
+    assert run(["solve", "--problem", problem, "--out", labeling]) == 0
+    doc = json.loads(problem.read_text())
+    bad = tmp_path / "bad.json"
+    first = doc["images"][0]["id"]
+    self_pair = {"i": first, "j": first, "entries": [[0, 1, 1.0]]}
+    bad.write_text(json.dumps({**doc, "pairwise": [self_pair]}))
+    assert run(["solve", "--problem", bad, "--out", tmp_path / "x.json"]) == 2
+    bad.write_text(json.dumps({**doc, "images": doc["images"] + doc["images"][-1:]}))
+    assert run(["reconstruct", "--problem", bad, "--labeling", labeling,
+                "--out", tmp_path / "c.txt"]) == 2
+
+
 def test_solve_warning_exit_code(tmp_path):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))

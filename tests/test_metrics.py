@@ -77,6 +77,44 @@ def test_metrics_match_hand_enumeration_on_random_labelings(rng):
         )
 
 
+def random_label_arrays(rng, sizes, universe):
+    """Per-image labels drawn without repeats from [0, universe), about a third of them -1."""
+    out = []
+    for p in sizes:
+        lab = rng.choice(universe, size=p, replace=False)
+        lab[rng.random(p) < 0.35] = -1
+        out.append(lab)
+    return out
+
+
+def test_pair_stats_match_pair_enumeration_on_random_label_arrays(rng):
+    for _ in range(30):
+        sizes = [int(p) for p in rng.integers(1, 6, size=int(rng.integers(1, 6)))]
+        pred = random_label_arrays(rng, sizes, max(sizes) + int(rng.integers(0, 3)))
+        true = random_label_arrays(rng, sizes, max(sizes) + int(rng.integers(0, 3)))
+        stats = pair_stats(pred, true)
+        assert (stats.true_pairs, stats.predicted_pairs, stats.correct_pairs) == (
+            hand_counted_stats(pred, true)
+        )
+
+
+def test_scores_pair_stats_match_block_enumeration():
+    for seed in range(3):
+        planted = generate(7, 5, outliers_per_image=3, match_corruption_rate=0.4, seed=seed)
+        truth = planted.truth_labels
+        blocks = planted.instance.scores.blocks
+        n_pred = n_correct = 0
+        for i, j in itertools.combinations(range(7), 2):
+            for a, b in zip(*np.nonzero(blocks[(i, j)] >= 0.5)):
+                n_pred += 1
+                n_correct += truth[i][a] >= 0 and truth[i][a] == truth[j][b]
+        stats = scores_pair_stats(planted.instance.scores, truth)
+        n_true = hand_counted_stats(truth, truth)[0]
+        assert (stats.true_pairs, stats.predicted_pairs, stats.correct_pairs) == (
+            n_true, n_pred, n_correct
+        )
+
+
 def test_precision_vacuous_for_empty_prediction():
     truth = [np.array([0, 1]), np.array([0, 1])]
     empty = [np.array([-1, -1]), np.array([-1, -1])]

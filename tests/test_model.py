@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from multimatch import (
     BlockLayout,
@@ -14,7 +15,13 @@ from multimatch import (
     assemble_block,
     validate_instance,
 )
-from conftest import random_labeling, random_scores, toy_features
+from conftest import (
+    dense_merge_oracle,
+    random_labeling,
+    random_scores,
+    scores_from_blocks,
+    toy_features,
+)
 
 
 def test_validate_accepts_consistent_dimensions(rng):
@@ -22,7 +29,7 @@ def test_validate_accepts_consistent_dimensions(rng):
     scores = random_scores(rng, [3, 3])
     inst = validate_instance(features, scores, SolverConfig(k=2))
     assert inst.m == 6 and inst.n == 2
-    assert np.array_equal(inst.scores.block(0, 0), np.eye(3))
+    assert np.array_equal(inst.scores.blocks[(0, 0)], np.eye(3))
 
 
 def test_validate_rejects_infeasible_k(rng):
@@ -34,7 +41,9 @@ def test_validate_rejects_infeasible_k(rng):
 
 def test_validate_rejects_bad_block_shape(rng):
     features = toy_features([3, 3], rng)
-    scores = PairwiseScores({(0, 1): rng.random((3, 2))}, (3, 3))
+    with pytest.raises(DimensionMismatch):
+        PairwiseScores(sp.csr_matrix(rng.random((6, 5))), (3, 3))
+    scores = PairwiseScores(sp.csr_matrix(rng.random((5, 5))), (3, 2))
     with pytest.raises(DimensionMismatch):
         validate_instance(features, scores, SolverConfig(k=2))
 
@@ -42,14 +51,14 @@ def test_validate_rejects_bad_block_shape(rng):
 def test_validate_rejects_non_finite(rng):
     features = toy_features([2, 2], rng)
     block = np.array([[0.5, np.nan], [0.1, 0.2]])
-    scores = PairwiseScores({(0, 1): block}, (2, 2))
+    scores = scores_from_blocks({(0, 1): block}, (2, 2))
     with pytest.raises(NonFiniteEntry):
         validate_instance(features, scores, SolverConfig(k=1))
 
 
 def test_validate_rejects_out_of_range_scores(rng):
     features = toy_features([2, 2], rng)
-    scores = PairwiseScores({(0, 1): np.full((2, 2), 1.5)}, (2, 2))
+    scores = scores_from_blocks({(0, 1): np.full((2, 2), 1.5)}, (2, 2))
     with pytest.raises(MatchingError):
         validate_instance(features, scores, SolverConfig(k=1))
 
@@ -58,13 +67,14 @@ def test_validate_symmetrizes_and_forces_identity_diagonal(rng):
     features = toy_features([2, 2], rng)
     fwd = rng.random((2, 2))
     rev = rng.random((2, 2))
-    scores = PairwiseScores(
+    scores = scores_from_blocks(
         {(0, 1): fwd, (1, 0): rev, (0, 0): rng.random((2, 2))}, (2, 2)
     )
     inst = validate_instance(features, scores, SolverConfig(k=1))
-    assert np.allclose(inst.scores.block(0, 1), 0.5 * (fwd + rev.T))
-    assert np.array_equal(inst.scores.block(0, 0), np.eye(2))
-    assert np.array_equal(inst.scores.block(1, 0), inst.scores.block(0, 1).T)
+    assert np.allclose(inst.scores.blocks[(0, 1)], 0.5 * (fwd + rev.T))
+    assert np.array_equal(inst.scores.blocks[(0, 0)], np.eye(2))
+    w = assemble_block(inst.scores).toarray()
+    assert np.array_equal(w[2:, :2], w[:2, 2:].T)
 
 
 def test_feature_set_checks_unit_descriptors():
@@ -77,14 +87,15 @@ def test_feature_set_checks_unit_descriptors():
 
 def test_assemble_single_image_is_identity():
     features = toy_features([2])
-    inst = validate_instance(features, PairwiseScores({}, (2,)), SolverConfig(k=1))
+    scores = PairwiseScores(sp.csr_matrix((2, 2)), (2,))
+    inst = validate_instance(features, scores, SolverConfig(k=1))
     w = assemble_block(inst.scores).toarray()
     assert np.array_equal(w, np.eye(2))
 
 
 def test_assemble_two_singletons():
     features = toy_features([1, 1])
-    scores = PairwiseScores({(0, 1): np.array([[0.7]])}, (1, 1))
+    scores = scores_from_blocks({(0, 1): np.array([[0.7]])}, (1, 1))
     inst = validate_instance(features, scores, SolverConfig(k=1))
     w = assemble_block(inst.scores).toarray()
     assert np.array_equal(w, np.array([[1.0, 0.7], [0.7, 1.0]]))
@@ -104,7 +115,7 @@ def test_assemble_matches_index_arithmetic_oracle(rng):
         expected[offsets[i] : offsets[i] + 2, offsets[i] : offsets[i] + 2] = np.eye(2)
     for i in range(3):
         for j in range(i + 1, 3):
-            blk = inst.scores.block(i, j)
+            blk = inst.scores.blocks[(i, j)]
             expected[offsets[i] : offsets[i] + 2, offsets[j] : offsets[j] + 2] = blk
             expected[offsets[j] : offsets[j] + 2, offsets[i] : offsets[i] + 2] = blk.T
     assert np.array_equal(w, expected)
@@ -122,6 +133,38 @@ def test_assemble_then_extract_roundtrips(rng):
         assert np.array_equal(w[sl_i, sl_j], blk)
 
 
+def test_validate_canonical_form_matches_dense_merge_oracle(rng):
+    # mixed orientations, diagonal blocks given and replaced, pairs with
+    # no entries, and single images
+    def sparse(a, b):
+        return rng.random((a, b)) * (rng.random((a, b)) < 0.6)
+
+    for case in range(40):
+        n = int(rng.integers(1, 5))
+        sizes = [int(p) for p in rng.integers(1, 4, size=n)]
+        blocks = {}
+        for i in range(n):
+            if rng.random() < 0.3:
+                blocks[(i, i)] = rng.random((sizes[i], sizes[i]))
+            for j in range(i + 1, n):
+                kind = rng.integers(4)  # none, forward, reversed, both
+                if kind in (1, 3):
+                    blocks[(i, j)] = sparse(sizes[i], sizes[j])
+                if kind in (2, 3):
+                    blocks[(j, i)] = sparse(sizes[j], sizes[i])
+        inst = validate_instance(
+            toy_features(sizes, rng), scores_from_blocks(blocks, sizes), SolverConfig(k=1)
+        )
+        w = inst.scores.matrix
+        assert np.array_equal(w.toarray(), dense_merge_oracle(blocks, sizes)), case
+        layout = BlockLayout(tuple(sizes))
+        coo = w.tocoo()
+        assert (layout.locate(coo.row)[0] <= layout.locate(coo.col)[0]).all()
+        assert w.has_canonical_format and (w.data > 0).all() and (w.data <= 1).all()
+        for i in range(n):
+            assert np.array_equal(inst.scores.blocks[(i, i)], np.eye(sizes[i]))
+
+
 def test_layout_offsets_and_split():
     layout = BlockLayout((3, 2, 4))
     assert layout.offsets == (0, 3, 5)
@@ -130,6 +173,9 @@ def test_layout_offsets_and_split():
     parts = layout.split(stacked)
     assert [p.shape[0] for p in parts] == [3, 2, 4]
     assert np.array_equal(np.vstack(parts), stacked)
+    image, local = layout.locate(np.arange(9))
+    assert image.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
+    assert local.tolist() == [0, 1, 2, 0, 1, 0, 1, 2, 3]
 
 
 def test_labeling_pair_products_are_partial_permutations(rng):

@@ -50,7 +50,8 @@ def test_problem_document_is_deterministic(planted):
 
 
 def test_problem_roundtrip_with_descriptors(tmp_path, rng):
-    from multimatch import FeatureSet, PairwiseScores
+    from multimatch import FeatureSet
+    from conftest import scores_from_blocks
 
     desc = rng.normal(size=(4, 3))
     desc /= np.linalg.norm(desc, axis=0)
@@ -58,7 +59,7 @@ def test_problem_roundtrip_with_descriptors(tmp_path, rng):
         FeatureSet("a", rng.random((2, 3)), desc),
         FeatureSet("b", rng.random((2, 2))),
     ]
-    scores = PairwiseScores({(0, 1): rng.integers(0, 2, size=(3, 2)).astype(float)}, (3, 2))
+    scores = scores_from_blocks({(0, 1): rng.integers(0, 2, size=(3, 2)).astype(float)}, (3, 2))
     path = tmp_path / "p.json"
     save_problem(path, feats, scores)
     features, scores2, _ = load_problem(path)
@@ -114,6 +115,7 @@ MALFORMED_PAIRWISE = [
     [{"i": "a", "j": "b", "entries": [[0, 1, 0.3]]},
      {"i": "a", "j": "b", "entries": [[1, 1, 0.9]]}],  # pair listed twice
     [{"i": "a", "j": "b", "entries": [[0, 1], [1, 1, 0.9, 0]]}],  # not triples
+    [{"i": "a", "j": "a", "entries": [[0, 1, 0.5]]}],  # an image paired with itself
 ]
 
 
@@ -130,6 +132,10 @@ def test_load_problem_rejects_bad_documents(tmp_path):
         load_problem(bad)
     with pytest.raises(ParseError):
         load_problem(tmp_path / "missing.json")
+    for images in ([], [{"id": "a", "coordinates": [[0], [0]]}] * 2):  # none, an id twice
+        bad.write_text(json.dumps({"format_version": 1, "images": images}))
+        with pytest.raises(ParseError):
+            load_problem(bad)
     for pairwise in MALFORMED_PAIRWISE:
         bad.write_text(json.dumps(_two_image_problem(pairwise)))
         with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from multimatch import (
     SelectionLabeling,
@@ -28,6 +29,7 @@ from conftest import (
     naive_geo_objective,
     random_feasible_y,
     random_labeling,
+    scores_from_blocks,
 )
 
 
@@ -323,7 +325,7 @@ def test_initialize_single_image_degenerate():
     from multimatch import FeatureSet, PairwiseScores, validate_instance
 
     feats = [FeatureSet("solo", np.random.default_rng(0).random((2, 4)))]
-    inst = validate_instance(feats, PairwiseScores({}, (4,)), SolverConfig(k=2))
+    inst = validate_instance(feats, PairwiseScores(sp.csr_matrix((4, 4)), (4,)), SolverConfig(k=2))
     w = assemble_block(inst.scores)
     y, x, hist = initialize(w, SolverConfig(k=2), (4,))
     assert feasibility_gap(y, (4,)) <= 1e-5
@@ -332,11 +334,11 @@ def test_initialize_single_image_degenerate():
 
 
 def test_initialize_all_ones_blocks_monotone_and_feasible(rng):
-    from multimatch import FeatureSet, PairwiseScores, validate_instance
+    from multimatch import FeatureSet, validate_instance
 
     feats = [FeatureSet(f"i{t}", rng.random((2, 3))) for t in range(3)]
     blocks = {(i, j): np.ones((3, 3)) for i in range(3) for j in range(i + 1, 3)}
-    inst = validate_instance(feats, PairwiseScores(blocks, (3, 3, 3)), SolverConfig(k=2))
+    inst = validate_instance(feats, scores_from_blocks(blocks, (3, 3, 3)), SolverConfig(k=2))
     w = assemble_block(inst.scores)
     y, x, hist = initialize(w, SolverConfig(k=2), (3, 3, 3))
     assert (np.diff(hist) <= 1e-9).all()

@@ -71,7 +71,7 @@ def test_corruption_fraction_measured_against_truth():
     damaged = total = 0
     for i in range(10):
         for j in range(i + 1, 10):
-            w = planted.instance.scores.block(i, j)
+            w = planted.instance.scores.blocks[(i, j)]
             truth = planted.ground_truth.pair_matrix(i, j)
             rows, cols = np.nonzero(truth)
             total += rows.size
