@@ -1,7 +1,8 @@
 """Command-line pipeline: synthesize, solve, evaluate, reconstruct.
 
 Exit codes: 0 success, 1 usage error, 2 parse or validation error,
-3 solved with warnings (some continuation stage hit its sweep limit).
+3 solved with warnings (a continuation stage hit its sweep limit, a line
+search stalled, or the start's descent used all its inner steps).
 All commands are deterministic given identical inputs and seeds.
 """
 

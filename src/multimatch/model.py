@@ -236,9 +236,9 @@ class SolverConfig:
     of the geometric fit, ``lam`` the geometric weight, ``rho_schedule`` the
     increasing sequence of coupling weights, ``max_inner`` the cap on
     accepted projected-gradient steps per Y update, ``max_sweeps`` the cap
-    on (Y, X, Z) sweeps per rho stage, and ``seed`` the seed of the jittered
-    start.  Step control and stopping tolerances are constants of the
-    solver module.
+    on (Y, X, Z) sweeps per rho stage, and ``seed`` the seed of the
+    Gaussian start block of the spectral start's eigensolver.  Step
+    control and stopping tolerances are constants of the solver module.
     """
 
     k: int

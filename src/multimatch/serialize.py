@@ -159,7 +159,7 @@ def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
     try:
         _check_version(doc)
         ids, labels = _read_pairs(doc)
-        universe = int(doc["universe_size"])
+        universe = _json_int(doc["universe_size"], "universe_size")
         for image_id, lab in zip(ids, labels):
             used = lab[lab >= 0]
             if (used >= universe).any() or np.unique(used).size < used.size:
@@ -187,7 +187,7 @@ def load_labeling(path) -> tuple[list[str], SelectionLabeling]:
     try:
         _check_version(doc)
         ids, labels = _read_pairs(doc)
-        labeling = SelectionLabeling.from_labels(labels, int(doc["k"]))
+        labeling = SelectionLabeling.from_labels(labels, _json_int(doc["k"], "k"))
         labeling.validate()
         return ids, labeling
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -232,18 +232,26 @@ def _check_version(doc: dict) -> None:
         raise ParseError(f"unsupported format version {version!r}")
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean raises :class:`ParseError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
     """Per-image labels from (candidate, label) pairs; -1 marks unlisted candidates.
 
-    Image ids must be distinct, candidates distinct integers in [0, p) and
-    labels integers of at least -1; anything else raises :class:`ParseError`.
+    Image ids must be distinct, every ``p`` a JSON integer, candidates
+    distinct integers in [0, p) and labels integers of at least -1;
+    anything else raises :class:`ParseError`.
     """
     ids, labels = [], []
     if not doc["images"]:
         raise ParseError("document lists no images")
     for rec in doc["images"]:
         ids.append(str(rec["id"]))
-        lab = np.full(int(rec["p"]), -1, dtype=int)
+        lab = np.full(_json_int(rec["p"], f"image {ids[-1]}: p"), -1, dtype=int)
         pairs = np.asarray(rec["pairs"], dtype=float).reshape(len(rec["pairs"]), 2)
         if not (np.isfinite(pairs) & (pairs == np.trunc(pairs))).all():
             raise ParseError(f"image {ids[-1]}: candidates and labels must be integers")

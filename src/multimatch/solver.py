@@ -18,18 +18,31 @@ per-image centered frame of mean norm sqrt(2) so that the geometric weight
 acts on the same scale as the score residual; the fit is mapped back to
 the input frame on the final state.
 
+The start is spectral.  Consistent scores factor as W = Y Y^T, so the
+top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
+pivoted QR of U^T, turn that basis into the start point U U_S^{-1}, which
+is clipped at zero, projected, and refined by projected gradient descent
+on the score term alone.  The eigenvectors come from a block eigensolver
+(the top eigenvalue of consistent scores is repeated k times, which a
+single-vector Lanczos method cannot resolve) started from a Gaussian
+block seeded by ``config.seed``; a dense eigensolver takes over on small
+problems and whenever the block solver misses its tolerance.
+
 Step control is fixed here rather than configured: the backtracking
-factor, the Armijo constant, the inner and outer stopping tolerances and
-the start-point jitter are the module constants below.
+factor, the Armijo constant and the inner and outer stopping tolerances
+are the module constants below.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import lobpcg
 
 from .assignment import discretize, solve_lap
 from .errors import InfeasibleK
@@ -47,7 +60,6 @@ BACKTRACK = 0.5  # step shrink factor per rejected trial
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 INNER_TOL = 1e-6  # relative objective drop that ends update_Y
 OUTER_TOL = 1e-7  # relative objective drop that ends a rho stage
-INIT_JITTER = 0.25  # seeded relative jitter on the uniform start
 
 
 @dataclass(frozen=True)
@@ -288,21 +300,65 @@ def update_Z(x, coords: list[np.ndarray], r: int) -> np.ndarray:
     return (u[:, :r] * s[:r]) @ vt[:r]
 
 
-def initialize(w, config: SolverConfig, sizes) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
-    """Solve the score-only relaxation from a near-uniform start.
+def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
+    """Orthonormal basis of the top-k eigenspace of the symmetric matrix w.
 
-    The start point is the uniform feasible matrix (every block entry
-    1 / p_i) with a small seeded multiplicative jitter; the exact uniform
-    point is invariant under label permutation, so the jitter is what lets
-    gradient descent break the label symmetry deterministically per seed.
-    One projection maps the jittered point back into the constraint set.
+    ``lobpcg`` iterates on a Gaussian (m, k) start block drawn from
+    ``seed``.  Below m = 5k, where ``lobpcg`` would itself switch to a
+    dense solver, and whenever some returned pair's residual
+    ||w u - lambda u|| exceeds the block solver's tolerance, the basis
+    comes from ``np.linalg.eigh`` on the dense matrix instead.
+    """
+    m = w.shape[0]
+    if m >= 5 * k:
+        tol = m * math.sqrt(np.finfo(float).eps)  # lobpcg's own default
+        x0 = np.random.default_rng(seed).standard_normal((m, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # convergence is checked below
+            vals, vecs = lobpcg(w, x0, tol=tol, largest=True)
+        if (np.linalg.norm(w @ vecs - vecs * vals, axis=0) <= tol).all():
+            return vecs
+    dense = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
+    return np.linalg.eigh(dense)[1][:, m - k :]
+
+
+def spectral_start(w, k: int, seed: int, sizes) -> np.ndarray:
+    """Feasible start point from the top-k eigenspace of w.
+
+    Pivoted QR of U^T picks k anchor rows S; ``U U_S^{-1}`` maps them to
+    the k unit labels and spreads every other row over the labels in
+    proportion to its eigenspace coordinates.  The result does not depend
+    on the basis chosen for the eigenspace.  Negative entries are clipped
+    before the projection onto the constraint set.
+    """
+    u = top_eigenvectors(w, k, seed)
+    anchors = scipy.linalg.qr(u.T, mode="r", pivoting=True)[1][:k]
+    y0 = np.linalg.solve(u[anchors].T, u.T).T
+    return project_onto_C(np.maximum(y0, 0.0), sizes)
+
+
+def initialize(
+    w, config: SolverConfig, sizes, *, warnings_out: list[str] | None = None
+) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
+    """Solve the score-only relaxation from the spectral start.
+
+    The start point is :func:`spectral_start` with its eigensolver seeded
+    by ``config.seed``; projected gradient descent on the cycle term alone
+    refines it, and each block is discretized into the initial selection.
+    A line search that stalls, or a descent that uses all
+    ``config.max_inner`` steps, is reported as a message appended to
+    ``warnings_out`` when one is given.  Returns (y, selection, objective
+    history).
     """
     sizes = tuple(int(p) for p in sizes)
     k = config.k
-    rng = np.random.default_rng(config.seed)
-    y0 = np.vstack([np.full((p, k), 1.0 / p) for p in sizes])
-    y0 = project_onto_C(y0 * (1.0 + INIT_JITTER * rng.random(y0.shape)), sizes)
-    y, history, _ = update_Y(y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner)
+    y0 = spectral_start(w, k, config.seed, sizes)
+    y, history, stalled = update_Y(y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner)
+    if warnings_out is not None:
+        if stalled:
+            warnings_out.append("line search stalled at init")
+        if len(history) - 1 >= config.max_inner:
+            warnings_out.append(f"max inner steps ({config.max_inner}) reached at init")
     layout = BlockLayout(sizes)
     x = SelectionLabeling([discretize(block) for block in layout.split(y)], k)
     return y, x, history
@@ -312,10 +368,12 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     """Run initialization plus the full continuation schedule.
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
-    objective stops decreasing relative to ``OUTER_TOL``; hitting
-    ``config.max_sweeps`` first is recorded as a warning on the state.
-    The trace carries the initialization objective per accepted step and
-    one record per sweep and stage thereafter.
+    objective stops decreasing relative to ``OUTER_TOL``.  Hitting
+    ``config.max_sweeps`` first, a stalled line search in any Y update, and
+    an initial descent that uses all ``config.max_inner`` steps are each
+    recorded as a warning on the state.  The trace carries the
+    initialization objective per accepted step and one record per sweep
+    and stage thereafter.
     """
     layout = instance.layout
     sizes = layout.sizes
@@ -325,13 +383,13 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     coords, transforms = normalize_coordinates(instance.coordinates)
 
     trace: list[TraceRecord] = []
-    y, x, init_history = initialize(w, config, sizes)
+    warnings_list: list[str] = []
+    y, x, init_history = initialize(w, config, sizes, warnings_out=warnings_list)
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
     z = update_Z(x, coords, config.r)
 
-    warnings_list: list[str] = []
     rho = config.rho_schedule[-1]
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
@@ -339,7 +397,9 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         for sweep in range(1, config.max_sweeps + 1):
-            y, _, _ = update_Y(y, x.stacked(), w, rho, sizes, max_inner=config.max_inner)
+            y, _, stalled = update_Y(y, x.stacked(), w, rho, sizes, max_inner=config.max_inner)
+            if stalled:
+                warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
             x = update_X(y, z, coords, config.lam, rho)
             z = update_Z(x, coords, config.r)
             parts = objective_components(w, y, x, z, coords, config.lam, rho)

@@ -136,15 +136,16 @@ def generate(
         pos[lab[sel]] = np.nonzero(sel)[0]
         positions.append(pos)
 
+    n_corrupt = int(round(match_corruption_rate * u))
+    # free[j] = candidates of image j that no scene point lands on
+    free = [np.setdiff1d(np.arange(p), pos) for pos in positions] if n_corrupt else []
     rows, cols = [], []
     for i in range(n):
         for j in range(i + 1, n):
             targets = positions[j].copy()
-            n_corrupt = int(round(match_corruption_rate * u))
             if n_corrupt:
                 victims = rng.choice(u, size=n_corrupt, replace=False)
-                free = np.setdiff1d(np.arange(p), positions[j], assume_unique=False)
-                pool = np.concatenate([targets[victims], free])
+                pool = np.concatenate([targets[victims], free[j]])
                 targets[victims] = rng.choice(pool, size=n_corrupt, replace=False)
             rows.append(i * p + positions[i])
             cols.append(j * p + targets)

@@ -111,6 +111,15 @@ def test_solve_warning_exit_code(tmp_path):
     assert code == 3
 
 
+def test_solve_init_step_cap_exit_code(tmp_path, capsys):
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
+    code = run(["solve", "--problem", problem, "--out", tmp_path / "l.json",
+                "--max-inner", 1])
+    assert code == 3
+    assert "warning: max inner steps (1) reached at init" in capsys.readouterr().err
+
+
 def test_eval_matches_library_metrics(tmp_path, capsys):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=7, corrupt=0.2, sigma=0.01))

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+
+import multimatch.solver
 
 from multimatch import (
     SelectionLabeling,
@@ -22,7 +27,7 @@ from multimatch import (
     update_Y,
     update_Z,
 )
-from multimatch.solver import denormalize_fit, selection_objective
+from multimatch.solver import denormalize_fit, selection_objective, spectral_start, top_eigenvectors
 from conftest import (
     enumerate_lap,
     naive_cycle_objective,
@@ -344,6 +349,103 @@ def test_initialize_all_ones_blocks_monotone_and_feasible(rng):
     assert (np.diff(hist) <= 1e-9).all()
     assert feasibility_gap(y, (3, 3, 3)) <= 1e-5
     x.validate()
+
+
+def _top_projector(w, k):
+    vecs = scipy.linalg.eigh(w.toarray())[1][:, -k:]
+    return vecs @ vecs.T
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Shapes passed to np.linalg.eigh, the spectral start's dense path."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+def test_top_eigenvectors_block_solver_matches_dense_subspace(dense_calls):
+    planted = generate(30, 6, outliers_per_image=2, coord_noise_sigma=0.01,
+                       match_corruption_rate=0.2, seed=1)
+    w = assemble_block(planted.instance.scores)
+    u = top_eigenvectors(w, 6, seed=0)
+    assert not dense_calls  # m = 240 >= 5k and lobpcg converges: no dense solve
+    assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
+    assert np.allclose(u @ u.T, _top_projector(w, 6), atol=1e-6)
+    assert np.array_equal(top_eigenvectors(w, 6, seed=0), u)
+
+
+@pytest.mark.parametrize(
+    "n, u, outliers, corrupt, seed",
+    [(4, 4, 1, 0.2, 2), (6, 5, 0, 0.5, 0)],  # m = 5k = 20 and m = 30 > 5k
+)
+def test_top_eigenvectors_dense_fallback_runs_without_warnings(dense_calls, n, u, outliers, corrupt, seed):
+    # a bare lobpcg warns on both instances and misses its tolerance
+    planted = generate(n, u, outliers_per_image=outliers, coord_noise_sigma=0.02,
+                       match_corruption_rate=corrupt, seed=seed)
+    w = assemble_block(planted.instance.scores)
+    m = w.shape[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = top_eigenvectors(w, u, seed=0)
+        state = solve(planted.instance, SolverConfig(k=u))
+    assert dense_calls == [(m, m), (m, m)]
+    assert np.allclose(basis @ basis.T, _top_projector(w, u), atol=1e-8)
+    assert state.converged
+    state.labeling.validate()
+
+
+def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
+    # consistent scores: W = X X^T plus the outliers' identity diagonal, so the
+    # anchors are k candidates with distinct labels and U U_S^-1 is X up to a
+    # column permutation
+    planted = generate(12, 5, outliers_per_image=3, seed=4)
+    w = assemble_block(planted.instance.scores)
+    y0 = spectral_start(w, 5, 0, planted.instance.layout.sizes)
+    truth = planted.ground_truth.stacked()
+    perm = np.argmax(truth.T @ y0, axis=0)
+    assert np.allclose(y0, truth[:, perm], atol=1e-8)
+
+
+def test_solve_recovers_found_crowd_instance():
+    # a crowd-shaped instance with a local minimum one whole label wrong
+    # (recall 0.875) that a near-uniform start settles in
+    planted = generate(200, 8, outliers_per_image=4, coord_noise_sigma=0.01,
+                       match_corruption_rate=0.2, seed=87422295002)
+    state = solve(planted.instance, SolverConfig(k=8))
+    assert recall(state.labeling, planted.truth_labels) == 1.0
+    assert state.converged
+
+
+def test_solve_same_seed_same_result():
+    planted = generate(10, 5, outliers_per_image=2, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=6)
+    a = solve(planted.instance, SolverConfig(k=5, seed=3))
+    b = solve(planted.instance, SolverConfig(k=5, seed=3))
+    assert np.array_equal(a.y, b.y)
+    assert a.objective_trace == b.objective_trace
+
+
+def test_solve_reports_init_step_cap():
+    planted = generate(6, 5, outliers_per_image=2, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=1)
+    state = solve(planted.instance, SolverConfig(k=5, max_inner=1))
+    assert "max inner steps (1) reached at init" in state.warnings
+    assert not state.converged
+
+
+def test_solve_reports_line_search_stalls(monkeypatch):
+    real = multimatch.solver.update_Y
+
+    def always_stalls(*args, **kwargs):
+        y, history, _ = real(*args, **kwargs)
+        return y, history, True
+
+    monkeypatch.setattr(multimatch.solver, "update_Y", always_stalls)
+    planted = generate(4, 4, outliers_per_image=1, seed=5)
+    state = solve(planted.instance, SolverConfig(k=4, rho_schedule=(1.0,)))
+    assert state.warnings[:2] == ["line search stalled at init", "line search stalled at rho=1 sweep 1"]
 
 
 def test_solve_recovers_noiseless_planted():
