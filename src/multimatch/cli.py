@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse or validation error,
 3 solved with warnings (a continuation stage hit its sweep limit, a line
-search stalled, or the start's descent used all its inner steps).
+search stalled, the start's descent used all its inner steps, or a
+projection stopped at its round cap).
 All commands are deterministic given identical inputs and seeds.
 """
 
@@ -167,7 +168,7 @@ def _cmd_eval(args) -> int:
     if stats.vacuous:
         print(f"vacuous 1 {instance_id}")
     if args.problem is not None:
-        features, _, _ = serialize.load_problem(args.problem)
+        features = serialize.load_features(args.problem)
         coords = _aligned_coords(features, lab_ids)
         m_tilde = assemble_measurements(labeling, coords)
         diag = metrics.rank_diagnostic(m_tilde, args.rank)
@@ -176,7 +177,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    features, _, _ = serialize.load_problem(args.problem)
+    features = serialize.load_features(args.problem)
     lab_ids, labeling = serialize.load_labeling(args.labeling)
     coords = _aligned_coords(features, lab_ids)
     m_tilde = assemble_measurements(labeling, coords)

@@ -1,14 +1,17 @@
 """Euclidean projection onto the relaxed labeling constraint set.
 
-The feasible set couples two simple convex sets on an m x k matrix that is
-partitioned into per-image row blocks: every row must lie in the
-nonnegative capped-sum set {y >= 0, sum(y) <= 1} and every per-block
-column must lie on the probability simplex {y >= 0, sum(y) = 1}.  The
-entrywise [0, 1] bounds follow from these two.  Dykstra's alternating
-projection scheme with correction terms converges to the exact Euclidean
-projection onto the intersection; both sub-projections are closed-form
-sort-and-threshold operations, vectorized over rows and over same-size
-blocks.
+The feasible set of an m x k matrix partitioned into per-image row blocks
+asks every row to lie in {y >= 0, sum(y) <= 1} and every per-block column
+to sum to one; the entrywise [0, 1] bounds follow.  With a row multiplier
+nu >= 0 (one per row) and a column multiplier mu (k per image), the
+projection of V is Y = max(V - nu 1^T - mu, 0).  The multipliers come from
+block coordinate ascent on the projection's dual: at fixed nu each
+block-column mu is the simplex threshold of V - nu, and at fixed mu each
+row's nu is its simplex threshold of V - mu, clipped at zero.  Both are
+closed-form sort-and-threshold rules, vectorized over rows and over
+same-size blocks.  Each round ends with exact column sums and nu >= 0, so
+the ascent stops on the remaining KKT conditions: every row sum is within
+the cap and every row with nu > 0 sums to one, to ``PROJECTION_TOL``.
 """
 
 from __future__ import annotations
@@ -19,54 +22,39 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleK
 
-DYKSTRA_TOL = 1e-6
-DYKSTRA_MAX_CYCLES = 500
+PROJECTION_TOL = 1e-6
+PROJECTION_MAX_ITER = 500
 
 
 class ProjectionWarning(UserWarning):
-    """Dykstra's scheme stopped before reaching its tolerance."""
+    """The dual ascent reached ``PROJECTION_MAX_ITER`` rounds before its KKT stop rule held."""
 
 
 def project_col_simplex(v: np.ndarray) -> np.ndarray:
     """Project a vector onto the probability simplex {y >= 0, sum(y) = 1}."""
     v = np.asarray(v, dtype=float)
-    return _simplex_rows(v[None, :])[0]
+    return np.maximum(v - _threshold(v[None, :])[0], 0.0)
 
 
 def project_row_capped(v: np.ndarray) -> np.ndarray:
     """Project a vector onto the capped nonnegative set {y >= 0, sum(y) <= 1}."""
     v = np.asarray(v, dtype=float)
-    return _capped_rows(v[None, :])[0]
+    return np.maximum(v - max(float(_threshold(v[None, :])[0]), 0.0), 0.0)
 
 
-def _simplex_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection via the sorted-threshold rule."""
+def _threshold(v: np.ndarray) -> np.ndarray:
+    """Per-row tau with sum(max(v - tau, 0)) = 1, by the sorted-threshold rule."""
     n = v.shape[-1]
     srt = -np.sort(-v, axis=-1)
     css = np.cumsum(srt, axis=-1) - 1.0
     steps = np.arange(1, n + 1, dtype=float)
     positive = srt - css / steps > 0  # position 0 is always positive
     support = n - 1 - np.argmax(positive[..., ::-1], axis=-1)
-    tau = np.take_along_axis(css, support[..., None], axis=-1) / (support[..., None] + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
-def _capped_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise projection onto {y >= 0, sum(y) <= 1}.
-
-    Clipping negatives suffices when the clipped sum stays within the cap;
-    otherwise the sum constraint is active and the answer is the simplex
-    projection of the original row.
-    """
-    out = np.maximum(v, 0.0)
-    over = out.sum(axis=-1) > 1.0
-    if np.any(over):
-        out[over] = _simplex_rows(v[over])
-    return out
+    return np.take_along_axis(css, support[..., None], axis=-1)[..., 0] / (support + 1.0)
 
 
 def _block_groups(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
-    """Group per-image row ranges by block height for batched projection."""
+    """Group per-image row ranges by block height for batched thresholds."""
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     groups: dict[int, list[np.ndarray]] = {}
     for i, p in enumerate(sizes):
@@ -74,69 +62,46 @@ def _block_groups(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
     return [(p, np.concatenate(idx)) for p, idx in sorted(groups.items())]
 
 
-def _project_block_columns(y: np.ndarray, groups: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """Project every per-block column onto the simplex, batched by block size."""
-    out = np.empty_like(y)
-    k = y.shape[1]
-    for p, rows in groups:
-        stacked = y[rows].reshape(-1, p, k)  # (blocks, p, k)
-        cols = np.moveaxis(stacked, 1, 2).reshape(-1, p)  # one row per block column
-        projected = _simplex_rows(cols).reshape(-1, k, p)
-        out[rows] = np.moveaxis(projected, 1, 2).reshape(-1, k)
-    return out
-
-
-def project_onto_C(
-    y: np.ndarray,
-    sizes,
-    tol: float = DYKSTRA_TOL,
-    max_cycles: int = DYKSTRA_MAX_CYCLES,
-) -> np.ndarray:
+def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
     """Project an m x k matrix onto the constraint set described above.
 
     ``sizes`` gives the per-image block heights in row order.  Feasible
-    inputs are returned unchanged after the first cycle.  If the relative
-    change between cycles is still above ``tol`` after ``max_cycles``, a
+    inputs are returned unchanged after the first round.  If the KKT stop
+    rule still fails after ``PROJECTION_MAX_ITER`` rounds, a
     :class:`ProjectionWarning` is emitted and the current iterate returned;
-    the final half-step is the block-column projection, so column sums are
-    exact and any residual violation sits in the row caps.
+    its column sums are exact and any residual violation sits in the row
+    caps.
     """
-    y = np.asarray(y, dtype=float)
+    v = np.asarray(y, dtype=float)
     sizes = tuple(int(p) for p in sizes)
-    if y.ndim != 2 or y.shape[0] != sum(sizes):
-        raise DimensionMismatch(f"expected {sum(sizes)} rows, got shape {y.shape}")
-    if min(sizes) < y.shape[1]:
+    if v.ndim != 2 or v.shape[0] != sum(sizes):
+        raise DimensionMismatch(f"expected {sum(sizes)} rows, got shape {v.shape}")
+    if min(sizes) < v.shape[1]:
         raise InfeasibleK("block column sums cannot reach 1 when k exceeds a block height")
     groups = _block_groups(sizes)
+    k = v.shape[1]
 
-    x = y
-    p_corr = np.zeros_like(y)
-    q_corr = np.zeros_like(y)
-    for _ in range(max_cycles):
-        row_target = x + p_corr
-        rows = _capped_rows(row_target)
-        p_new = row_target - rows
-        col_target = rows + q_corr
-        x = _project_block_columns(col_target, groups)
-        q_new = col_target - x
-        # the iterate can plateau for several cycles while the correction
-        # terms still ramp, so convergence is judged on the corrections
-        change = float(
-            np.sqrt(((p_new - p_corr) ** 2).sum() + ((q_new - q_corr) ** 2).sum())
-        )
-        p_corr, q_corr = p_new, q_new
-        # column sums are exact after the final half-step; the residual
-        # infeasibility lives in the row caps, so gate on it as well
-        row_violation = max(0.0, float(x.sum(axis=1).max()) - 1.0)
-        if change <= tol * max(1.0, float(np.linalg.norm(x))) and row_violation <= tol:
-            break
-    else:
-        warnings.warn(
-            f"projection stopped after {max_cycles} cycles with change {change:.3e}",
-            ProjectionWarning,
-            stacklevel=2,
-        )
-    return x
+    nu = np.zeros((v.shape[0], 1))
+    mu = np.empty_like(v)  # each image's k column multipliers, repeated on its rows
+    for _ in range(PROJECTION_MAX_ITER):
+        shifted = v - nu
+        for p, rows in groups:
+            cols = np.moveaxis(shifted[rows].reshape(-1, p, k), 1, 2)  # (blocks, k, p)
+            mu[rows] = np.repeat(_threshold(cols), p, axis=0)
+        out = np.maximum(shifted - mu, 0.0)
+        sums = out.sum(axis=1)
+        # from nu = 0 the ascent raises nu monotonically, which keeps rows
+        # with nu > 0 at or above the cap; the test certifies it regardless
+        active = nu[:, 0] > 0
+        if sums.max() - 1.0 <= PROJECTION_TOL and (1.0 - sums[active] <= PROJECTION_TOL).all():
+            return out
+        nu = np.maximum(_threshold(v - mu), 0.0)[:, None]
+    warnings.warn(
+        f"projection stopped after {PROJECTION_MAX_ITER} rounds with row sums up to {sums.max():.6g}",
+        ProjectionWarning,
+        stacklevel=2,
+    )
+    return out
 
 
 def feasibility_gap(y: np.ndarray, sizes) -> float:

@@ -68,22 +68,8 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
     """Parse a problem document into features, raw scores, and defaults."""
     doc = _load_json(path)
     try:
-        _check_version(doc)
-        features = []
-        for rec in doc["images"]:
-            desc = rec.get("descriptors")
-            features.append(
-                FeatureSet(
-                    str(rec["id"]),
-                    np.asarray(rec["coordinates"], dtype=float),
-                    None if desc is None else np.asarray(desc, dtype=float),
-                )
-            )
-        if not features:
-            raise ParseError("document lists no images")
+        features = _features(doc)
         index = {f.image_id: i for i, f in enumerate(features)}
-        if len(index) < len(features):
-            raise ParseError("an image id is listed twice")
         layout = BlockLayout(tuple(f.p for f in features))
         scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout.sizes)
         defaults = dict(doc.get("solver_defaults", {}))
@@ -92,6 +78,35 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
         return features, scores, defaults
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed problem document ({exc})") from exc
+
+
+def load_features(path) -> list[FeatureSet]:
+    """Parse only the image records of a problem document; pairwise entries are skipped."""
+    doc = _load_json(path)
+    try:
+        return _features(doc)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: malformed problem document ({exc})") from exc
+
+
+def _features(doc: dict) -> list[FeatureSet]:
+    """The feature sets of a problem document's image records, ids distinct."""
+    _check_version(doc)
+    features = []
+    for rec in doc["images"]:
+        desc = rec.get("descriptors")
+        features.append(
+            FeatureSet(
+                str(rec["id"]),
+                np.asarray(rec["coordinates"], dtype=float),
+                None if desc is None else np.asarray(desc, dtype=float),
+            )
+        )
+    if not features:
+        raise ParseError("document lists no images")
+    if len({f.image_id for f in features}) < len(features):
+        raise ParseError("an image id is listed twice")
+    return features
 
 
 def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr_matrix:

@@ -53,13 +53,15 @@ from .model import (
     SolverConfig,
     assemble_block,
 )
-from .projection import project_onto_C
+from . import projection
+from .projection import ProjectionWarning, project_onto_C
 
 STALL_ETA = 1e-12  # a line search that shrinks the step below this stalls
 BACKTRACK = 0.5  # step shrink factor per rejected trial
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 INNER_TOL = 1e-6  # relative objective drop that ends update_Y
 OUTER_TOL = 1e-7  # relative objective drop that ends a rho stage
+EIGEN_MAXITER = 80  # lobpcg iterations before the dense fallback takes over
 
 
 @dataclass(frozen=True)
@@ -304,10 +306,11 @@ def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
     """Orthonormal basis of the top-k eigenspace of the symmetric matrix w.
 
     ``lobpcg`` iterates on a Gaussian (m, k) start block drawn from
-    ``seed``.  Below m = 5k, where ``lobpcg`` would itself switch to a
-    dense solver, and whenever some returned pair's residual
-    ||w u - lambda u|| exceeds the block solver's tolerance, the basis
-    comes from ``np.linalg.eigh`` on the dense matrix instead.
+    ``seed`` for at most ``EIGEN_MAXITER`` iterations.  Below m = 5k,
+    where ``lobpcg`` would itself switch to a dense solver, and whenever
+    some returned pair's residual ||w u - lambda u|| exceeds the block
+    solver's tolerance, the basis comes from ``np.linalg.eigh`` on the
+    dense matrix instead.
     """
     m = w.shape[0]
     if m >= 5 * k:
@@ -315,7 +318,7 @@ def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
         x0 = np.random.default_rng(seed).standard_normal((m, k))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # convergence is checked below
-            vals, vecs = lobpcg(w, x0, tol=tol, largest=True)
+            vals, vecs = lobpcg(w, x0, tol=tol, maxiter=EIGEN_MAXITER, largest=True)
         if (np.linalg.norm(w @ vecs - vecs * vals, axis=0) <= tol).all():
             return vecs
     dense = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
@@ -369,12 +372,32 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
     objective stops decreasing relative to ``OUTER_TOL``.  Hitting
-    ``config.max_sweeps`` first, a stalled line search in any Y update, and
-    an initial descent that uses all ``config.max_inner`` steps are each
-    recorded as a warning on the state.  The trace carries the
+    ``config.max_sweeps`` first, a stalled line search in any Y update, an
+    initial descent that uses all ``config.max_inner`` steps, and
+    projections that reach their round cap (one message with their count,
+    in place of the :class:`ProjectionWarning` each one raises) are
+    recorded as warnings on the state; other Python warnings raised
+    during the solve are shown once it returns.  The trace carries the
     initialization objective per accepted step and one record per sweep
     and stage thereafter.
     """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ProjectionWarning)
+        state = _solve(instance, config)
+    capped = 0
+    for msg in caught:
+        if issubclass(msg.category, ProjectionWarning):
+            capped += 1
+        else:
+            warnings.showwarning(msg.message, msg.category, msg.filename, msg.lineno, msg.file, msg.line)
+    if capped:
+        state.warnings.append(
+            f"projection reached its {projection.PROJECTION_MAX_ITER}-round cap in {capped} calls"
+        )
+    return state
+
+
+def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     layout = instance.layout
     sizes = layout.sizes
     if config.k > min(sizes):

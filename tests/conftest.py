@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from multimatch import FeatureSet, PairwiseScores, SelectionLabeling
 
@@ -68,6 +69,55 @@ def random_feasible_y(rng, sizes, k):
 
     m = sum(sizes)
     return project_onto_C(rng.random((m, k)), sizes)
+
+
+def kkt_residual(v, y, sizes):
+    """Smallest slack s for which some multipliers certify y as the projection of v.
+
+    The projection onto {rows in the capped simplex, per-block columns on
+    the simplex} is y = max(v - nu - mu, 0) with a row multiplier nu >= 0
+    and a free column multiplier mu per image and column.  HiGHS finds the
+    multipliers with the least s such that |v - y - nu - mu| <= s where
+    y > 0, nu + mu >= v - s where y = 0, and nu_a (1 - sum_c y_ac) <= s on
+    every row below the cap (complementarity).  Feasibility of y is not
+    part of s; check it with ``feasibility_gap``.
+    """
+    v, y = np.asarray(v, dtype=float), np.asarray(y, dtype=float)
+    m, k = y.shape
+    n_var = m + len(sizes) * k + 1  # nu, then mu image by image, then s
+    a, c = np.indices((m, k)).reshape(2, -1)
+    image = np.repeat(np.arange(len(sizes)), sizes)
+    mult = np.zeros((m * k, n_var))  # nu_a + mu_(image(a), c) for every entry (a, c)
+    mult[np.arange(m * k), a] = 1.0
+    mult[np.arange(m * k), m + image[a] * k + c] = 1.0
+    e_s = np.eye(n_var)[-1]
+    target = (v - y).ravel()
+    support = (y > 0).ravel()
+    gap = 1.0 - y.sum(axis=1)
+    below = np.flatnonzero(gap > 0)
+    comp = gap[below, None] * np.eye(n_var)[below]
+    a_ub = np.vstack([mult[support] - e_s, -mult[support] - e_s, -mult[~support] - e_s, comp - e_s])
+    b_ub = np.concatenate([target[support], -target[support], -target[~support], np.zeros(below.size)])
+    bounds = [(0, None)] * m + [(None, None)] * (n_var - m - 1) + [(0, None)]
+    res = linprog(e_s, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1])
+
+
+def qp_project(y, sizes):
+    """The projection by cvxpy as an independent QP oracle, or None without cvxpy."""
+    try:
+        import cvxpy
+    except ImportError:
+        return None
+    v = cvxpy.Variable(y.shape)
+    cons = [v >= 0, cvxpy.sum(v, axis=1) <= 1]
+    off = 0
+    for p in sizes:
+        cons.append(cvxpy.sum(v[off : off + p], axis=0) == 1)
+        off += p
+    cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(v - y)), cons).solve()
+    return np.asarray(v.value)
 
 
 def toy_features(sizes, rng=None, image_ids=None):

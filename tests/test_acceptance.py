@@ -8,7 +8,6 @@ Thresholds are fixed here, not tuned at runtime.
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import binomtest
 
 import multimatch as mm
@@ -18,6 +17,7 @@ from multimatch import (
     assemble_measurements,
     affine_factorize,
     brute_force_solve,
+    feasibility_gap,
     generate,
     normalize_coordinates,
     objective_cycle,
@@ -31,7 +31,7 @@ from multimatch import (
     update_Z,
 )
 from multimatch.solver import selection_objective
-from conftest import enumerate_lap, random_feasible_y, random_labeling
+from conftest import enumerate_lap, kkt_residual, qp_project, random_feasible_y, random_labeling
 
 SIZES = dict(n=10, u=10, outliers_per_image=10)  # shared planted geometry
 
@@ -156,23 +156,22 @@ def test_criterion_6_tiny_global_optimality():
 
 
 def test_criterion_7_projection_correctness(rng):
-    cvxpy = pytest.importorskip("cvxpy")
-    worst = 0.0
+    kkt = gap = 0.0
+    qp_gaps = []  # measured only where cvxpy imports
     for case in range(50):
         n_img = int(rng.integers(1, 4))
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_img))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=1.5, size=(sum(sizes), k))
         ours = project_onto_C(y, sizes)
-        v = cvxpy.Variable(y.shape)
-        cons = [v >= 0, cvxpy.sum(v, axis=1) <= 1]
-        off = 0
-        for p in sizes:
-            cons.append(cvxpy.sum(v[off : off + p], axis=0) == 1)
-            off += p
-        cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(v - y)), cons).solve()
-        worst = max(worst, float(np.linalg.norm(ours - np.asarray(v.value))))
-        assert worst <= 1e-3
+        kkt = max(kkt, kkt_residual(y, ours, sizes))
+        gap = max(gap, feasibility_gap(ours, sizes))
+        assert kkt <= 1e-6
+        assert gap <= 1e-6
+        oracle = qp_project(y, sizes)
+        if oracle is not None:
+            qp_gaps.append(float(np.linalg.norm(ours - oracle)))
+            assert qp_gaps[-1] <= 1e-3
     drift = 0.0
     for case in range(1000):
         sizes = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
@@ -182,9 +181,11 @@ def test_criterion_7_projection_correctness(rng):
         twice = project_onto_C(once, sizes)
         drift = max(drift, float(np.linalg.norm(twice - once)))
         assert drift <= 1e-5
+    qp = f"{max(qp_gaps):.2e}" if qp_gaps else "not run without cvxpy"
     print(
         "ACCEPTANCE 7 projection-correctness: PASS "
-        f"(QP gap {worst:.2e} over 50, idempotence drift {drift:.2e} over 1000)"
+        f"(KKT residual {kkt:.2e} and feasibility gap {gap:.2e} over 50, QP gap {qp}, "
+        f"idempotence drift {drift:.2e} over 1000)"
     )
 
 

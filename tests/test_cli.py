@@ -120,6 +120,14 @@ def test_solve_init_step_cap_exit_code(tmp_path, capsys):
     assert "warning: max inner steps (1) reached at init" in capsys.readouterr().err
 
 
+def test_solve_projection_round_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multimatch.projection, "PROJECTION_MAX_ITER", 1)
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 3
+    assert "warning: projection reached its 1-round cap in " in capsys.readouterr().err
+
+
 def test_eval_matches_library_metrics(tmp_path, capsys):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=7, corrupt=0.2, sigma=0.01))

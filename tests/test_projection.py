@@ -8,22 +8,7 @@ from multimatch import (
     project_onto_C,
     project_row_capped,
 )
-from conftest import random_feasible_y
-
-
-def qp_project(y, sizes):
-    """Independent QP oracle for the constraint-set projection."""
-    import cvxpy
-    m, k = y.shape
-    v = cvxpy.Variable((m, k))
-    cons = [v >= 0, cvxpy.sum(v, axis=1) <= 1]
-    off = 0
-    for p in sizes:
-        cons.append(cvxpy.sum(v[off : off + p], axis=0) == 1)
-        off += p
-    problem = cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(v - y)), cons)
-    problem.solve()
-    return np.asarray(v.value)
+from conftest import kkt_residual, qp_project, random_feasible_y
 
 
 def test_row_capped_feasible_point_unchanged():
@@ -98,15 +83,17 @@ def test_project_c_symmetric_two_by_two():
 
 
 def test_project_c_matches_qp_oracle(rng):
-    pytest.importorskip("cvxpy")
     for _ in range(15):
         n_img = int(rng.integers(1, 3))
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_img))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=1.0, size=(sum(sizes), k))
         ours = project_onto_C(y, sizes)
+        assert kkt_residual(y, ours, sizes) <= 1e-6
+        assert feasibility_gap(ours, sizes) <= 1e-6
         oracle = qp_project(y, sizes)
-        assert np.linalg.norm(ours - oracle) <= 1e-3
+        if oracle is not None:
+            assert np.linalg.norm(ours - oracle) <= 1e-3
 
 
 def test_project_c_idempotent(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from multimatch import ParseError, SelectionLabeling, generate
 from multimatch.serialize import (
+    load_features,
     load_labeling,
     load_problem,
     load_truth,
@@ -140,6 +141,32 @@ def test_load_problem_rejects_bad_documents(tmp_path):
         bad.write_text(json.dumps(_two_image_problem(pairwise)))
         with pytest.raises(ParseError):
             load_problem(bad)
+
+
+def test_load_features_reads_only_image_records(tmp_path, planted):
+    path = tmp_path / "problem.json"
+    inst = planted.instance
+    save_problem(path, inst.features, inst.scores)
+    features = load_features(path)
+    assert [f.image_id for f in features] == [f.image_id for f in inst.features]
+    for fa, fb in zip(features, inst.features):
+        assert np.array_equal(fa.coordinates, fb.coordinates)
+    for pairwise in MALFORMED_PAIRWISE:  # pairwise entries are not parsed
+        path.write_text(json.dumps(_two_image_problem(pairwise)))
+        assert [f.image_id for f in load_features(path)] == ["a", "b"]
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json at all")
+    with pytest.raises(ParseError):
+        load_features(bad)
+    with pytest.raises(ParseError):
+        load_features(tmp_path / "missing.json")
+    bad.write_text(json.dumps({"format_version": 99, "images": []}))
+    with pytest.raises(ParseError):
+        load_features(bad)
+    for images in ([], [{"id": "a", "coordinates": [[0], [0]]}] * 2, [{"id": "a"}]):
+        bad.write_text(json.dumps({"format_version": 1, "images": images}))
+        with pytest.raises(ParseError):
+            load_features(bad)
 
 
 def test_load_problem_keeps_both_directions_of_a_pair(tmp_path):

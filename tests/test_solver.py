@@ -396,6 +396,20 @@ def test_top_eigenvectors_dense_fallback_runs_without_warnings(dense_calls, n, u
     state.labeling.validate()
 
 
+def test_top_eigenvectors_block_solver_converges_under_heavy_corruption(monkeypatch):
+    # the acceptance suite's criterion-3 instances: a small gap below the
+    # k-th eigenvalue, where lobpcg needs more than its default 20 iterations
+    def no_dense(a):
+        raise AssertionError("dense fallback ran")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    for seed in range(20):
+        planted = generate(10, 10, outliers_per_image=10, coord_noise_sigma=0.01,
+                           match_corruption_rate=0.6, seed=seed)
+        u = top_eigenvectors(assemble_block(planted.instance.scores), 10, seed)
+        assert np.allclose(u.T @ u, np.eye(10), atol=1e-8)
+
+
 def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
     # consistent scores: W = X X^T plus the outliers' identity diagonal, so the
     # anchors are k candidates with distinct labels and U U_S^-1 is X up to a
@@ -432,6 +446,16 @@ def test_solve_reports_init_step_cap():
                        match_corruption_rate=0.3, seed=1)
     state = solve(planted.instance, SolverConfig(k=5, max_inner=1))
     assert "max inner steps (1) reached at init" in state.warnings
+    assert not state.converged
+
+
+def test_solve_reports_projection_round_cap(monkeypatch):
+    monkeypatch.setattr(multimatch.projection, "PROJECTION_MAX_ITER", 1)
+    planted = generate(6, 5, outliers_per_image=2, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=1)
+    state = solve(planted.instance, SolverConfig(k=5))
+    capped = [m for m in state.warnings if m.startswith("projection reached its 1-round cap in ")]
+    assert len(capped) == 1 and int(capped[0].split()[-2]) > 0
     assert not state.converged
 
 
