@@ -12,6 +12,21 @@ closed-form sort-and-threshold rules, vectorized over rows and over
 same-size blocks.  Each round ends with exact column sums and nu >= 0, so
 the ascent stops on the remaining KKT conditions: every row sum is within
 the cap and every row with nu > 0 sums to one, to ``PROJECTION_TOL``.
+
+Successive projections in a descent differ little, and so do their
+multipliers.  A caller may pass a buffer of row multipliers: the ascent
+then continues from it, and writes the final nu back for the next call.
+The first round of every call still runs from nu = 0, and its result is
+returned when the stop rule already holds, so a feasible input comes back
+unchanged whatever the buffer holds.  The second round tries the carried
+nu, and the ascent goes on from it only if the dual objective ranks it at
+least as high as nu = 0; otherwise the cold ascent resumes.  A start far
+above the optimum ranks lower and would take hundreds of rounds to come
+down.  A kept warm nu may still exceed the optimum on some rows, whose
+sums then fall below the cap: started from nu = 0 the ascent raises nu
+monotonically and never leaves a row with nu > 0 below the cap, but from
+a warm start only the complementarity half of the stop rule keeps the
+ascent going until those rows recover.
 """
 
 from __future__ import annotations
@@ -62,12 +77,26 @@ def _block_groups(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
     return [(p, np.concatenate(idx)) for p, idx in sorted(groups.items())]
 
 
-def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
+def _dual_value(out: np.ndarray, nu: np.ndarray, mu: np.ndarray, block_share: np.ndarray) -> float:
+    """The projection's dual objective at (nu, mu), less its constant ||V||^2 / 2.
+
+    ``out`` is max(V - nu - mu, 0); ``mu`` repeats each image's multipliers
+    on its p rows, so weighting it by ``block_share`` (1 / p per row) counts
+    every multiplier once.
+    """
+    return -0.5 * float((out * out).sum()) - float(nu.sum()) - float((mu * block_share).sum())
+
+
+def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.ndarray:
     """Project an m x k matrix onto the constraint set described above.
 
     ``sizes`` gives the per-image block heights in row order.  Feasible
-    inputs are returned unchanged after the first round.  If the KKT stop
-    rule still fails after ``PROJECTION_MAX_ITER`` rounds, a
+    inputs are returned unchanged after the first round.  ``nu``, when
+    given, is a length-m float buffer of row multipliers: after a first
+    round from zero that does not meet the stop rule, the ascent continues
+    from it unless the dual objective ranks it below nu = 0, and the
+    multipliers of the returned point are written back into it.  If the
+    KKT stop rule still fails after ``PROJECTION_MAX_ITER`` rounds, a
     :class:`ProjectionWarning` is emitted and the current iterate returned;
     its column sums are exact and any residual violation sits in the row
     caps.
@@ -78,29 +107,44 @@ def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
         raise DimensionMismatch(f"expected {sum(sizes)} rows, got shape {v.shape}")
     if min(sizes) < v.shape[1]:
         raise InfeasibleK("block column sums cannot reach 1 when k exceeds a block height")
+    if nu is not None and nu.shape != (v.shape[0],):
+        raise DimensionMismatch(f"expected {v.shape[0]} row multipliers, got shape {nu.shape}")
     groups = _block_groups(sizes)
     k = v.shape[1]
 
-    nu = np.zeros((v.shape[0], 1))
+    warm = nu is not None and bool(nu.any())
+    if warm:
+        block_share = np.repeat(1.0 / np.asarray(sizes, dtype=float), sizes)[:, None]
+    next_nu = np.zeros((v.shape[0], 1))
     mu = np.empty_like(v)  # each image's k column multipliers, repeated on its rows
-    for _ in range(PROJECTION_MAX_ITER):
-        shifted = v - nu
+    for rnd in range(PROJECTION_MAX_ITER):
+        rows_nu = next_nu
+        shifted = v - rows_nu
         for p, rows in groups:
             cols = np.moveaxis(shifted[rows].reshape(-1, p, k), 1, 2)  # (blocks, k, p)
             mu[rows] = np.repeat(_threshold(cols), p, axis=0)
         out = np.maximum(shifted - mu, 0.0)
         sums = out.sum(axis=1)
-        # from nu = 0 the ascent raises nu monotonically, which keeps rows
-        # with nu > 0 at or above the cap; the test certifies it regardless
-        active = nu[:, 0] > 0
+        # a warm nu can exceed the optimum on a row and pull its sum below
+        # the cap; only the complementarity test then keeps the ascent going
+        active = rows_nu[:, 0] > 0
         if sums.max() - 1.0 <= PROJECTION_TOL and (1.0 - sums[active] <= PROJECTION_TOL).all():
-            return out
-        nu = np.maximum(_threshold(v - mu), 0.0)[:, None]
-    warnings.warn(
-        f"projection stopped after {PROJECTION_MAX_ITER} rounds with row sums up to {sums.max():.6g}",
-        ProjectionWarning,
-        stacklevel=2,
-    )
+            break
+        if warm and rnd == 0:
+            zero_dual, zero_mu = _dual_value(out, rows_nu, mu, block_share), mu.copy()
+            next_nu = np.maximum(nu, 0.0)[:, None]
+            continue
+        if warm and rnd == 1 and _dual_value(out, rows_nu, mu, block_share) < zero_dual:
+            mu = zero_mu  # the carried nu ranks below nu = 0: resume the cold ascent
+        next_nu = np.maximum(_threshold(v - mu), 0.0)[:, None]
+    else:
+        warnings.warn(
+            f"projection stopped after {PROJECTION_MAX_ITER} rounds with row sums up to {sums.max():.6g}",
+            ProjectionWarning,
+            stacklevel=2,
+        )
+    if nu is not None:
+        nu[:] = rows_nu[:, 0]
     return out
 
 

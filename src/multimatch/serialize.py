@@ -3,8 +3,10 @@
 Problems are single JSON documents: a format version, per-image records
 (id, coordinates as two rows, optional descriptors), pairwise blocks as
 sparse (row, col, value) coordinate lists keyed by image ids, and optional
-solver defaults.  Desk-scale instances stay small and diffable this way,
-and the sparse encoding keeps linear-matching blocks compact.  Ground
+solver defaults.  The writer puts every image record and every pairwise
+record on a line of its own, in compact JSON: diffs stay line by line, the
+file carries no indentation, and the dump runs in the C JSON encoder.  The
+sparse encoding keeps linear-matching blocks compact.  Ground
 truth and labeling sidecars share one shape: per image, (candidate index,
 label) pairs with -1 marking outliers.  Objective traces are CSV, one line
 per recorded sweep.
@@ -57,7 +59,24 @@ def problem_document(
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
         doc["solver_defaults"] = {k: defaults[k] for k in _DEFAULT_KEYS if k in defaults}
-    return json.dumps(doc, indent=2) + "\n"
+    return _record_lines(doc)
+
+
+def _record_lines(doc: dict) -> str:
+    """``doc`` as JSON text, one top-level field per line and one line per list element.
+
+    Each line is rendered compactly by ``json.dumps`` without ``indent``,
+    which keeps CPython on its C encoder; any ``indent`` switches the whole
+    dump to the pure-Python one.
+    """
+    fields = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value:
+            value_text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
+        else:
+            value_text = json.dumps(value)
+        fields.append(f"{json.dumps(key)}: {value_text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def save_problem(path, features, scores, defaults: dict | None = None) -> None:

@@ -205,6 +205,7 @@ def update_Y(
     eta0: float | None = None,
     inner_tol: float = INNER_TOL,
     max_inner: int = 500,
+    nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
 
@@ -216,6 +217,8 @@ def update_Y(
     steps.  Returns (new y, objective history, stalled flag); the stalled
     flag reports a line search that shrank the step below ``STALL_ETA``
     without finding decrease, in which case the current iterate is kept.
+    ``nu``, when given, is the projection's row-multiplier buffer, carried
+    through every trial (see :func:`project_onto_C`).
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -238,7 +241,7 @@ def update_Y(
         eta = eta0
         accepted = False
         while eta >= STALL_ETA:
-            y_new = project_onto_C(y - eta * grad, sizes)
+            y_new = project_onto_C(y - eta * grad, sizes, nu=nu)
             f_new, wy_new, gram_new = value(y_new)
             decrease = float(np.vdot(grad, y - y_new))
             if f_new <= f_cur - ARMIJO * decrease:
@@ -325,23 +328,29 @@ def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
     return np.linalg.eigh(dense)[1][:, m - k :]
 
 
-def spectral_start(w, k: int, seed: int, sizes) -> np.ndarray:
+def spectral_start(w, k: int, seed: int, sizes, *, nu: np.ndarray | None = None) -> np.ndarray:
     """Feasible start point from the top-k eigenspace of w.
 
     Pivoted QR of U^T picks k anchor rows S; ``U U_S^{-1}`` maps them to
     the k unit labels and spreads every other row over the labels in
     proportion to its eigenspace coordinates.  The result does not depend
     on the basis chosen for the eigenspace.  Negative entries are clipped
-    before the projection onto the constraint set.
+    before the projection onto the constraint set, which warm-starts from
+    and updates the row-multiplier buffer ``nu`` when one is given.
     """
     u = top_eigenvectors(w, k, seed)
     anchors = scipy.linalg.qr(u.T, mode="r", pivoting=True)[1][:k]
     y0 = np.linalg.solve(u[anchors].T, u.T).T
-    return project_onto_C(np.maximum(y0, 0.0), sizes)
+    return project_onto_C(np.maximum(y0, 0.0), sizes, nu=nu)
 
 
 def initialize(
-    w, config: SolverConfig, sizes, *, warnings_out: list[str] | None = None
+    w,
+    config: SolverConfig,
+    sizes,
+    *,
+    warnings_out: list[str] | None = None,
+    nu: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
     """Solve the score-only relaxation from the spectral start.
 
@@ -350,13 +359,16 @@ def initialize(
     refines it, and each block is discretized into the initial selection.
     A line search that stalls, or a descent that uses all
     ``config.max_inner`` steps, is reported as a message appended to
-    ``warnings_out`` when one is given.  Returns (y, selection, objective
-    history).
+    ``warnings_out`` when one is given.  Every projection warm-starts from
+    the row-multiplier buffer ``nu`` when one is given.  Returns (y,
+    selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
     k = config.k
-    y0 = spectral_start(w, k, config.seed, sizes)
-    y, history, stalled = update_Y(y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner)
+    y0 = spectral_start(w, k, config.seed, sizes, nu=nu)
+    y, history, stalled = update_Y(
+        y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, nu=nu
+    )
     if warnings_out is not None:
         if stalled:
             warnings_out.append("line search stalled at init")
@@ -407,7 +419,8 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
-    y, x, init_history = initialize(w, config, sizes, warnings_out=warnings_list)
+    nu = np.zeros(layout.m)  # the projection's row multipliers, carried from call to call
+    y, x, init_history = initialize(w, config, sizes, warnings_out=warnings_list, nu=nu)
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
@@ -420,7 +433,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         for sweep in range(1, config.max_sweeps + 1):
-            y, _, stalled = update_Y(y, x.stacked(), w, rho, sizes, max_inner=config.max_inner)
+            y, _, stalled = update_Y(y, x.stacked(), w, rho, sizes, max_inner=config.max_inner, nu=nu)
             if stalled:
                 warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
             x = update_X(y, z, coords, config.lam, rho)

@@ -7,7 +7,15 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from multimatch import FeatureSet, PairwiseScores, SelectionLabeling
+from multimatch import (
+    FeatureSet,
+    PairwiseScores,
+    SelectionLabeling,
+    SolverConfig,
+    generate,
+    scores_from_descriptors,
+    validate_instance,
+)
 
 
 def enumerate_lap(cost, tol=0.0):
@@ -173,6 +181,32 @@ def random_scores(rng, sizes):
         for j in range(i + 1, len(sizes)):
             blocks[(i, j)] = rng.random((sizes[i], sizes[j]))
     return scores_from_blocks(blocks, sizes)
+
+
+def _unit_columns(a):
+    return a / np.linalg.norm(a, axis=0, keepdims=True)
+
+
+def descriptor_instance(seed, dim=32, noise=0.25):
+    """An instance of the benchmark's ``descriptors`` workload and its solver config.
+
+    Twenty images of twelve scene points and one clutter candidate each.
+    Every scene point has a random unit descriptor; an inlier carries a
+    copy with Gaussian noise ``noise`` per dimension and a clutter
+    candidate a random one, all renormalized.  The scores come from
+    :func:`scores_from_descriptors`.
+    """
+    planted = generate(20, 12, outliers_per_image=1, coord_noise_sigma=0.01, seed=seed)
+    rng = np.random.default_rng((seed, 1))
+    scene = _unit_columns(rng.normal(size=(dim, planted.universe_size)))
+    features = []
+    for f, lab in zip(planted.instance.features, planted.truth_labels):
+        desc = rng.normal(size=(dim, f.p))
+        inl = lab >= 0
+        desc[:, inl] = scene[:, lab[inl]] + noise * rng.normal(size=(dim, int(inl.sum())))
+        features.append(FeatureSet(f.image_id, f.coordinates, _unit_columns(desc)))
+    config = SolverConfig(k=12, seed=0)
+    return validate_instance(features, scores_from_descriptors(features), config), config
 
 
 @pytest.fixture

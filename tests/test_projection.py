@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from multimatch import (
+    DimensionMismatch,
     InfeasibleK,
     feasibility_gap,
     project_col_simplex,
     project_onto_C,
     project_row_capped,
 )
-from conftest import kkt_residual, qp_project, random_feasible_y
+from conftest import kkt_residual, qp_project, random_feasible_y, random_labeling
 
 
 def test_row_capped_feasible_point_unchanged():
@@ -124,6 +125,72 @@ def test_project_c_output_feasible(rng):
         y = rng.normal(scale=3.0, size=(sum(sizes), k))
         out = project_onto_C(y, sizes)
         assert feasibility_gap(out, sizes) <= 1e-5
+
+
+def _warm_starts(rng, m, nu_cold):
+    """Row-multiplier starts: zero, random, the optimum, near it, and far above it."""
+    return [
+        np.zeros(m),
+        rng.random(m),
+        nu_cold.copy(),
+        nu_cold + rng.uniform(0.0, 0.1, size=m),
+        nu_cold * rng.uniform(0.5, 1.0, size=m),
+        nu_cold + rng.uniform(1.0, 10.0, size=m),
+        rng.uniform(20.0, 50.0, size=m),
+    ]
+
+
+def _assert_buffer_gives(v, out, nu, sizes):
+    """out = max(v - nu 1^T - mu, 0) with each block column on the simplex, nu complementary."""
+    assert (nu >= 0).all()
+    assert (1.0 - out.sum(axis=1)[nu > 0] <= 1e-6).all()
+    offset = 0
+    for p in sizes:
+        block = slice(offset, offset + p)
+        for c in range(v.shape[1]):
+            assert np.allclose(out[block, c], project_col_simplex(v[block, c] - nu[block]), atol=1e-12)
+        offset += p
+
+
+def test_project_c_warm_start_matches_cold(rng):
+    for _ in range(20):
+        sizes = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4))))
+        k = int(rng.integers(1, min(sizes) + 1))
+        m = sum(sizes)
+        v = rng.normal(scale=2.0, size=(m, k))
+        nu_cold = np.zeros(m)
+        cold = project_onto_C(v, sizes, nu=nu_cold)
+        assert np.array_equal(cold, project_onto_C(v, sizes))
+        for start in _warm_starts(rng, m, nu_cold):
+            nu = start.copy()
+            out = project_onto_C(v, sizes, nu=nu)
+            # the stop rule bounds row-sum gaps by 1e-6, and the residual's
+            # complementarity term is the gap times nu
+            assert kkt_residual(v, out, sizes) <= 1e-6 * max(1.0, nu.max())
+            assert feasibility_gap(out, sizes) <= 1e-6
+            assert np.abs(out - cold).max() <= 1e-5
+            _assert_buffer_gives(v, out, nu, sizes)
+
+
+def test_project_c_warm_start_keeps_feasible_input(rng):
+    for _ in range(20):
+        sizes = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4))))
+        k = int(rng.integers(1, min(sizes) + 1))
+        m = sum(sizes)
+        labeling = random_labeling(rng, sizes, k).stacked().astype(float)
+        interior = np.vstack([np.full((p, k), 1.0 / p) for p in sizes])
+        for y in (labeling, interior):
+            cold = project_onto_C(y, sizes)
+            assert np.abs(cold - y).max() <= 1e-15  # 1 / p need not sum to 1 exactly
+            for start in _warm_starts(rng, m, rng.random(m)):
+                nu = start.copy()
+                assert np.array_equal(project_onto_C(y, sizes, nu=nu), cold)
+                assert not nu.any()
+
+
+def test_project_c_rejects_wrong_buffer_length():
+    with pytest.raises(DimensionMismatch):
+        project_onto_C(np.zeros((3, 2)), (3,), nu=np.zeros(2))
 
 
 def test_project_c_rejects_infeasible_k():

@@ -50,6 +50,18 @@ def test_problem_document_is_deterministic(planted):
     assert a == b
 
 
+def test_problem_document_puts_one_record_per_line(planted):
+    inst = planted.instance
+    text = problem_document(inst.features, inst.scores, {"k": 3})
+    doc = json.loads(text)
+    lines = text.splitlines()
+    assert [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"id"')] == doc["images"]
+    assert [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"i"')] == doc["pairwise"]
+    assert [line for line in lines if not line.startswith('{"')] == [
+        "{", '"format_version": 1,', '"images": [', "],", '"pairwise": [', "],", '"solver_defaults": {"k": 3}', "}",
+    ]
+
+
 def test_problem_roundtrip_with_descriptors(tmp_path, rng):
     from multimatch import FeatureSet
     from conftest import scores_from_blocks

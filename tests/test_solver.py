@@ -29,6 +29,7 @@ from multimatch import (
 )
 from multimatch.solver import denormalize_fit, selection_objective, spectral_start, top_eigenvectors
 from conftest import (
+    descriptor_instance,
     enumerate_lap,
     naive_cycle_objective,
     naive_geo_objective,
@@ -457,6 +458,23 @@ def test_solve_reports_projection_round_cap(monkeypatch):
     capped = [m for m in state.warnings if m.startswith("projection reached its 1-round cap in ")]
     assert len(capped) == 1 and int(capped[0].split()[-2]) > 0
     assert not state.converged
+
+
+@pytest.mark.parametrize("seed", [5001, 61005])
+def test_warm_projection_solve_matches_cold_without_stalls(monkeypatch, seed):
+    # descriptors instances on which a warm-started projection that skipped
+    # its cold first round stalled the line search at rho=100
+    instance, config = descriptor_instance(seed)
+    warm = solve(instance, config)
+    assert warm.warnings == []
+
+    def cold_projection(y, sizes, *, nu=None):
+        return project_onto_C(y, sizes)
+
+    monkeypatch.setattr(multimatch.solver, "project_onto_C", cold_projection)
+    cold = solve(instance, config)
+    for a, b in zip(warm.labeling.assignments, cold.labeling.assignments):
+        assert np.array_equal(a, b)
 
 
 def test_solve_reports_line_search_stalls(monkeypatch):
