@@ -73,14 +73,13 @@ def solve_lap(cost: np.ndarray) -> AssignmentResult:
 
 
 def discretize(y: np.ndarray) -> np.ndarray:
-    """Round a p x k score block to the closest valid binary selection.
+    """Round a p x k score block to the closest valid selection.
 
     Solves the assignment on the negated scores, so the result keeps the
-    largest entries subject to one distinct row per column.
+    largest entries subject to one distinct row per column.  Returns the
+    chosen row of each column, a (k,) index array.
     """
-    y = np.asarray(y, dtype=float)
-    res = solve_lap(-y)
-    return res.as_matrix(y.shape[0])
+    return solve_lap(-np.asarray(y, dtype=float)).column_to_row
 
 
 def _primal(cost: np.ndarray) -> np.ndarray:

@@ -25,7 +25,13 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_SOLVER_WARNING = 3
 
-BUILTIN_DEFAULTS = {"lambda": 1.0, "r": 4, "rho_schedule": (1.0, 10.0, 100.0), "seed": 0}
+# the problem file's solver defaults, named as in the file; values from SolverConfig
+BUILTIN_DEFAULTS = {
+    "lambda": SolverConfig.lam,
+    "r": SolverConfig.r,
+    "rho_schedule": SolverConfig.rho_schedule,
+    "seed": SolverConfig.seed,
+}
 
 
 def main(argv=None) -> int:
@@ -71,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--r", type=int, default=None, help="rank bound of the geometric fit")
     slv.add_argument("--rho", default=None, help="comma-separated coupling schedule")
     slv.add_argument("--seed", type=int, default=None)
-    slv.add_argument("--max-sweeps", type=int, default=100)
-    slv.add_argument("--max-inner", type=int, default=500)
+    slv.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
+    slv.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
     slv.set_defaults(func=_cmd_solve)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")

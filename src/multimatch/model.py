@@ -5,13 +5,15 @@ contributes p_i candidate feature points (2D coordinates, optionally a
 unit-norm descriptor per candidate) and every image pair (i, j) carries a
 p_i x p_j score block whose entries grade candidate-to-candidate matches;
 the blocks are held together as one sparse matrix over all candidates.
-A solution selects k candidates per image and labels them consistently,
-encoded as per-image binary matrices with row sums at most one and column
-sums exactly one (each of the k labels is realized once in every image).
+A solution selects k candidates per image and labels them consistently:
+an n x k table of candidate indices whose row i lists, label by label, the
+k distinct candidates chosen in image i.  The binary selection matrices of
+the relaxation are derived from that table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +30,14 @@ class BlockLayout:
     """Row layout of per-image blocks inside stacked m x k matrices."""
 
     sizes: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.sizes or any(int(p) < 1 for p in self.sizes):
             raise DimensionMismatch("every image must contribute at least one candidate")
-        object.__setattr__(self, "sizes", tuple(int(p) for p in self.sizes))
+        sizes = tuple(int(p) for p in self.sizes)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(sizes[:-1], initial=0)))
 
     @property
     def n(self) -> int:
@@ -41,14 +46,6 @@ class BlockLayout:
     @property
     def m(self) -> int:
         return sum(self.sizes)
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for p in self.sizes:
-            out.append(acc)
-            acc += p
-        return tuple(out)
 
     def block_slice(self, i: int) -> slice:
         off = self.offsets[i]
@@ -159,73 +156,91 @@ class PairwiseScores:
 
 @dataclass
 class SelectionLabeling:
-    """Per-image binary selection matrices mapping candidates to k labels.
+    """The k chosen candidates of every image, one per label.
 
-    Each assignment matrix is p_i x k with row sums <= 1 and column sums
-    exactly 1, i.e. the k labels pick k distinct candidates per image.
+    ``index`` is an (n, k) integer array: ``index[i, l]`` is the candidate
+    of image i that carries label l, and ``sizes[i]`` is image i's
+    candidate count p_i.  A valid labeling has k distinct candidates in
+    [0, p_i) on every row.  The stacked binary matrix, the label arrays,
+    the per-image assignment matrices and the induced pair matches are all
+    derived from ``index``.
     """
 
-    assignments: list[np.ndarray]
-    k: int
+    index: np.ndarray
+    sizes: tuple[int, ...]
 
     def __post_init__(self):
-        self.k = int(self.k)
-        self.assignments = [np.asarray(a) for a in self.assignments]
+        self.index = np.asarray(self.index, dtype=np.intp)
+        self.sizes = tuple(int(p) for p in self.sizes)
+        if self.index.ndim != 2 or self.index.shape[0] != len(self.sizes):
+            raise DimensionMismatch(f"index must be {len(self.sizes)} x k, got {self.index.shape}")
 
     @property
     def n(self) -> int:
-        return len(self.assignments)
+        return len(self.sizes)
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(a.shape[0] for a in self.assignments)
-
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout(self.sizes)
+    def k(self) -> int:
+        return self.index.shape[1]
 
     def validate(self) -> None:
-        """Raise if any block violates the partial-permutation constraints."""
-        for i, a in enumerate(self.assignments):
-            if a.ndim != 2 or a.shape[1] != self.k:
-                raise DimensionMismatch(f"image {i}: assignment must have {self.k} columns")
-            if a.shape[0] < self.k:
-                raise InfeasibleK(f"image {i}: k={self.k} exceeds p={a.shape[0]}")
-            if not np.isin(a, (0, 1)).all():
-                raise MatchingError(f"image {i}: assignment entries must be binary")
-            if (a.sum(axis=1) > 1).any():
+        """Raise unless every row holds k distinct candidates of its image."""
+        for i, (row, p) in enumerate(zip(self.index, self.sizes)):
+            if p < self.k:
+                raise InfeasibleK(f"image {i}: k={self.k} exceeds p={p}")
+            if ((row < 0) | (row >= p)).any():
+                raise MatchingError(f"image {i}: a chosen candidate lies outside [0, {p})")
+            if np.unique(row).size < self.k:
                 raise MatchingError(f"image {i}: some candidate carries multiple labels")
-            if (a.sum(axis=0) != 1).any():
-                raise MatchingError(f"image {i}: every label must be used exactly once")
+
+    def _stacked_rows(self) -> np.ndarray:
+        """Row of each chosen candidate in the stacked (m, k) layout."""
+        ends = np.cumsum(self.sizes, dtype=np.intp)
+        return (ends - self.sizes)[:, None] + self.index
+
+    def _split(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Per-image row blocks of an (m, ...) array (an image with k = 0 may have p = 0)."""
+        return [stacked[e - p : e] for p, e in zip(self.sizes, itertools.accumulate(self.sizes))]
 
     def stacked(self) -> np.ndarray:
-        """All blocks stacked into one (m, k) float matrix."""
-        return np.vstack([a.astype(float) for a in self.assignments])
+        """The (m, k) float matrix with a one at each chosen (candidate, label)."""
+        out = np.zeros((sum(self.sizes), self.k))
+        out[self._stacked_rows(), np.arange(self.k)] = 1.0
+        return out
+
+    @property
+    def assignments(self) -> list[np.ndarray]:
+        """Per-image p_i x k binary int matrices, rebuilt on each access."""
+        return self._split(self.stacked().astype(int))
 
     def labels(self) -> list[np.ndarray]:
         """Per-image candidate labels; -1 marks unselected candidates."""
-        out = []
-        for a in self.assignments:
-            lab = np.full(a.shape[0], -1, dtype=int)
-            rows, cols = np.nonzero(a)
-            lab[rows] = cols
-            out.append(lab)
-        return out
+        out = np.full(sum(self.sizes), -1, dtype=int)
+        out[self._stacked_rows()] = np.arange(self.k)
+        return self._split(out)
 
     @classmethod
     def from_labels(cls, labels: list[np.ndarray], k: int) -> "SelectionLabeling":
-        blocks = []
-        for lab in labels:
+        """Parse per-image label arrays (-1 for unselected candidates).
+
+        Raises :class:`MatchingError` unless every image uses every label
+        in [0, k) exactly once.
+        """
+        k = int(k)
+        index = np.empty((len(labels), k), dtype=np.intp)
+        for i, lab in enumerate(labels):
             lab = np.asarray(lab, dtype=int)
-            a = np.zeros((lab.shape[0], k), dtype=int)
-            sel = lab >= 0
-            a[np.nonzero(sel)[0], lab[sel]] = 1
-            blocks.append(a)
-        return cls(blocks, k)
+            chosen = np.flatnonzero(lab >= 0)
+            if not np.array_equal(np.sort(lab[chosen]), np.arange(k)):
+                raise MatchingError(f"image {i}: every label in [0, {k}) must be used exactly once")
+            index[i, lab[chosen]] = chosen
+        return cls(index, tuple(len(lab) for lab in labels))
 
     def pair_matrix(self, i: int, j: int) -> np.ndarray:
         """Induced candidate-to-candidate matches between images i and j."""
-        return self.assignments[i] @ self.assignments[j].T
+        out = np.zeros((self.sizes[i], self.sizes[j]), dtype=int)
+        out[self.index[i], self.index[j]] = 1
+        return out
 
 
 @dataclass

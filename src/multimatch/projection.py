@@ -45,18 +45,6 @@ class ProjectionWarning(UserWarning):
     """The dual ascent reached ``PROJECTION_MAX_ITER`` rounds before its KKT stop rule held."""
 
 
-def project_col_simplex(v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the probability simplex {y >= 0, sum(y) = 1}."""
-    v = np.asarray(v, dtype=float)
-    return np.maximum(v - _threshold(v[None, :])[0], 0.0)
-
-
-def project_row_capped(v: np.ndarray) -> np.ndarray:
-    """Project a vector onto the capped nonnegative set {y >= 0, sum(y) <= 1}."""
-    v = np.asarray(v, dtype=float)
-    return np.maximum(v - max(float(_threshold(v[None, :])[0]), 0.0), 0.0)
-
-
 def _threshold(v: np.ndarray) -> np.ndarray:
     """Per-row tau with sum(max(v - tau, 0)) = 1, by the sorted-threshold rule."""
     n = v.shape[-1]

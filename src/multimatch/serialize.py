@@ -208,10 +208,10 @@ def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
 def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
     """Write the selected candidate indices and their labels per image."""
     images = []
-    for image_id, a, lab in zip(ids, labeling.assignments, labeling.labels()):
+    for image_id, p, lab in zip(ids, labeling.sizes, labeling.labels()):
         sel = np.nonzero(lab >= 0)[0]
         pairs = [[int(c), int(lab[c])] for c in sel]
-        images.append({"id": image_id, "p": int(a.shape[0]), "pairs": pairs})
+        images.append({"id": image_id, "p": p, "pairs": pairs})
     doc = {"format_version": FORMAT_VERSION, "k": labeling.k, "images": images}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 

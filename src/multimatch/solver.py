@@ -6,7 +6,7 @@ increasing continuation schedule:
 * ``Y``: the m x k relaxed labeling, confined to the convex set handled by
   the projection module, updated by projected gradient descent with Armijo
   backtracking until the subproblem stops improving;
-* ``X``: the per-image binary selections, each refreshed exactly by a
+* ``X``: the per-image selections, each refreshed exactly by a
   minimum-cost assignment whose cost mixes squared distances to the
   current geometric fit with the relaxed labeling;
 * ``Z``: the rank-bounded 2n x k fit to the coordinates of the selected
@@ -143,11 +143,11 @@ def objective_cycle(w, y: np.ndarray) -> float:
 
 def objective_geo(x: SelectionLabeling, z: np.ndarray, coords: list[np.ndarray]) -> float:
     """Half squared residual between selected coordinates and the fit z."""
-    total = 0.0
-    for i, (xi, ci) in enumerate(zip(x.assignments, coords)):
-        diff = ci @ xi - z[2 * i : 2 * i + 2]
-        total += float((diff * diff).sum())
-    return 0.5 * total
+    diff = assemble_measurements(x, coords) - z
+    # per image, then sequentially over the images: a summation order that
+    # does not depend on how numpy blocks one long sum
+    per_image = (diff * diff).reshape(x.n, -1).sum(axis=1)
+    return 0.5 * float(np.cumsum(per_image)[-1])
 
 
 def objective_components(
@@ -164,7 +164,7 @@ def objective_components(
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
     """Stack the coordinates of the selected features into a 2n x k matrix."""
-    return np.vstack([ci @ xi for xi, ci in zip(x.assignments, coords)])
+    return np.vstack([ci[:, index] for index, ci in zip(x.index, coords)])
 
 
 def normalize_coordinates(
@@ -280,20 +280,16 @@ def update_X(
     from candidates to fit columns; this minimizes the full objective over
     the image's selection with everything else held fixed.
     """
-    sizes = [c.shape[1] for c in coords]
-    k = y.shape[1]
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-
-    blocks = []
-    for i, p in enumerate(sizes):
-        yi = y[offsets[i] : offsets[i + 1]]
+    layout = BlockLayout(tuple(c.shape[1] for c in coords))
+    index = np.empty((layout.n, y.shape[1]), dtype=np.intp)
+    for i, yi in enumerate(layout.split(y)):
         if lam:
             cost = lam * _squared_distances(coords[i], z[2 * i : 2 * i + 2])
             cost -= 2.0 * rho * yi
         else:
             cost = -2.0 * rho * yi
-        blocks.append(solve_lap(cost).as_matrix(p))
-    return SelectionLabeling(blocks, k)
+        index[i] = solve_lap(cost).column_to_row
+    return SelectionLabeling(index, layout.sizes)
 
 
 def update_Z(x, coords: list[np.ndarray], r: int) -> np.ndarray:
@@ -364,8 +360,7 @@ def initialize(
     selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
-    k = config.k
-    y0 = spectral_start(w, k, config.seed, sizes, nu=nu)
+    y0 = spectral_start(w, config.k, config.seed, sizes, nu=nu)
     y, history, stalled = update_Y(
         y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, nu=nu
     )
@@ -374,8 +369,7 @@ def initialize(
             warnings_out.append("line search stalled at init")
         if len(history) - 1 >= config.max_inner:
             warnings_out.append(f"max inner steps ({config.max_inner}) reached at init")
-    layout = BlockLayout(sizes)
-    x = SelectionLabeling([discretize(block) for block in layout.split(y)], k)
+    x = SelectionLabeling([discretize(block) for block in BlockLayout(sizes).split(y)], sizes)
     return y, x, history
 
 

@@ -50,7 +50,7 @@ class PlantedInstance:
     """A validated problem plus everything needed to score a solution."""
 
     instance: ProblemInstance
-    ground_truth: SelectionLabeling  # p_i x u blocks, one column per scene point
+    ground_truth: SelectionLabeling  # one label per scene point
     scene: np.ndarray  # (3, u)
     cameras: list[Camera]
 
@@ -186,12 +186,7 @@ def brute_force_solve(
     best: SelectionLabeling | None = None
     per_image = [list(itertools.permutations(range(p), k)) for p in sizes]
     for combo in itertools.product(*per_image):
-        blocks = []
-        for p, rows in zip(sizes, combo):
-            x = np.zeros((p, k), dtype=int)
-            x[list(rows), np.arange(k)] = 1
-            blocks.append(x)
-        labeling = SelectionLabeling(blocks, k)
+        labeling = SelectionLabeling(combo, sizes)
         obj = selection_objective(w, labeling, coords, config.lam, config.r)
         if obj < best_obj:
             best_obj = obj

@@ -62,13 +62,7 @@ def naive_geo_objective(blocks, z, coords):
 
 def random_labeling(rng, sizes, k):
     """Uniformly random valid selection labeling."""
-    blocks = []
-    for p in sizes:
-        rows = rng.permutation(p)[:k]
-        x = np.zeros((p, k), dtype=int)
-        x[rows, np.arange(k)] = 1
-        blocks.append(x)
-    return SelectionLabeling(blocks, k)
+    return SelectionLabeling([rng.permutation(p)[:k] for p in sizes], sizes)
 
 
 def random_feasible_y(rng, sizes, k):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import multimatch
 from multimatch import pair_stats, recall
 from multimatch.cli import main
@@ -208,3 +210,18 @@ def test_flag_overrides_file_defaults(tmp_path):
     assert run(["solve", "--problem", problem, "--out", labeling, "--k", 4]) == 0
     _, lab = load_labeling(labeling)
     assert lab.k == 4
+
+
+def test_solve_without_flags_uses_solver_config_defaults(tmp_path):
+    planted = multimatch.generate(8, 5, outliers_per_image=3, coord_noise_sigma=0.02,
+                                  match_corruption_rate=0.3, seed=4)
+    problem, labeling = tmp_path / "p.json", tmp_path / "lab.json"
+    instance = planted.instance
+    multimatch.serialize.save_problem(problem, instance.features, instance.scores, {"k": 5})
+    assert run(["solve", "--problem", problem, "--out", labeling]) == 0
+    features, scores, defaults = multimatch.serialize.load_problem(problem)
+    assert defaults == {"k": 5}
+    config = multimatch.SolverConfig(k=5)
+    expected = multimatch.solve(multimatch.validate_instance(features, scores, config), config)
+    _, lab = load_labeling(labeling)
+    assert np.array_equal(lab.index, expected.labeling.index)

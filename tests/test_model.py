@@ -1,3 +1,5 @@
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -211,9 +213,94 @@ def test_labeling_labels_roundtrip(rng):
 
 
 def test_labeling_validate_rejects_bad_column_sums():
-    bad = SelectionLabeling([np.zeros((3, 2), dtype=int)], 2)
+    # the all-zero 3 x 2 assignment: neither label has a candidate
+    bad = SelectionLabeling([[-1, -1]], (3,))
     with pytest.raises(MatchingError):
         bad.validate()
+
+
+@st.composite
+def labelings(draw, spare=0):
+    """A valid labeling: n images, k labels, p_i >= k + spare candidates."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(k + spare, k + spare + 3), min_size=n, max_size=n))
+    return SelectionLabeling([draw(st.permutations(range(p)))[:k] for p in sizes], sizes)
+
+
+def _assignment_oracle(lab):
+    """Per-image binary p_i x k matrices, one entry set at a time."""
+    blocks = []
+    for row, p in zip(lab.index.tolist(), lab.sizes):
+        a = np.zeros((p, lab.k), dtype=int)
+        for label, candidate in enumerate(row):
+            a[candidate, label] = 1
+        blocks.append(a)
+    return blocks
+
+
+_fuzz = hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_fuzz
+@hypothesis.given(labelings())
+def test_labeling_forms_agree_with_assignment_oracle(lab):
+    lab.validate()
+    blocks = _assignment_oracle(lab)
+    assert all(np.array_equal(a, b) for a, b in zip(lab.assignments, blocks))
+    assert np.array_equal(lab.stacked(), np.vstack(blocks))
+    for a, lab_i in zip(blocks, lab.labels()):
+        rows, cols = np.nonzero(a)
+        expected = np.full(a.shape[0], -1)
+        expected[rows] = cols
+        assert np.array_equal(lab_i, expected)
+    for i in range(lab.n):
+        for j in range(lab.n):
+            assert np.array_equal(lab.pair_matrix(i, j), blocks[i] @ blocks[j].T)
+    rebuilt = SelectionLabeling.from_labels(lab.labels(), lab.k)
+    assert np.array_equal(rebuilt.index, lab.index) and rebuilt.sizes == lab.sizes
+
+
+@_fuzz
+@hypothesis.given(
+    labelings(spare=1), st.sampled_from(["repeated", "relabeled", "missing", "out of range"]), st.data()
+)
+def test_from_labels_rejects_broken_label_sets(lab, fault, data):
+    labels = [lab_i.copy() for lab_i in lab.labels()]
+    i = data.draw(st.integers(0, lab.n - 1))
+    l = data.draw(st.integers(0, lab.k - 1))
+    unselected = int(np.flatnonzero(labels[i] < 0)[0])
+    if fault == "repeated":
+        labels[i][unselected] = l
+    elif fault == "relabeled":  # label l twice and another label missing, k entries in all
+        hypothesis.assume(lab.k > 1)
+        labels[i][lab.index[i, (l + 1) % lab.k]] = l
+    elif fault == "missing":
+        labels[i][lab.index[i, l]] = -1
+    else:
+        labels[i][unselected] = lab.k
+    with pytest.raises(MatchingError):
+        SelectionLabeling.from_labels(labels, lab.k)
+
+
+@_fuzz
+@hypothesis.given(labelings(), st.data())
+def test_validate_rejects_broken_rows(lab, data):
+    i = data.draw(st.integers(0, lab.n - 1))
+    l = data.draw(st.integers(0, lab.k - 1))
+    outside = lab.index.copy()
+    outside[i, l] = data.draw(st.sampled_from([-1, lab.sizes[i]]))
+    with pytest.raises(MatchingError):
+        SelectionLabeling(outside, lab.sizes).validate()
+    short = list(lab.sizes)
+    short[i] = lab.k - 1
+    with pytest.raises(InfeasibleK):
+        SelectionLabeling(lab.index, short).validate()
+    if lab.k > 1:
+        repeated = lab.index.copy()
+        repeated[i, l] = repeated[i, (l + 1) % lab.k]
+        with pytest.raises(MatchingError, match="multiple labels"):
+            SelectionLabeling(repeated, lab.sizes).validate()
 
 
 def test_solver_config_validation():

@@ -1,69 +1,8 @@
 import numpy as np
 import pytest
 
-from multimatch import (
-    DimensionMismatch,
-    InfeasibleK,
-    feasibility_gap,
-    project_col_simplex,
-    project_onto_C,
-    project_row_capped,
-)
+from multimatch import DimensionMismatch, InfeasibleK, feasibility_gap, project_onto_C
 from conftest import kkt_residual, qp_project, random_feasible_y, random_labeling
-
-
-def test_row_capped_feasible_point_unchanged():
-    v = np.array([0.2, 0.3])
-    assert np.array_equal(project_row_capped(v), v)
-
-
-def test_row_capped_symmetric_active_sum():
-    assert np.allclose(project_row_capped([1.0, 1.0]), [0.5, 0.5])
-
-
-def test_row_capped_mixed_signs():
-    # components: clamp the negative, push the sum back to one
-    out = project_row_capped([1.4, -0.2, 0.1])
-    assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-4)
-    assert out.sum() <= 1 + 1e-12 and out.min() >= 0
-
-
-def test_row_capped_matches_qp(rng):
-    cvxpy = pytest.importorskip("cvxpy")
-    for _ in range(25):
-        v = rng.normal(scale=1.5, size=4)
-        x = cvxpy.Variable(4)
-        prob = cvxpy.Problem(
-            cvxpy.Minimize(cvxpy.sum_squares(x - v)), [x >= 0, cvxpy.sum(x) <= 1]
-        )
-        prob.solve()
-        assert np.allclose(project_row_capped(v), x.value, atol=1e-4)
-
-
-def test_col_simplex_symmetric_split():
-    assert np.allclose(project_col_simplex([0.8, 0.8]), [0.5, 0.5])
-
-
-def test_col_simplex_vertex_fixed_point():
-    v = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(project_col_simplex(v), v)
-
-
-def test_col_simplex_sorted_threshold_case():
-    out = project_col_simplex([0.9, 0.5, -0.1])
-    assert np.allclose(out, [0.7, 0.3, 0.0], atol=1e-6)
-
-
-def test_col_simplex_matches_qp(rng):
-    cvxpy = pytest.importorskip("cvxpy")
-    for _ in range(25):
-        v = rng.normal(scale=2.0, size=5)
-        x = cvxpy.Variable(5)
-        prob = cvxpy.Problem(
-            cvxpy.Minimize(cvxpy.sum_squares(x - v)), [x >= 0, cvxpy.sum(x) == 1]
-        )
-        prob.solve()
-        assert np.allclose(project_col_simplex(v), x.value, atol=1e-6)
 
 
 def test_project_c_returns_valid_labeling_unchanged():
@@ -140,6 +79,14 @@ def _warm_starts(rng, m, nu_cold):
     ]
 
 
+def _simplex(v):
+    """Euclidean projection of a vector onto the probability simplex (sort rule)."""
+    srt = np.sort(v)[::-1]
+    css = np.cumsum(srt) - 1.0
+    last = np.flatnonzero(srt - css / np.arange(1, v.size + 1) > 0)[-1]
+    return np.maximum(v - css[last] / (last + 1), 0.0)
+
+
 def _assert_buffer_gives(v, out, nu, sizes):
     """out = max(v - nu 1^T - mu, 0) with each block column on the simplex, nu complementary."""
     assert (nu >= 0).all()
@@ -148,7 +95,7 @@ def _assert_buffer_gives(v, out, nu, sizes):
     for p in sizes:
         block = slice(offset, offset + p)
         for c in range(v.shape[1]):
-            assert np.allclose(out[block, c], project_col_simplex(v[block, c] - nu[block]), atol=1e-12)
+            assert np.allclose(out[block, c], _simplex(v[block, c] - nu[block]), atol=1e-12)
         offset += p
 
 

@@ -81,7 +81,7 @@ def test_objective_geo_zero_at_exact_fit(rng):
 
 def test_objective_geo_single_point():
     coords = [np.array([[3.0], [4.0]])]
-    lab = SelectionLabeling([np.array([[1]])], 1)
+    lab = SelectionLabeling([[0]], (1,))
     z = np.zeros((2, 1))
     assert objective_geo(lab, z, coords) == pytest.approx(12.5)
 
@@ -177,7 +177,7 @@ def test_update_y_small_step_is_plain_gradient_step():
 def test_update_y_matches_grid_search_on_tiny_instance(rng):
     # two images, two candidates each, one label: C is a product of two
     # 1-simplices, so exhaustive grid search over (y1, y3) is an oracle
-    lab = SelectionLabeling([np.array([[1], [0]]), np.array([[0], [1]])], 1)
+    lab = SelectionLabeling([[0], [1]], (2, 2))
     xs = lab.stacked()
     w = xs @ xs.T
     y0 = project_onto_C(np.full((4, 1), 0.4), (2, 2))
@@ -225,7 +225,7 @@ def test_update_x_reduces_to_discretize_without_geometry(rng):
     z = rng.random((4, 2))
     lab = update_X(y, z, coords, lam=0.0, rho=1.0)
     blocks = [y[:4], y[4:]]
-    for got, yb in zip(lab.assignments, blocks):
+    for got, yb in zip(lab.index, blocks):
         assert np.array_equal(got, discretize(yb))
 
 
@@ -283,7 +283,7 @@ def test_update_z_identity_when_rank_already_low(rng):
 
 
 def test_update_z_zero_matrix():
-    lab = SelectionLabeling([np.eye(2, dtype=int)] * 2, 2)
+    lab = SelectionLabeling([[0, 1]] * 2, (2, 2))
     coords = [np.zeros((2, 2)), np.zeros((2, 2))]
     assert np.array_equal(update_Z(lab, coords, 1), np.zeros((4, 2)))
 
@@ -292,9 +292,8 @@ def test_update_z_tail_energy_identity(rng):
     # residual energy equals the sum of squared discarded singular values,
     # cross-checked through the eigendecomposition of M^T M
     m = rng.normal(size=(8, 5))
-    blocks = [np.eye(5, dtype=int)] * 4
     coords = [m[2 * i : 2 * i + 2] for i in range(4)]
-    z = update_Z(SelectionLabeling(blocks, 5), coords, r=4)
+    z = update_Z(SelectionLabeling([np.arange(5)] * 4, (5,) * 4), coords, r=4)
     eigvals = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
     expected_tail = eigvals[4:].sum()
     assert ((m - z) ** 2).sum() == pytest.approx(expected_tail, rel=1e-9, abs=1e-12)

@@ -146,16 +146,11 @@ def test_brute_force_matches_hand_enumeration():
     totals = {}
     for r0 in range(2):
         for r1 in range(2):
-            blocks = []
-            for p, row in zip((2, 2), (r0, r1)):
-                x = np.zeros((p, 1), dtype=int)
-                x[row, 0] = 1
-                blocks.append(x)
-            lab = SelectionLabeling(blocks, 1)
+            lab = SelectionLabeling([[r0], [r1]], (2, 2))
             totals[(r0, r1)] = selection_objective(w, lab, coords, 1.0, 4)
     hand_best = min(totals, key=totals.get)
     assert obj == pytest.approx(totals[hand_best], abs=1e-12)
-    got = tuple(int(np.nonzero(a[:, 0])[0][0]) for a in best.assignments)
+    got = tuple(best.index[:, 0].tolist())
     assert totals[got] == pytest.approx(totals[hand_best], abs=1e-12)
 
 
