@@ -34,27 +34,49 @@ def pairwise_match(desc_i: np.ndarray, desc_j: np.ndarray) -> np.ndarray:
     """Binary p_i x p_j match matrix maximizing total similarity.
 
     Exactly min(p_i, p_j) candidates are matched; the orientation with
-    fewer columns is solved and transposed back if needed.
+    fewer columns is solved.
     """
     sim = similarity(desc_i, desc_j)
-    p_i, p_j = sim.shape
-    if p_i >= p_j:
-        res = solve_lap(-sim)
-        return res.as_matrix(p_i)
-    res = solve_lap(-sim.T)
-    return res.as_matrix(p_j).T
+    ((rows, cols),) = _match([sim])
+    out = np.zeros(sim.shape, dtype=int)
+    out[rows, cols] = 1
+    return out
+
+
+def _match(sims: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Matched (row, column) indices of each similarity matrix, maximizing its total.
+
+    Each matrix is solved with its longer side as rows; matrices of the same
+    oriented shape are solved as one stack.
+    """
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for t, sim in enumerate(sims):
+        stacks.setdefault((max(sim.shape), min(sim.shape)), []).append(t)
+    out: list = [None] * len(sims)
+    for members in stacks.values():
+        flipped = [sims[t].shape[0] < sims[t].shape[1] for t in members]
+        cost = np.stack([-(sims[t].T if f else sims[t]) for t, f in zip(members, flipped)])
+        chosen = solve_lap(cost).column_to_row
+        every = np.arange(chosen.shape[1])
+        for t, f, rows in zip(members, flipped, chosen):
+            out[t] = (every, rows) if f else (rows, every)
+    return out
 
 
 def scores_from_descriptors(features: list[FeatureSet]) -> PairwiseScores:
-    """Match every image pair (i < j) of a feature list into one upper-triangular score matrix."""
+    """Match every image pair (i < j) of a feature list into one upper-triangular score matrix.
+
+    All pairs of the same oriented shape are matched in one assignment stack.
+    """
     missing = [f.image_id for f in features if f.descriptors is None]
     if missing:
         raise MatchingError(f"images without descriptors: {missing}")
     layout = BlockLayout(tuple(f.p for f in features))
     offsets = layout.offsets
+    pairs = list(combinations(range(layout.n), 2))
+    sims = [similarity(features[i].descriptors, features[j].descriptors) for i, j in pairs]
     rows, cols = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    for i, j in combinations(range(layout.n), 2):
-        r, c = np.nonzero(pairwise_match(features[i].descriptors, features[j].descriptors))
+    for (i, j), (r, c) in zip(pairs, _match(sims)):
         rows.append(offsets[i] + r)
         cols.append(offsets[j] + c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)

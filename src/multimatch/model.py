@@ -55,6 +55,20 @@ class BlockLayout:
         """Views of the per-image row blocks of an (m, ...) array."""
         return [stacked[self.block_slice(i)] for i in range(self.n)]
 
+    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Images of equal block height, lowest height first: (p, images, rows).
+
+        ``images`` lists the images of height p in order and ``rows`` their
+        stacked rows, block after block, so ``stacked[rows].reshape(-1, p, k)``
+        is the (len(images), p, k) stack of their blocks.
+        """
+        sizes, offsets = np.asarray(self.sizes), np.asarray(self.offsets)
+        out = []
+        for p in np.unique(sizes):
+            images = np.flatnonzero(sizes == p)
+            out.append((int(p), images, (offsets[images, None] + np.arange(p)).ravel()))
+        return out
+
     def locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Image and local candidate index of each stacked candidate index."""
         offsets = np.asarray(self.offsets)

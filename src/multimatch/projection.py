@@ -36,6 +36,7 @@ import warnings
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleK
+from .model import BlockLayout
 
 PROJECTION_TOL = 1e-6
 PROJECTION_MAX_ITER = 500
@@ -54,15 +55,6 @@ def _threshold(v: np.ndarray) -> np.ndarray:
     positive = srt - css / steps > 0  # position 0 is always positive
     support = n - 1 - np.argmax(positive[..., ::-1], axis=-1)
     return np.take_along_axis(css, support[..., None], axis=-1)[..., 0] / (support + 1.0)
-
-
-def _block_groups(sizes: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
-    """Group per-image row ranges by block height for batched thresholds."""
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    groups: dict[int, list[np.ndarray]] = {}
-    for i, p in enumerate(sizes):
-        groups.setdefault(int(p), []).append(np.arange(offsets[i], offsets[i] + p))
-    return [(p, np.concatenate(idx)) for p, idx in sorted(groups.items())]
 
 
 def _dual_value(out: np.ndarray, nu: np.ndarray, mu: np.ndarray, block_share: np.ndarray) -> float:
@@ -97,7 +89,7 @@ def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.
         raise InfeasibleK("block column sums cannot reach 1 when k exceeds a block height")
     if nu is not None and nu.shape != (v.shape[0],):
         raise DimensionMismatch(f"expected {v.shape[0]} row multipliers, got shape {nu.shape}")
-    groups = _block_groups(sizes)
+    groups = BlockLayout(sizes).groups()
     k = v.shape[1]
 
     warm = nu is not None and bool(nu.any())
@@ -108,7 +100,7 @@ def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.
     for rnd in range(PROJECTION_MAX_ITER):
         rows_nu = next_nu
         shifted = v - rows_nu
-        for p, rows in groups:
+        for p, _, rows in groups:
             cols = np.moveaxis(shifted[rows].reshape(-1, p, k), 1, 2)  # (blocks, k, p)
             mu[rows] = np.repeat(_threshold(cols), p, axis=0)
         out = np.maximum(shifted - mu, 0.0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,14 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
 
 
 def load_features(path) -> list[FeatureSet]:
-    """Parse only the image records of a problem document; pairwise entries are skipped."""
-    doc = _load_json(path)
+    """Parse only the image records of a problem document.
+
+    Decoding stops once ``format_version`` and ``images`` are read, so the
+    members after them (in the writer's order, the pairwise records and the
+    solver defaults) are neither decoded nor checked for valid JSON syntax;
+    :func:`load_problem` checks the whole document.
+    """
+    doc = _load_json(path, ("format_version", "images"))
     try:
         return _features(doc)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -246,17 +253,61 @@ def save_point_cloud(path, shape: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _load_json(path) -> dict:
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _load_json(path, members: tuple[str, ...] | None = None) -> dict:
+    """The JSON object in the file at ``path``.
+
+    With ``members`` the top-level members are decoded one at a time, and
+    decoding stops once all of ``members`` have been read: the object holds
+    the members read so far, and the text after them is not looked at.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text) if members is None else _leading_members(text, set(members))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
+    return doc
+
+
+def _leading_members(text: str, wanted: set[str]):
+    """The top-level object of ``text``, decoded member by member until every ``wanted`` key is read.
+
+    A top-level value that is not an object is decoded whole and returned
+    as it is.  Malformed text up to the last member read raises
+    :class:`json.JSONDecodeError`.
+    """
+    decoder = json.JSONDecoder()
+    pos = _WHITESPACE.match(text).end()
+    if not text.startswith("{", pos):
+        return decoder.decode(text)
+    doc: dict = {}
+    pos = _WHITESPACE.match(text, pos + 1).end()
+    closed = text.startswith("}", pos)
+    while not closed:
+        key, pos = decoder.raw_decode(text, pos)
+        if not isinstance(key, str):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+        pos = _WHITESPACE.match(text, pos).end()
+        if not text.startswith(":", pos):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+        doc[key], pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
+        if wanted <= doc.keys():
+            return doc
+        pos = _WHITESPACE.match(text, pos).end()
+        closed = text.startswith("}", pos)
+        if not (closed or text.startswith(",", pos)):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        if not closed:
+            pos = _WHITESPACE.match(text, pos + 1).end()
+    if _WHITESPACE.match(text, pos + 1).end() < len(text):
+        raise json.JSONDecodeError("Extra data", text, pos + 1)
     return doc
 
 

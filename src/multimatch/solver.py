@@ -260,10 +260,13 @@ def update_Y(
 
 
 def _squared_distances(ci: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between columns of ci and zi."""
-    c2 = (ci * ci).sum(axis=0)[:, None]
-    z2 = (zi * zi).sum(axis=0)[None, :]
-    return np.maximum(c2 + z2 - 2.0 * (ci.T @ zi), 0.0)
+    """Squared Euclidean distances between the columns of ci and zi, per stack member.
+
+    ``ci`` is (b, 2, p) and ``zi`` (b, 2, k); the result is (b, p, k).
+    """
+    c2 = (ci * ci).sum(axis=1)[:, :, None]
+    z2 = (zi * zi).sum(axis=1)[:, None, :]
+    return np.maximum(c2 + z2 - 2.0 * (ci.transpose(0, 2, 1) @ zi), 0.0)
 
 
 def update_X(
@@ -278,17 +281,21 @@ def update_X(
     Image i solves a k-column assignment with cost
     lam * D(coords_i, z_i) - 2 rho y_i, where D holds squared distances
     from candidates to fit columns; this minimizes the full objective over
-    the image's selection with everything else held fixed.
+    the image's selection with everything else held fixed.  Images of
+    equal candidate count are solved as one stack.
     """
     layout = BlockLayout(tuple(c.shape[1] for c in coords))
-    index = np.empty((layout.n, y.shape[1]), dtype=np.intp)
-    for i, yi in enumerate(layout.split(y)):
+    k = y.shape[1]
+    index = np.empty((layout.n, k), dtype=np.intp)
+    for p, images, rows in layout.groups():
+        yg = y[rows].reshape(-1, p, k)
         if lam:
-            cost = lam * _squared_distances(coords[i], z[2 * i : 2 * i + 2])
-            cost -= 2.0 * rho * yi
+            ci = np.stack([coords[i] for i in images])
+            cost = lam * _squared_distances(ci, z.reshape(-1, 2, k)[images])
+            cost -= 2.0 * rho * yg
         else:
-            cost = -2.0 * rho * yi
-        index[i] = solve_lap(cost).column_to_row
+            cost = -2.0 * rho * yg
+        index[images] = solve_lap(cost).column_to_row
     return SelectionLabeling(index, layout.sizes)
 
 
@@ -352,12 +359,12 @@ def initialize(
 
     The start point is :func:`spectral_start` with its eigensolver seeded
     by ``config.seed``; projected gradient descent on the cycle term alone
-    refines it, and each block is discretized into the initial selection.
-    A line search that stalls, or a descent that uses all
-    ``config.max_inner`` steps, is reported as a message appended to
-    ``warnings_out`` when one is given.  Every projection warm-starts from
-    the row-multiplier buffer ``nu`` when one is given.  Returns (y,
-    selection, objective history).
+    refines it, and the blocks are discretized into the initial selection,
+    blocks of equal height as one stack.  A line search that stalls, or a
+    descent that uses all ``config.max_inner`` steps, is reported as a
+    message appended to ``warnings_out`` when one is given.  Every
+    projection warm-starts from the row-multiplier buffer ``nu`` when one
+    is given.  Returns (y, selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
     y0 = spectral_start(w, config.k, config.seed, sizes, nu=nu)
@@ -369,8 +376,10 @@ def initialize(
             warnings_out.append("line search stalled at init")
         if len(history) - 1 >= config.max_inner:
             warnings_out.append(f"max inner steps ({config.max_inner}) reached at init")
-    x = SelectionLabeling([discretize(block) for block in BlockLayout(sizes).split(y)], sizes)
-    return y, x, history
+    index = np.empty((len(sizes), config.k), dtype=np.intp)
+    for p, images, rows in BlockLayout(sizes).groups():
+        index[images] = discretize(y[rows].reshape(-1, p, config.k))
+    return y, SelectionLabeling(index, sizes), history
 
 
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:

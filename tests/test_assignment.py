@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from multimatch import InfeasibleK, NonFiniteEntry, discretize, solve_lap
+from multimatch import DimensionMismatch, InfeasibleK, NonFiniteEntry, discretize, solve_lap
 from multimatch.assignment import _duals, _primal
 from conftest import enumerate_lap
 
@@ -75,31 +75,51 @@ def test_matches_enumeration_on_rounded_ties(rng):
             assert res.total_cost == total
 
 
-def _certificate(cost):
-    rows = _primal(cost)
-    u, v = _duals(cost, rows)
-    reduced = cost - u[:, None] - v
-    matched = np.zeros(cost.shape[0], dtype=bool)
-    matched[rows] = True
+def _certificates(costs):
+    """Primal, duals, reduced costs and matched rows of every matrix of a (b, p, k) stack."""
+    rows = np.array([_primal(c) for c in costs], dtype=np.intp).reshape(costs.shape[0], -1)
+    u, v = _duals(costs, rows)
+    reduced = costs - u[:, :, None] - v[:, None, :]
+    matched = np.zeros(costs.shape[:2], dtype=bool)
+    matched[np.arange(costs.shape[0])[:, None], rows] = True
     return rows, u, reduced, matched
+
+
+def _certificate(cost):
+    rows, u, reduced, matched = _certificates(cost[None])
+    return rows[0], u[0], reduced[0], matched[0]
+
+
+def _random_costs(rng, kind, shape):
+    if kind == "normal":
+        return rng.normal(size=shape)
+    if kind == "integers":
+        return rng.integers(0, 3, size=shape).astype(float)
+    return np.round(rng.random(shape), 1)
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (7, 4), (12, 8), (13, 12), (13, 13), (40, 20)])
 @pytest.mark.parametrize("kind", ["normal", "integers", "rounded"])
 def test_recovered_duals_certify_optimality(rng, shape, kind):
+    # one batched dual recovery over 30 matrices, certified matrix by matrix
     p, k = shape
-    for _ in range(30):
-        if kind == "normal":
-            cost = rng.normal(size=shape)
-        elif kind == "integers":
-            cost = rng.integers(0, 3, size=shape).astype(float)
-        else:
-            cost = np.round(rng.random(shape), 1)
-        rows, u, reduced, matched = _certificate(cost)
+    costs = _random_costs(rng, kind, (30, p, k))
+    for cost, rows, u, reduced, matched in zip(costs, *_certificates(costs)):
         assert reduced.min() >= -1e-9
         assert np.abs(reduced[rows, np.arange(k)]).max() <= 1e-9
         assert (u[~matched] == 0.0).all()
         assert (u[matched] <= 1e-9).all()
+
+
+def test_batched_duals_equal_duals_of_each_matrix(rng):
+    for shape in [(20, 12, 8), (20, 13, 13), (20, 3, 1)]:
+        for kind in ["normal", "integers", "rounded"]:
+            costs = _random_costs(rng, kind, shape)
+            rows, u, reduced, _ = _certificates(costs)
+            for t, cost in enumerate(costs):
+                rows_t, u_t, reduced_t, _ = _certificate(cost)
+                assert np.array_equal(rows[t], rows_t)
+                assert np.array_equal(u[t], u_t) and np.array_equal(reduced[t], reduced_t)
 
 
 def test_recovered_duals_leave_no_zero_off_the_optimum_on_generic_costs(rng):
@@ -156,6 +176,54 @@ def test_row_shift_invariance_square(rng):
         res2 = solve_lap(shifted)
         assert res2.column_to_row.tolist() == res.column_to_row.tolist()
         assert res2.total_cost == pytest.approx(res.total_cost + c, abs=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 3), (9, 4), (6, 2), (5, 1)])
+@pytest.mark.parametrize("kind", ["normal", "integers", "rounded"])
+def test_stack_matches_per_matrix_solves(rng, shape, kind):
+    costs = _random_costs(rng, kind, (40,) + shape)
+    res = solve_lap(costs)
+    assert res.column_to_row.shape == (40, shape[1]) and res.total_cost.shape == (40,)
+    for cost, rows, total in zip(costs, res.column_to_row, res.total_cost):
+        single = solve_lap(cost)
+        assert np.array_equal(rows, single.column_to_row)
+        assert total == single.total_cost
+    if shape[0] <= 6:  # small enough to enumerate
+        tol = 1e-9 if kind == "rounded" else 0.0
+        for cost, rows in zip(costs, res.column_to_row):
+            assert np.array_equal(rows, enumerate_lap(cost, tol=tol)[0])
+
+
+def test_empty_stacks_and_zero_columns():
+    res = solve_lap(np.zeros((0, 4, 3)))
+    assert res.column_to_row.shape == (0, 3) and res.total_cost.shape == (0,)
+    res = solve_lap(np.zeros((3, 4, 0)))
+    assert res.column_to_row.shape == (3, 0) and res.total_cost.tolist() == [0.0, 0.0, 0.0]
+    res = solve_lap(np.zeros((4, 0)))
+    assert res.column_to_row.shape == (0,) and res.total_cost == 0.0
+    assert discretize(np.zeros((0, 4, 3))).shape == (0, 3)
+
+
+def test_stack_with_one_bad_member_raises(rng):
+    costs = rng.normal(size=(5, 4, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = costs.copy()
+        broken[3, 2, 1] = bad
+        with pytest.raises(NonFiniteEntry):
+            solve_lap(broken)
+    with pytest.raises(InfeasibleK):
+        solve_lap(np.zeros((5, 2, 3)))
+    for shape in [(3,), (2, 3, 3, 2)]:
+        with pytest.raises(DimensionMismatch):
+            solve_lap(np.zeros(shape))
+
+
+def test_discretize_stack_matches_each_block(rng):
+    y = rng.random((25, 7, 5))
+    rows = discretize(y)
+    assert rows.shape == (25, 5)
+    for block, got in zip(y, rows):
+        assert np.array_equal(got, discretize(block))
 
 
 def test_discretize_preserves_binary_optimum():

@@ -92,6 +92,24 @@ def test_scores_from_descriptors_build_valid_instance(rng):
     assert inst.m == 12
 
 
+def test_scores_from_descriptors_with_unequal_sizes_match_a_pairwise_loop(rng):
+    # both orientations of the (4, 6) shape meet in one stack
+    sizes = (4, 6, 4, 5, 6, 3)
+    features = [
+        FeatureSet(f"im{i}", rng.uniform(0, 5, size=(2, p)), unit_columns(rng, 8, p))
+        for i, p in enumerate(sizes)
+    ]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    expected = np.zeros((offsets[-1], offsets[-1]))
+    for i in range(len(sizes)):
+        for j in range(i + 1, len(sizes)):
+            block = pairwise_match(features[i].descriptors, features[j].descriptors)
+            expected[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = block
+    scores = scores_from_descriptors(features)
+    assert scores.sizes == sizes
+    assert np.array_equal(scores.matrix.toarray(), expected)
+
+
 def test_scores_from_descriptors_requires_descriptors(rng):
     features = [FeatureSet("a", rng.random((2, 3)))]
     with pytest.raises(MatchingError):

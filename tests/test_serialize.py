@@ -181,6 +181,32 @@ def test_load_features_reads_only_image_records(tmp_path, planted):
             load_features(bad)
 
 
+def test_load_features_stops_after_the_image_records(tmp_path):
+    images = '[{"id": "a", "coordinates": [[0, 1], [0, 1]]}]'
+    path = tmp_path / "problem.json"
+    for text in (
+        '{"format_version": 1, "images": ' + images + ', "pairwise": [not json',
+        ' {\n"images" :' + images + ' ,\t"format_version": 1}  ',
+        '{"format_version": 1, "other": {"images": 0}, "images": ' + images + "}",
+    ):
+        path.write_text(text)
+        assert [f.image_id for f in load_features(path)] == ["a"]
+        assert load_features(path)[0].coordinates.tolist() == [[0, 1], [0, 1]]
+    for text in (
+        '{"format_version": 1, "images": [{"id": "a", "coordinates": [[0, 1], [0 1]]}]}',
+        '{"format_version": 1 "images": ' + images + "}",
+        '{"format_version": 1, 2: ' + images + "}",
+        '{"format_version": 1, "pairwise": []}',
+        '{"format_version": 1} trailing',
+        '{"format_version": 1,',
+        "[1, 2]",
+        "",
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_features(path)
+
+
 def test_load_problem_keeps_both_directions_of_a_pair(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(_two_image_problem([

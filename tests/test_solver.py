@@ -23,6 +23,7 @@ from multimatch import (
     recall,
     generate,
     solve,
+    solve_lap,
     update_X,
     update_Y,
     update_Z,
@@ -251,6 +252,23 @@ def test_update_x_matches_enumeration(rng):
         h = lam * d - 2 * rho * y
         rows, _ = enumerate_lap(h)
         assert np.array_equal(np.nonzero(lab.assignments[0].T)[1], rows)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_update_x_with_unequal_heights_matches_a_per_image_loop(rng, lam):
+    # heights interleave, so each stack gathers images from across the layout
+    sizes, k, rho = (5, 3, 6, 3, 5, 4, 3), 3, 1.3
+    y = random_feasible_y(rng, sizes, k)
+    coords = [rng.random((2, p)) for p in sizes]
+    z = rng.random((2 * len(sizes), k))
+    lab = update_X(y, z, coords, lam, rho)
+    assert lab.sizes == sizes
+    off = 0
+    for i, p in enumerate(sizes):
+        d = ((coords[i][:, :, None] - z[2 * i : 2 * i + 2, None, :]) ** 2).sum(axis=0)
+        cost = lam * d - 2.0 * rho * y[off : off + p]
+        assert np.array_equal(lab.index[i], solve_lap(cost).column_to_row)
+        off += p
 
 
 def test_update_x_optimal_against_single_image_swaps(rng):
