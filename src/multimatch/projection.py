@@ -13,22 +13,28 @@ same-size blocks.  Each round ends with exact column sums and nu >= 0, so
 the ascent stops on the remaining KKT conditions: every row sum is within
 the cap and every row with nu > 0 sums to one, to ``PROJECTION_TOL``.
 
+The constraint set, and with it the dual, separates by image, so the stop
+rule is tested image by image: an image that passes it is settled, its
+rows of the result and of nu are final, and later rounds run only on the
+images of each block height that have not.  An image's result therefore
+does not depend on the other images in the stack.
+
 Successive projections in a descent differ little, and so do their
 multipliers.  A caller may pass a buffer of row multipliers: the ascent
 then continues from it, and writes the final nu back for the next call.
-The first round of every call still runs from nu = 0, and its result is
-returned when the stop rule already holds, so a feasible input comes back
-unchanged whatever the buffer holds.  The second round tries the carried
-nu, and the ascent goes on from it only if the dual objective ranks it at
-least as high as nu = 0; otherwise the cold ascent resumes.  A start far
-above the optimum ranks lower and would take hundreds of rounds to come
-down.  A kept warm nu may still exceed the optimum on some rows, whose
-sums then fall below the cap: started from nu = 0 the ascent raises nu
-monotonically and never leaves a row with nu > 0 below the cap, but from
-a warm start only the complementarity half of the stop rule keeps the
-ascent going until those rows recover.
+The first round of every call still runs from nu = 0, and an image that
+passes the stop rule there is settled with nu = 0, so a feasible input
+comes back unchanged whatever the buffer holds.  An unsettled image whose
+carried nu is not all zero tries it in its second round, and goes on from
+it only if the image's dual objective ranks it at least as high as nu = 0;
+otherwise that image resumes the cold ascent.  A start far above the
+optimum ranks lower and would take hundreds of rounds to come down.  A
+kept warm nu may still exceed the optimum on some rows, whose sums then
+fall below the cap: started from nu = 0 the ascent raises nu monotonically
+and never leaves a row with nu > 0 below the cap, but from a warm start
+only the complementarity half of the stop rule keeps the ascent going
+until those rows recover.
 """
-
 from __future__ import annotations
 
 import warnings
@@ -57,14 +63,61 @@ def _threshold(v: np.ndarray) -> np.ndarray:
     return np.take_along_axis(css, support[..., None], axis=-1)[..., 0] / (support + 1.0)
 
 
-def _dual_value(out: np.ndarray, nu: np.ndarray, mu: np.ndarray, block_share: np.ndarray) -> float:
-    """The projection's dual objective at (nu, mu), less its constant ||V||^2 / 2.
+def _dual_value(out: np.ndarray, nu: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Each image's projection dual objective at (nu, mu), less its constant ||V_i||^2 / 2.
 
-    ``out`` is max(V - nu - mu, 0); ``mu`` repeats each image's multipliers
-    on its p rows, so weighting it by ``block_share`` (1 / p per row) counts
-    every multiplier once.
+    ``out`` is the (b, p, k) stack max(V - nu - mu, 0), ``nu`` the (b, p)
+    row and ``mu`` the (b, k) column multipliers.
     """
-    return -0.5 * float((out * out).sum()) - float(nu.sum()) - float((mu * block_share).sum())
+    return -0.5 * (out * out).sum(axis=(1, 2)) - nu.sum(axis=1) - mu.sum(axis=1)
+
+
+def _ascend(v: np.ndarray, carried: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dual ascent on a (b, p, k) stack of same-height blocks, each stopped on its own.
+
+    ``carried`` is the (b, p) warm start, or None.  Returns the projected
+    stack, its (b, p) row multipliers and the count of blocks that had not
+    settled after ``PROJECTION_MAX_ITER`` rounds.
+    """
+    out = np.empty_like(v)
+    nu = np.zeros(v.shape[:2])
+    live = np.arange(v.shape[0])  # the blocks not yet settled
+    vl, cur = v, nu.copy()  # their inputs and row multipliers
+    trial = None  # in round 2, which of them run on their carried nu
+    for rnd in range(PROJECTION_MAX_ITER):
+        shifted = vl - cur[:, :, None]
+        mu = _threshold(shifted.transpose(0, 2, 1))
+        res = np.maximum(shifted - mu[:, None, :], 0.0)
+        sums = res.sum(axis=2)
+        # rows with nu > 0 must sum to one, the others at most to one: a warm
+        # nu can exceed the optimum on a row and pull its sum below the cap,
+        # and only the complementarity test then keeps the ascent going
+        gap = sums - 1.0
+        np.abs(gap, out=gap, where=cur > 0)
+        settled = gap.max(axis=1) <= PROJECTION_TOL
+        if settled.any():
+            out[live[settled]], nu[live[settled]] = res[settled], cur[settled]
+            if settled.all():
+                return out, nu, 0
+            keep = ~settled
+            live, vl, cur, res, mu = live[keep], vl[keep], cur[keep], res[keep], mu[keep]
+            if trial is not None:
+                trial, zero_dual, zero_mu = trial[keep], zero_dual[keep], zero_mu[keep]
+        if rnd == PROJECTION_MAX_ITER - 1:
+            break
+        if trial is not None:
+            # a carried nu that ranks below nu = 0 resumes the cold ascent
+            back = trial & (_dual_value(res, cur, mu) < zero_dual)
+            mu[back] = zero_mu[back]
+            trial = None
+        next_nu = np.maximum(_threshold(vl - mu[:, None, :]), 0.0)
+        if rnd == 0 and carried is not None and carried[live].any():
+            trial = carried[live].any(axis=1)
+            next_nu[trial] = carried[live[trial]]
+            zero_dual, zero_mu = _dual_value(res, cur, mu), mu
+        cur = next_nu
+    out[live], nu[live] = res, cur
+    return out, nu, live.size
 
 
 def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.ndarray:
@@ -72,14 +125,14 @@ def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.
 
     ``sizes`` gives the per-image block heights in row order.  Feasible
     inputs are returned unchanged after the first round.  ``nu``, when
-    given, is a length-m float buffer of row multipliers: after a first
-    round from zero that does not meet the stop rule, the ascent continues
-    from it unless the dual objective ranks it below nu = 0, and the
-    multipliers of the returned point are written back into it.  If the
-    KKT stop rule still fails after ``PROJECTION_MAX_ITER`` rounds, a
-    :class:`ProjectionWarning` is emitted and the current iterate returned;
-    its column sums are exact and any residual violation sits in the row
-    caps.
+    given, is a length-m float buffer of row multipliers: an image that
+    does not meet the stop rule after a first round from zero continues
+    from its rows of the buffer unless its dual objective ranks them below
+    nu = 0, and the multipliers of the returned point are written back into
+    it.  If some images still fail the KKT stop rule after
+    ``PROJECTION_MAX_ITER`` rounds, a :class:`ProjectionWarning` counts
+    them and their current iterates are returned; their column sums are
+    exact and any residual violation sits in the row caps.
     """
     v = np.asarray(y, dtype=float)
     sizes = tuple(int(p) for p in sizes)
@@ -89,42 +142,26 @@ def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.
         raise InfeasibleK("block column sums cannot reach 1 when k exceeds a block height")
     if nu is not None and nu.shape != (v.shape[0],):
         raise DimensionMismatch(f"expected {v.shape[0]} row multipliers, got shape {nu.shape}")
-    groups = BlockLayout(sizes).groups()
     k = v.shape[1]
-
-    warm = nu is not None and bool(nu.any())
-    if warm:
-        block_share = np.repeat(1.0 / np.asarray(sizes, dtype=float), sizes)[:, None]
-    next_nu = np.zeros((v.shape[0], 1))
-    mu = np.empty_like(v)  # each image's k column multipliers, repeated on its rows
-    for rnd in range(PROJECTION_MAX_ITER):
-        rows_nu = next_nu
-        shifted = v - rows_nu
-        for p, _, rows in groups:
-            cols = np.moveaxis(shifted[rows].reshape(-1, p, k), 1, 2)  # (blocks, k, p)
-            mu[rows] = np.repeat(_threshold(cols), p, axis=0)
-        out = np.maximum(shifted - mu, 0.0)
-        sums = out.sum(axis=1)
-        # a warm nu can exceed the optimum on a row and pull its sum below
-        # the cap; only the complementarity test then keeps the ascent going
-        active = rows_nu[:, 0] > 0
-        if sums.max() - 1.0 <= PROJECTION_TOL and (1.0 - sums[active] <= PROJECTION_TOL).all():
-            break
-        if warm and rnd == 0:
-            zero_dual, zero_mu = _dual_value(out, rows_nu, mu, block_share), mu.copy()
-            next_nu = np.maximum(nu, 0.0)[:, None]
-            continue
-        if warm and rnd == 1 and _dual_value(out, rows_nu, mu, block_share) < zero_dual:
-            mu = zero_mu  # the carried nu ranks below nu = 0: resume the cold ascent
-        next_nu = np.maximum(_threshold(v - mu), 0.0)[:, None]
-    else:
+    out = np.empty_like(v)
+    row_nu = np.empty(v.shape[0])
+    capped = 0
+    for p, _, rows in BlockLayout(sizes).groups():
+        carried = None
+        if nu is not None:
+            carried = np.maximum(nu[rows], 0.0).reshape(-1, p)
+        block_out, block_nu, left = _ascend(v[rows].reshape(-1, p, k), carried)
+        out[rows], row_nu[rows] = block_out.reshape(-1, k), block_nu.ravel()
+        capped += left
+    if capped:
         warnings.warn(
-            f"projection stopped after {PROJECTION_MAX_ITER} rounds with row sums up to {sums.max():.6g}",
+            f"projection stopped after {PROJECTION_MAX_ITER} rounds with {capped} of {len(sizes)} "
+            f"images unsettled, row sums up to {out.sum(axis=1).max():.6g}",
             ProjectionWarning,
             stacklevel=2,
         )
     if nu is not None:
-        nu[:] = rows_nu[:, 0]
+        nu[:] = row_nu
     return out
 
 

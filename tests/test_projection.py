@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from multimatch import DimensionMismatch, InfeasibleK, feasibility_gap, project_onto_C
+from multimatch import BlockLayout, DimensionMismatch, InfeasibleK, feasibility_gap, project_onto_C
+from multimatch.projection import ProjectionWarning
 from conftest import kkt_residual, qp_project, random_feasible_y, random_labeling
 
 
@@ -133,6 +136,65 @@ def test_project_c_warm_start_keeps_feasible_input(rng):
                 nu = start.copy()
                 assert np.array_equal(project_onto_C(y, sizes, nu=nu), cold)
                 assert not nu.any()
+
+
+def _project_each(v, sizes, nu=None):
+    """Every image projected alone, stacked; with a buffer, also the multipliers written back."""
+    layout = BlockLayout(sizes)
+    outs, nus = [], []
+    for i, p in enumerate(layout.sizes):
+        buf = None if nu is None else nu[layout.block_slice(i)].copy()
+        outs.append(project_onto_C(v[layout.block_slice(i)], (p,), nu=buf))
+        nus.append(buf)
+    return np.vstack(outs), None if nu is None else np.concatenate(nus)
+
+
+def test_project_c_separates_by_image(rng):
+    # mixed block heights, two of them shared, and one feasible block that
+    # settles in the first round beside blocks that need many
+    sizes, k = (3, 5, 5, 4, 3), 3
+    layout = BlockLayout(sizes)
+    m = layout.m
+    for case in range(20):
+        v = rng.normal(scale=2.0, size=(m, k))
+        if case % 2:
+            v[layout.block_slice(3)] = random_labeling(rng, (4,), k).stacked()
+        out = project_onto_C(v, sizes)
+        assert np.array_equal(out, _project_each(v, sizes)[0])
+        nu_cold = np.zeros(m)
+        assert np.array_equal(project_onto_C(v, sizes, nu=nu_cold), out)
+        for start in _warm_starts(rng, m, nu_cold):
+            nu = start.copy()
+            out = project_onto_C(v, sizes, nu=nu)
+            each, each_nu = _project_each(v, sizes, start)
+            assert np.array_equal(out, each)
+            assert np.array_equal(nu, each_nu)
+
+
+def test_project_c_chooses_warm_or_cold_per_image(rng):
+    sizes, k = (4, 4, 5), 3
+    layout = BlockLayout(sizes)
+    far, kept, cold = (layout.block_slice(i) for i in range(3))
+    v = rng.normal(scale=2.0, size=(layout.m, k)) + 1.0
+    optimum = np.zeros(layout.m)
+    project_onto_C(v, sizes, nu=optimum)
+    # no block passes the stop rule at nu = 0, so each one reaches its carried nu
+    assert all(optimum[rows].any() for rows in (far, kept, cold))
+    start = optimum.copy()
+    start[far] += 30.0
+    start[cold] = 0.0
+    nu = start.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ProjectionWarning)
+        out = project_onto_C(v, sizes, nu=nu)
+    each, each_nu = _project_each(v, sizes, start)
+    assert np.array_equal(out, each) and np.array_equal(nu, each_nu)
+    # the block far above its optimum ascends as if started cold, and the
+    # block on its optimum keeps it and settles in its second round
+    assert np.array_equal(out[far], project_onto_C(v[far], (4,)))
+    assert np.array_equal(out[cold], project_onto_C(v[cold], (5,)))
+    assert np.array_equal(nu[kept], optimum[kept])
+    assert kkt_residual(v, out, sizes) <= 1e-6 * max(1.0, nu.max())
 
 
 def test_project_c_rejects_wrong_buffer_length():
