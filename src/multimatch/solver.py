@@ -125,6 +125,30 @@ def _cycle(w, y: np.ndarray, wsq: float) -> tuple[float, np.ndarray, np.ndarray]
     return 0.25 * (wsq - 2.0 * float(np.vdot(y, wy)) + float((gram * gram).sum())), wy, gram
 
 
+class Contraction:
+    """The fixed norms of w, and its contraction with the last iterate evaluated.
+
+    ``at(y)`` returns the cycle term at y with the w @ y and y^T y it
+    contracts through, and keeps them for y: the trace record after an
+    ``update_Y`` call and the next call's starting point evaluate the y
+    that call returned, which it has evaluated already.  The one slot is
+    keyed on the array's identity, so an evaluated iterate must not be
+    modified in place.
+    """
+
+    def __init__(self, w):
+        self.w = w
+        self.wsq = _frob2(w)
+        self.inf_norm = _inf_norm(w)
+        self._y = None
+        self._value = None
+
+    def at(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        if y is not self._y:
+            self._y, self._value = y, _cycle(self.w, y, self.wsq)
+        return self._value
+
+
 def _coupling(y: np.ndarray, xs: np.ndarray, rho: float) -> float:
     if not rho:
         return 0.0
@@ -151,15 +175,18 @@ def objective_geo(x: SelectionLabeling, z: np.ndarray, coords: list[np.ndarray])
 
 
 def objective_components(
-    w, y, x: SelectionLabeling, z, coords, lam: float, rho: float
+    w, y, x: SelectionLabeling, z, coords, lam: float, rho: float, *, cycle: float | None = None
 ) -> tuple[float, float, float]:
     """The (cycle, lam * geometric, coupling) terms of the full objective.
 
     Their sum is the objective the solver minimizes; a trace record stores
-    the three terms and that sum.
+    the three terms and that sum.  ``cycle``, when given, is the cycle term
+    at y, already evaluated by the caller.
     """
     geo = lam * objective_geo(x, z, coords) if lam else 0.0
-    return objective_cycle(w, y), geo, _coupling(y, x.stacked(), rho)
+    if cycle is None:
+        cycle = objective_cycle(w, y)
+    return cycle, geo, _coupling(y, x.stacked(), rho)
 
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
@@ -206,6 +233,7 @@ def update_Y(
     inner_tol: float = INNER_TOL,
     max_inner: int = 500,
     nu: np.ndarray | None = None,
+    contraction: Contraction | None = None,
 ) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
 
@@ -218,21 +246,26 @@ def update_Y(
     flag reports a line search that shrank the step below ``STALL_ETA``
     without finding decrease, in which case the current iterate is kept.
     ``nu``, when given, is the projection's row-multiplier buffer, carried
-    through every trial (see :func:`project_onto_C`).
+    through every trial (see :func:`project_onto_C`).  ``contraction``,
+    when given, is a :class:`Contraction` of w carried from call to call:
+    it supplies w's norms, and the evaluation of y when y is the iterate
+    it last evaluated, and it holds the evaluation of the returned y
+    unless the line search stalled.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    wsq = _frob2(w)
+    if contraction is None:
+        contraction = Contraction(w)
 
     def value(yc: np.ndarray):
-        cycle, wy, gram = _cycle(w, yc, wsq)
+        cycle, wy, gram = contraction.at(yc)
         return cycle + _coupling(yc, x, rho), wy, gram
 
     f_cur, wy, gram = value(y)
     history = [f_cur]
     if eta0 is None:
         spectral = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-        eta0 = 1.0 / max(spectral + _inf_norm(w) + rho, 1e-12)
+        eta0 = 1.0 / max(spectral + contraction.inf_norm + rho, 1e-12)
     stalled = False
     for _ in range(max_inner):
         grad = y @ gram - wy
@@ -354,6 +387,7 @@ def initialize(
     *,
     warnings_out: list[str] | None = None,
     nu: np.ndarray | None = None,
+    contraction: Contraction | None = None,
 ) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
     """Solve the score-only relaxation from the spectral start.
 
@@ -364,12 +398,14 @@ def initialize(
     descent that uses all ``config.max_inner`` steps, is reported as a
     message appended to ``warnings_out`` when one is given.  Every
     projection warm-starts from the row-multiplier buffer ``nu`` when one
-    is given.  Returns (y, selection, objective history).
+    is given, and the descent evaluates through ``contraction`` when one is
+    given (see :func:`update_Y`).  Returns (y, selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
     y0 = spectral_start(w, config.k, config.seed, sizes, nu=nu)
     y, history, stalled = update_Y(
-        y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, nu=nu
+        y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, nu=nu,
+        contraction=contraction,
     )
     if warnings_out is not None:
         if stalled:
@@ -423,7 +459,10 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
     nu = np.zeros(layout.m)  # the projection's row multipliers, carried from call to call
-    y, x, init_history = initialize(w, config, sizes, warnings_out=warnings_list, nu=nu)
+    contraction = Contraction(w)  # y enters the trace as update_Y last evaluated it
+    y, x, init_history = initialize(
+        w, config, sizes, warnings_out=warnings_list, nu=nu, contraction=contraction
+    )
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
@@ -432,16 +471,18 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     rho = config.rho_schedule[-1]
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
-        parts = objective_components(w, y, x, z, coords, config.lam, rho)
+        parts = objective_components(w, y, x, z, coords, config.lam, rho, cycle=contraction.at(y)[0])
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         for sweep in range(1, config.max_sweeps + 1):
-            y, _, stalled = update_Y(y, x.stacked(), w, rho, sizes, max_inner=config.max_inner, nu=nu)
+            y, _, stalled = update_Y(
+                y, x.stacked(), w, rho, sizes, max_inner=config.max_inner, nu=nu, contraction=contraction
+            )
             if stalled:
                 warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
             x = update_X(y, z, coords, config.lam, rho)
             z = update_Z(x, coords, config.r)
-            parts = objective_components(w, y, x, z, coords, config.lam, rho)
+            parts = objective_components(w, y, x, z, coords, config.lam, rho, cycle=contraction.at(y)[0])
             trace.append(TraceRecord(stage, sweep, *parts, sum(parts)))
             prev, total = trace[-2].total, trace[-1].total
             if prev - total <= OUTER_TOL * max(1.0, abs(prev)):

@@ -28,7 +28,13 @@ from multimatch import (
     update_Y,
     update_Z,
 )
-from multimatch.solver import denormalize_fit, selection_objective, spectral_start, top_eigenvectors
+from multimatch.solver import (
+    Contraction,
+    denormalize_fit,
+    selection_objective,
+    spectral_start,
+    top_eigenvectors,
+)
 from conftest import (
     descriptor_instance,
     enumerate_lap,
@@ -217,6 +223,35 @@ def test_update_y_stays_feasible(rng):
     w = 0.5 * (w + w.T)
     out, _, _ = update_Y(y, x, w, 1.0, sizes)
     assert feasibility_gap(out, sizes) <= 1e-5
+
+
+@pytest.mark.parametrize("rho", [0.0, 3.0])
+def test_update_y_with_carried_contraction_matches_fresh(monkeypatch, rho):
+    planted = generate(5, 4, outliers_per_image=1, match_corruption_rate=0.3, seed=9)
+    w = assemble_block(planted.instance.scores)
+    sizes = planted.instance.layout.sizes
+    rng = np.random.default_rng(9)
+    y0 = random_feasible_y(rng, sizes, 4)
+    x = random_labeling(rng, sizes, 4).stacked()
+    contraction = Contraction(w)
+    y1, _, stalled = update_Y(y0, x, w, rho, sizes, max_inner=2, contraction=contraction)
+    assert not stalled
+    contractions = []
+    real = multimatch.solver._cycle
+
+    def counting(*args):
+        contractions.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(multimatch.solver, "_cycle", counting)
+    carried = update_Y(y1, x, w, rho, sizes, contraction=contraction)
+    reused = len(contractions)
+    fresh = update_Y(y1, x, w, rho, sizes)
+    # the carried call starts from the evaluation the previous call left
+    assert reused == len(contractions) - reused - 1
+    assert np.array_equal(carried[0], fresh[0])
+    assert carried[1:] == fresh[1:]
+    assert contraction.at(carried[0])[0] == objective_cycle(w, carried[0])
 
 
 def test_update_x_reduces_to_discretize_without_geometry(rng):
