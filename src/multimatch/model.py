@@ -207,8 +207,8 @@ class SelectionLabeling:
             if np.unique(row).size < self.k:
                 raise MatchingError(f"image {i}: some candidate carries multiple labels")
 
-    def _stacked_rows(self) -> np.ndarray:
-        """Row of each chosen candidate in the stacked (m, k) layout."""
+    def stacked_rows(self) -> np.ndarray:
+        """Row of each chosen candidate in the stacked (m, k) layout, as an (n, k) array."""
         ends = np.cumsum(self.sizes, dtype=np.intp)
         return (ends - self.sizes)[:, None] + self.index
 
@@ -219,7 +219,7 @@ class SelectionLabeling:
     def stacked(self) -> np.ndarray:
         """The (m, k) float matrix with a one at each chosen (candidate, label)."""
         out = np.zeros((sum(self.sizes), self.k))
-        out[self._stacked_rows(), np.arange(self.k)] = 1.0
+        out[self.stacked_rows(), np.arange(self.k)] = 1.0
         return out
 
     @property
@@ -230,7 +230,7 @@ class SelectionLabeling:
     def labels(self) -> list[np.ndarray]:
         """Per-image candidate labels; -1 marks unselected candidates."""
         out = np.full(sum(self.sizes), -1, dtype=int)
-        out[self._stacked_rows()] = np.arange(self.k)
+        out[self.stacked_rows()] = np.arange(self.k)
         return self._split(out)
 
     @classmethod

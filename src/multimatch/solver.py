@@ -191,7 +191,8 @@ def objective_components(
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
     """Stack the coordinates of the selected features into a 2n x k matrix."""
-    return np.vstack([ci[:, index] for index, ci in zip(x.index, coords)])
+    chosen = np.hstack(coords)[:, x.stacked_rows()]  # (2, n, k)
+    return np.ascontiguousarray(chosen.transpose(1, 0, 2)).reshape(2 * x.n, x.k)
 
 
 def normalize_coordinates(
