@@ -35,6 +35,7 @@ and never leaves a row with nu > 0 below the cap, but from a warm start
 only the complementarity half of the stop rule keeps the ascent going
 until those rows recover.
 """
+
 from __future__ import annotations
 
 import warnings
@@ -49,7 +50,7 @@ PROJECTION_MAX_ITER = 500
 
 
 class ProjectionWarning(UserWarning):
-    """The dual ascent reached ``PROJECTION_MAX_ITER`` rounds before its KKT stop rule held."""
+    """Some image's dual ascent reached ``PROJECTION_MAX_ITER`` rounds before its KKT stop rule held."""
 
 
 def _threshold(v: np.ndarray) -> np.ndarray:
@@ -147,9 +148,7 @@ def project_onto_C(y: np.ndarray, sizes, *, nu: np.ndarray | None = None) -> np.
     row_nu = np.empty(v.shape[0])
     capped = 0
     for p, _, rows in BlockLayout(sizes).groups():
-        carried = None
-        if nu is not None:
-            carried = np.maximum(nu[rows], 0.0).reshape(-1, p)
+        carried = None if nu is None else np.maximum(nu[rows], 0.0).reshape(-1, p)
         block_out, block_nu, left = _ascend(v[rows].reshape(-1, p, k), carried)
         out[rows], row_nu[rows] = block_out.reshape(-1, k), block_nu.ravel()
         capped += left

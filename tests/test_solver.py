@@ -86,6 +86,16 @@ def test_objective_geo_zero_at_exact_fit(rng):
     assert objective_geo(lab, m_tilde, coords) == 0.0
 
 
+def test_assemble_measurements_matches_per_image_slices(rng):
+    sizes = (3, 5, 5, 4, 3)
+    coords = [rng.random((2, p)) for p in sizes]
+    lab = random_labeling(rng, sizes, 3)
+    expected = np.vstack([c[:, index] for index, c in zip(lab.index, coords)])
+    assert np.array_equal(assemble_measurements(lab, coords), expected)
+    one = SelectionLabeling(lab.index[:1], sizes[:1])
+    assert np.array_equal(assemble_measurements(one, coords[:1]), expected[:2])
+
+
 def test_objective_geo_single_point():
     coords = [np.array([[3.0], [4.0]])]
     lab = SelectionLabeling([[0]], (1,))
