@@ -150,15 +150,15 @@ def _project_each(v, sizes, nu=None):
 
 
 def test_project_c_separates_by_image(rng):
-    # mixed block heights, two of them shared, and one feasible block that
-    # settles in the first round beside blocks that need many
+    # mixed block heights, two of them shared; in every other case a feasible
+    # block settles in the first round beside a block of its height that needs many
     sizes, k = (3, 5, 5, 4, 3), 3
     layout = BlockLayout(sizes)
     m = layout.m
     for case in range(20):
         v = rng.normal(scale=2.0, size=(m, k))
         if case % 2:
-            v[layout.block_slice(3)] = random_labeling(rng, (4,), k).stacked()
+            v[layout.block_slice(2)] = random_labeling(rng, (5,), k).stacked()
         out = project_onto_C(v, sizes)
         assert np.array_equal(out, _project_each(v, sizes)[0])
         nu_cold = np.zeros(m)
