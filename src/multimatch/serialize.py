@@ -39,9 +39,9 @@ def problem_document(
     """Render a problem as canonical JSON text (deterministic ordering)."""
     images = []
     for f in features:
-        rec = {"id": f.image_id, "coordinates": [list(map(float, row)) for row in f.coordinates]}
+        rec = {"id": f.image_id, "coordinates": f.coordinates.tolist()}
         if f.descriptors is not None:
-            rec["descriptors"] = [list(map(float, row)) for row in f.descriptors]
+            rec["descriptors"] = f.descriptors.tolist()
         images.append(rec)
     ids = [f.image_id for f in features]
     w = scores.matrix.tocoo()
@@ -49,11 +49,13 @@ def problem_document(
     (bi, rows), (bj, cols) = layout.locate(w.row), layout.locate(w.col)
     keep = np.flatnonzero((bi != bj) & (w.data != 0))  # identity diagonals are implicit
     keep = keep[np.lexsort((cols[keep], rows[keep], bj[keep], bi[keep]))]
-    table = zip(*(a[keep].tolist() for a in (bi, bj, rows, cols, w.data)))
-    pairwise = []
-    for (i, j), group in itertools.groupby(table, key=lambda e: e[:2]):
-        entries = [[r, c, v] for _, _, r, c, v in group]
-        pairwise.append({"i": ids[i], "j": ids[j], "entries": entries})
+    bi, bj = bi[keep], bj[keep]
+    # where each image pair's entries start, and where the last pair's end
+    bounds = np.flatnonzero(np.diff(bi * layout.n + bj, prepend=-1)).tolist() + [keep.size]
+    triples = list(zip(rows[keep].tolist(), cols[keep].tolist(), w.data[keep].tolist()))
+    pairwise = [
+        {"i": ids[bi[a]], "j": ids[bj[a]], "entries": triples[a:b]} for a, b in zip(bounds, bounds[1:])
+    ]
     doc = {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
     if defaults:
         unknown = set(defaults) - set(_DEFAULT_KEYS)

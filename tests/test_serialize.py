@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -60,6 +61,59 @@ def test_problem_document_puts_one_record_per_line(planted):
     assert [line for line in lines if not line.startswith('{"')] == [
         "{", '"format_version": 1,', '"images": [', "],", '"pairwise": [', "],", '"solver_defaults": {"k": 3}', "}",
     ]
+
+
+def _reference_problem_document(features, scores, defaults):
+    """The problem document rendered entry by entry, as the format describes it."""
+
+    def listed(name, records):
+        if not records:
+            return f'"{name}": []'
+        return f'"{name}": [\n' + ",\n".join(json.dumps(r) for r in records) + "\n]"
+
+    images = []
+    for f in features:
+        rec = {"id": f.image_id, "coordinates": [[float(x) for x in row] for row in f.coordinates]}
+        if f.descriptors is not None:
+            rec["descriptors"] = [[float(x) for x in row] for row in f.descriptors]
+        images.append(rec)
+    offsets = np.concatenate(([0], np.cumsum(scores.sizes)))
+    dense = scores.matrix.toarray()
+    pairwise = []
+    for i, j in itertools.permutations(range(len(features)), 2):
+        block = dense[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
+        entries = [[int(r), int(c), float(block[r, c])] for r, c in zip(*np.nonzero(block))]
+        if entries:
+            pairwise.append({"i": features[i].image_id, "j": features[j].image_id, "entries": entries})
+    fields = ['"format_version": 1', listed("images", images), listed("pairwise", pairwise)]
+    if defaults:
+        order = ("k", "lambda", "r", "rho_schedule", "seed")
+        fields.append('"solver_defaults": ' + json.dumps({k: defaults[k] for k in order if k in defaults}))
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def test_problem_document_matches_entry_by_entry_rendering(rng):
+    from multimatch import FeatureSet
+    from conftest import scores_from_blocks
+
+    sizes = (3, 1, 4, 2)
+    features = []
+    for i, p in enumerate(sizes):
+        desc = None
+        if i % 2 == 0:
+            desc = rng.normal(size=(5, p))
+            desc /= np.linalg.norm(desc, axis=0)
+        features.append(FeatureSet(f"im{i}", rng.normal(scale=100.0, size=(2, p)), desc))
+    blocks = {}
+    for i, j in [(0, 1), (0, 2), (2, 0), (3, 1), (2, 3)]:
+        block = rng.random((sizes[i], sizes[j])) * (rng.random((sizes[i], sizes[j])) < 0.6)
+        block[0, 0] = 0.1 + 0.2  # a value whose shortest repr has 17 digits
+        blocks[(i, j)] = block
+    defaults = {"seed": 3, "rho_schedule": [1.0, 10.0], "k": 1, "lambda": 0.5}
+    for blocks_kept, defaults_kept in ((blocks, defaults), ({}, {})):
+        scores = scores_from_blocks(blocks_kept, sizes)
+        expected = _reference_problem_document(features, scores, defaults_kept)
+        assert problem_document(features, scores, defaults_kept) == expected
 
 
 def test_problem_roundtrip_with_descriptors(tmp_path, rng):
