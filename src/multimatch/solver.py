@@ -233,7 +233,6 @@ def update_Y(
     eta0: float | None = None,
     inner_tol: float = INNER_TOL,
     max_inner: int = 500,
-    nu: np.ndarray | None = None,
     contraction: Contraction | None = None,
 ) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
@@ -246,12 +245,10 @@ def update_Y(
     steps.  Returns (new y, objective history, stalled flag); the stalled
     flag reports a line search that shrank the step below ``STALL_ETA``
     without finding decrease, in which case the current iterate is kept.
-    ``nu``, when given, is the projection's row-multiplier buffer, carried
-    through every trial (see :func:`project_onto_C`).  ``contraction``,
-    when given, is a :class:`Contraction` of w carried from call to call:
-    it supplies w's norms, and the evaluation of y when y is the iterate
-    it last evaluated, and it holds the evaluation of the returned y
-    unless the line search stalled.
+    ``contraction``, when given, is a :class:`Contraction` of w carried
+    from call to call: it supplies w's norms, and the evaluation of y when
+    y is the iterate it last evaluated, and it holds the evaluation of the
+    returned y unless the line search stalled.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -275,7 +272,7 @@ def update_Y(
         eta = eta0
         accepted = False
         while eta >= STALL_ETA:
-            y_new = project_onto_C(y - eta * grad, sizes, nu=nu)
+            y_new = project_onto_C(y - eta * grad, sizes)
             f_new, wy_new, gram_new = value(y_new)
             decrease = float(np.vdot(grad, y - y_new))
             if f_new <= f_cur - ARMIJO * decrease:
@@ -365,20 +362,19 @@ def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
     return np.linalg.eigh(dense)[1][:, m - k :]
 
 
-def spectral_start(w, k: int, seed: int, sizes, *, nu: np.ndarray | None = None) -> np.ndarray:
+def spectral_start(w, k: int, seed: int, sizes) -> np.ndarray:
     """Feasible start point from the top-k eigenspace of w.
 
     Pivoted QR of U^T picks k anchor rows S; ``U U_S^{-1}`` maps them to
     the k unit labels and spreads every other row over the labels in
     proportion to its eigenspace coordinates.  The result does not depend
     on the basis chosen for the eigenspace.  Negative entries are clipped
-    before the projection onto the constraint set, which warm-starts from
-    and updates the row-multiplier buffer ``nu`` when one is given.
+    before the projection onto the constraint set.
     """
     u = top_eigenvectors(w, k, seed)
     anchors = scipy.linalg.qr(u.T, mode="r", pivoting=True)[1][:k]
     y0 = np.linalg.solve(u[anchors].T, u.T).T
-    return project_onto_C(np.maximum(y0, 0.0), sizes, nu=nu)
+    return project_onto_C(np.maximum(y0, 0.0), sizes)
 
 
 def initialize(
@@ -387,7 +383,6 @@ def initialize(
     sizes,
     *,
     warnings_out: list[str] | None = None,
-    nu: np.ndarray | None = None,
     contraction: Contraction | None = None,
 ) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
     """Solve the score-only relaxation from the spectral start.
@@ -397,16 +392,14 @@ def initialize(
     refines it, and the blocks are discretized into the initial selection,
     blocks of equal height as one stack.  A line search that stalls, or a
     descent that uses all ``config.max_inner`` steps, is reported as a
-    message appended to ``warnings_out`` when one is given.  Every
-    projection warm-starts from the row-multiplier buffer ``nu`` when one
-    is given, and the descent evaluates through ``contraction`` when one is
-    given (see :func:`update_Y`).  Returns (y, selection, objective history).
+    message appended to ``warnings_out`` when one is given.  The descent
+    evaluates through ``contraction`` when one is given (see
+    :func:`update_Y`).  Returns (y, selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
-    y0 = spectral_start(w, config.k, config.seed, sizes, nu=nu)
+    y0 = spectral_start(w, config.k, config.seed, sizes)
     y, history, stalled = update_Y(
-        y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, nu=nu,
-        contraction=contraction,
+        y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, contraction=contraction
     )
     if warnings_out is not None:
         if stalled:
@@ -459,10 +452,9 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
-    nu = np.zeros(layout.m)  # the projection's row multipliers, carried from call to call
     contraction = Contraction(w)  # y enters the trace as update_Y last evaluated it
     y, x, init_history = initialize(
-        w, config, sizes, warnings_out=warnings_list, nu=nu, contraction=contraction
+        w, config, sizes, warnings_out=warnings_list, contraction=contraction
     )
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
@@ -477,7 +469,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         converged = False
         for sweep in range(1, config.max_sweeps + 1):
             y, _, stalled = update_Y(
-                y, x.stacked(), w, rho, sizes, max_inner=config.max_inner, nu=nu, contraction=contraction
+                y, x.stacked(), w, rho, sizes, max_inner=config.max_inner, contraction=contraction
             )
             if stalled:
                 warnings_list.append(f"line search stalled at {stage} sweep {sweep}")

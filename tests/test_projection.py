@@ -1,11 +1,13 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from multimatch import BlockLayout, DimensionMismatch, InfeasibleK, feasibility_gap, project_onto_C
-from multimatch.projection import ProjectionWarning
-from conftest import kkt_residual, qp_project, random_feasible_y, random_labeling
+from multimatch import BlockLayout, InfeasibleK, feasibility_gap, project_onto_C, projection
+from multimatch.projection import _threshold
+from multimatch.solver import assemble_block, spectral_start
+from conftest import descriptor_instance, kkt_residual, qp_project, random_feasible_y, random_labeling
+
+# the tests that lower PROJECTION_MAX_ITER fail when a projection reaches it
+ROUND_CAP = pytest.mark.filterwarnings("error::multimatch.projection.ProjectionWarning")
 
 
 def test_project_c_returns_valid_labeling_unchanged():
@@ -14,9 +16,20 @@ def test_project_c_returns_valid_labeling_unchanged():
     assert np.array_equal(out, y)
 
 
-def test_project_c_single_column_reduces_to_simplex():
+@ROUND_CAP
+def test_project_c_single_column_reduces_to_simplex(rng, monkeypatch):
     y = np.array([[0.8], [0.8]])
     assert np.allclose(project_onto_C(y, (2,)), [[0.5], [0.5]])
+    # with k = 1 the column rule leaves every row within its cap: one round
+    monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
+    sizes = (1, 4, 2, 4, 7)
+    layout = BlockLayout(sizes)
+    for scale in (0.1, 1.0, 10.0):
+        v = rng.normal(scale=scale, size=(layout.m, 1))
+        out = project_onto_C(v, sizes)
+        for i in range(layout.n):
+            rows = layout.block_slice(i)
+            assert np.allclose(out[rows, 0], _simplex(v[rows, 0]), rtol=0.0, atol=1e-12)
 
 
 def test_project_c_symmetric_two_by_two():
@@ -69,137 +82,117 @@ def test_project_c_output_feasible(rng):
         assert feasibility_gap(out, sizes) <= 1e-5
 
 
-def _warm_starts(rng, m, nu_cold):
-    """Row-multiplier starts: zero, random, the optimum, near it, and far above it."""
-    return [
-        np.zeros(m),
-        rng.random(m),
-        nu_cold.copy(),
-        nu_cold + rng.uniform(0.0, 0.1, size=m),
-        nu_cold * rng.uniform(0.5, 1.0, size=m),
-        nu_cold + rng.uniform(1.0, 10.0, size=m),
-        rng.uniform(20.0, 50.0, size=m),
-    ]
-
-
 def _simplex(v):
     """Euclidean projection of a vector onto the probability simplex (sort rule)."""
+    return np.maximum(v - _support_threshold(v), 0.0)
+
+
+def _support_threshold(v):
+    """tau of a vector by the sort-and-support rule: (sum of its support - 1) / support size."""
     srt = np.sort(v)[::-1]
     css = np.cumsum(srt) - 1.0
     last = np.flatnonzero(srt - css / np.arange(1, v.size + 1) > 0)[-1]
-    return np.maximum(v - css[last] / (last + 1), 0.0)
+    return css[last] / (last + 1)
 
 
-def _assert_buffer_gives(v, out, nu, sizes):
-    """out = max(v - nu 1^T - mu, 0) with each block column on the simplex, nu complementary."""
-    assert (nu >= 0).all()
-    assert (1.0 - out.sum(axis=1)[nu > 0] <= 1e-6).all()
-    offset = 0
-    for p in sizes:
-        block = slice(offset, offset + p)
-        for c in range(v.shape[1]):
-            assert np.allclose(out[block, c], _simplex(v[block, c] - nu[block]), atol=1e-12)
-        offset += p
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_threshold_matches_sort_and_support_rule(rng, scale):
+    for n in (1, 2, 5, 13):
+        ties = rng.integers(0, 4, size=(200, n)) * scale
+        for v in (ties, rng.normal(scale=scale, size=(200, n))):
+            tau = _threshold(v)
+            # both sum n sorted entries, in different orders
+            tol = 4 * n * np.finfo(float).eps * (1.0 + np.abs(v).max(axis=1))
+            assert (np.abs(tau - [_support_threshold(row) for row in v]) <= tol).all()
+            assert (np.abs(np.maximum(v - tau[:, None], 0.0).sum(axis=1) - 1.0) <= tol).all()
 
 
-def test_project_c_warm_start_matches_cold(rng):
+@ROUND_CAP
+def test_project_c_keeps_feasible_input(rng, monkeypatch):
+    # a feasible point passes the stop rule in the first round
+    monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
     for _ in range(20):
         sizes = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4))))
         k = int(rng.integers(1, min(sizes) + 1))
-        m = sum(sizes)
-        v = rng.normal(scale=2.0, size=(m, k))
-        nu_cold = np.zeros(m)
-        cold = project_onto_C(v, sizes, nu=nu_cold)
-        assert np.array_equal(cold, project_onto_C(v, sizes))
-        for start in _warm_starts(rng, m, nu_cold):
-            nu = start.copy()
-            out = project_onto_C(v, sizes, nu=nu)
-            # the stop rule bounds row-sum gaps by 1e-6, and the residual's
-            # complementarity term is the gap times nu
-            assert kkt_residual(v, out, sizes) <= 1e-6 * max(1.0, nu.max())
-            assert feasibility_gap(out, sizes) <= 1e-6
-            assert np.abs(out - cold).max() <= 1e-5
-            _assert_buffer_gives(v, out, nu, sizes)
-
-
-def test_project_c_warm_start_keeps_feasible_input(rng):
-    for _ in range(20):
-        sizes = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4))))
-        k = int(rng.integers(1, min(sizes) + 1))
-        m = sum(sizes)
         labeling = random_labeling(rng, sizes, k).stacked().astype(float)
+        assert np.array_equal(project_onto_C(labeling, sizes), labeling)
         interior = np.vstack([np.full((p, k), 1.0 / p) for p in sizes])
-        for y in (labeling, interior):
-            cold = project_onto_C(y, sizes)
-            assert np.abs(cold - y).max() <= 1e-15  # 1 / p need not sum to 1 exactly
-            for start in _warm_starts(rng, m, rng.random(m)):
-                nu = start.copy()
-                assert np.array_equal(project_onto_C(y, sizes, nu=nu), cold)
-                assert not nu.any()
+        # 1 / p need not sum to 1 exactly
+        assert np.abs(project_onto_C(interior, sizes) - interior).max() <= 1e-15
 
 
-def _project_each(v, sizes, nu=None):
-    """Every image projected alone, stacked; with a buffer, also the multipliers written back."""
+def _project_each(v, sizes):
+    """Every image projected alone, stacked."""
     layout = BlockLayout(sizes)
-    outs, nus = [], []
-    for i, p in enumerate(layout.sizes):
-        buf = None if nu is None else nu[layout.block_slice(i)].copy()
-        outs.append(project_onto_C(v[layout.block_slice(i)], (p,), nu=buf))
-        nus.append(buf)
-    return np.vstack(outs), None if nu is None else np.concatenate(nus)
+    return np.vstack([project_onto_C(v[layout.block_slice(i)], (p,)) for i, p in enumerate(layout.sizes)])
 
 
-def test_project_c_separates_by_image(rng):
+@ROUND_CAP
+def test_project_c_separates_by_image(rng, monkeypatch):
     # mixed block heights, two of them shared; in every other case a feasible
-    # block settles in the first round beside a block of its height that needs many
+    # block settles in the first round beside a block of its height that needs
+    # more.  Newton's method settles each of these within 6 rounds; the plain
+    # block coordinate ascent, or Newton's method on a wrong Hessian, takes
+    # tens to hundreds.
+    monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 8)
     sizes, k = (3, 5, 5, 4, 3), 3
     layout = BlockLayout(sizes)
-    m = layout.m
     for case in range(20):
-        v = rng.normal(scale=2.0, size=(m, k))
+        v = rng.normal(scale=2.0, size=(layout.m, k))
         if case % 2:
             v[layout.block_slice(2)] = random_labeling(rng, (5,), k).stacked()
         out = project_onto_C(v, sizes)
-        assert np.array_equal(out, _project_each(v, sizes)[0])
-        nu_cold = np.zeros(m)
-        assert np.array_equal(project_onto_C(v, sizes, nu=nu_cold), out)
-        for start in _warm_starts(rng, m, nu_cold):
-            nu = start.copy()
-            out = project_onto_C(v, sizes, nu=nu)
-            each, each_nu = _project_each(v, sizes, start)
-            assert np.array_equal(out, each)
-            assert np.array_equal(nu, each_nu)
+        assert np.array_equal(out, _project_each(v, sizes))
+        assert feasibility_gap(out, sizes) <= 1e-6
 
 
-def test_project_c_chooses_warm_or_cold_per_image(rng):
-    sizes, k = (4, 4, 5), 3
-    layout = BlockLayout(sizes)
-    far, kept, cold = (layout.block_slice(i) for i in range(3))
-    v = rng.normal(scale=2.0, size=(layout.m, k)) + 1.0
-    optimum = np.zeros(layout.m)
-    project_onto_C(v, sizes, nu=optimum)
-    # no block passes the stop rule at nu = 0, so each one reaches its carried nu
-    assert all(optimum[rows].any() for rows in (far, kept, cold))
-    start = optimum.copy()
-    start[far] += 30.0
-    start[cold] = 0.0
-    nu = start.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ProjectionWarning)
-        out = project_onto_C(v, sizes, nu=nu)
-    each, each_nu = _project_each(v, sizes, start)
-    assert np.array_equal(out, each) and np.array_equal(nu, each_nu)
-    # the block far above its optimum ascends as if started cold, and the
-    # block on its optimum keeps it and settles in its second round
-    assert np.array_equal(out[far], project_onto_C(v[far], (4,)))
-    assert np.array_equal(out[cold], project_onto_C(v[cold], (5,)))
-    assert np.array_equal(nu[kept], optimum[kept])
-    assert kkt_residual(v, out, sizes) <= 1e-6 * max(1.0, nu.max())
+@ROUND_CAP
+def test_project_c_square_blocks_are_doubly_stochastic(rng, monkeypatch):
+    # with p = k the column sums force every row sum to one, so most rows are
+    # capped and enter the Hessian; Newton's method needs at most 6 rounds here
+    monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 8)
+    for _ in range(30):
+        k = int(rng.integers(2, 8))
+        sizes = (k, k, k)
+        v = rng.normal(scale=2.0, size=(3 * k, k))
+        out = project_onto_C(v, sizes)
+        assert feasibility_gap(out, sizes) <= 1e-6
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-6
+        # the residual's complementarity term is a row's gap times its nu,
+        # which reaches a few units at this scale
+        assert kkt_residual(v, out, sizes) <= 1e-5
 
 
-def test_project_c_rejects_wrong_buffer_length():
-    with pytest.raises(DimensionMismatch):
-        project_onto_C(np.zeros((3, 2)), (3,), nu=np.zeros(2))
+def test_project_c_falls_back_when_newton_steps_fail(rng, monkeypatch):
+    sizes, k = (4, 3, 5), 3
+    cases = [rng.normal(size=(12, k)) for _ in range(10)]
+    newton = [project_onto_C(v, sizes) for v in cases]
+    # phi is concave, so no step raises it by more than its slope predicts:
+    # asking for 1.5 times that rejects every Newton step, and every round
+    # after the first keeps nu(mu), a round of block coordinate ascent
+    monkeypatch.setattr(projection, "ARMIJO", 1.5)
+    for v, ref in zip(cases, newton):
+        out = project_onto_C(v, sizes)
+        assert kkt_residual(v, out, sizes) <= 1e-6
+        assert feasibility_gap(out, sizes) <= 1e-6
+        assert np.abs(out - ref).max() <= 1e-5
+
+
+@ROUND_CAP
+def test_project_c_round_budget_on_descriptor_stack(monkeypatch):
+    # a projected-gradient trial point of the init descent on a descriptors
+    # instance (20 images of 13 candidates, k = 12): Newton's method settles
+    # it in 4 rounds, the plain ascent from nu = 0 in 43
+    instance, config = descriptor_instance(7)
+    sizes = instance.layout.sizes
+    w = assemble_block(instance.scores)
+    y = spectral_start(w, config.k, config.seed, sizes)
+    gram = y.T @ y
+    eta = 4.0 / (np.linalg.eigvalsh(gram)[-1] + abs(w).sum(axis=1).max())
+    v = y - eta * (y @ gram - w @ y)
+    monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 6)
+    out = project_onto_C(v, sizes)
+    assert feasibility_gap(out, sizes) <= 1e-6
 
 
 def test_project_c_rejects_infeasible_k():

@@ -523,20 +523,12 @@ def test_solve_reports_projection_round_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [5001, 61005])
-def test_warm_projection_solve_matches_cold_without_stalls(monkeypatch, seed):
-    # descriptors instances on which a warm-started projection that skipped
-    # its cold first round stalled the line search at rho=100
+def test_descriptor_solve_runs_without_stalls(seed):
+    # descriptors instances on which a projection warm-started from the
+    # previous call's row multipliers, without a first round from zero,
+    # stalled the line search at rho=100
     instance, config = descriptor_instance(seed)
-    warm = solve(instance, config)
-    assert warm.warnings == []
-
-    def cold_projection(y, sizes, *, nu=None):
-        return project_onto_C(y, sizes)
-
-    monkeypatch.setattr(multimatch.solver, "project_onto_C", cold_projection)
-    cold = solve(instance, config)
-    for a, b in zip(warm.labeling.assignments, cold.labeling.assignments):
-        assert np.array_equal(a, b)
+    assert solve(instance, config).warnings == []
 
 
 def test_solve_reports_line_search_stalls(monkeypatch):
