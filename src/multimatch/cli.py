@@ -77,15 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--r", type=int, default=None, help="rank bound of the geometric fit")
     slv.add_argument("--rho", default=None, help="comma-separated coupling schedule")
     slv.add_argument("--seed", type=int, default=None)
-    slv.add_argument("--max-sweeps", type=int, default=SolverConfig.max_sweeps)
-    slv.add_argument("--max-inner", type=int, default=SolverConfig.max_inner)
     slv.set_defaults(func=_cmd_solve)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")
     ev.add_argument("--labeling", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--problem", default=None, help="enables the measurement-rank diagnostic")
-    ev.add_argument("--rank", type=int, default=4, help="rank bound for the diagnostic")
+    ev.add_argument("--rank", type=int, default=SolverConfig.r, help="rank bound for the diagnostic")
     ev.set_defaults(func=_cmd_eval)
 
     rec = sub.add_parser("reconstruct", help="factor a labeling into motion and shape")
@@ -142,8 +140,6 @@ def _cmd_solve(args) -> int:
         lam=float(merged["lambda"]),
         rho_schedule=tuple(merged["rho_schedule"]),
         seed=int(merged["seed"]),
-        max_sweeps=args.max_sweeps,
-        max_inner=args.max_inner,
     )
     instance = validate_instance(features, scores, config)
     state = solve(instance, config)

@@ -18,7 +18,7 @@ class NonFiniteEntry(MatchingError):
 
 
 class InstanceTooLarge(MatchingError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed its fixed labeling budget."""
 
 
 class ParseError(MatchingError):

@@ -17,6 +17,8 @@ import numpy as np
 
 from .model import BlockLayout, PairwiseScores, SelectionLabeling
 
+STRONG_SCORE = 0.5  # an input score entry at least this high counts as a predicted pair
+
 
 @dataclass(frozen=True)
 class MatchStats:
@@ -82,19 +84,19 @@ def precision(predicted, truth) -> float:
     return pair_stats(predicted, truth).precision
 
 
-def scores_pair_stats(scores: PairwiseScores, truth, threshold: float = 0.5) -> MatchStats:
+def scores_pair_stats(scores: PairwiseScores, truth) -> MatchStats:
     """Pair counts treating strong off-diagonal score entries as predictions.
 
     Grades the pairwise input the same way a labeling is graded, so input
     and solved precision are directly comparable.  Every entry of canonical
-    ``scores`` above the diagonal blocks that scores at least ``threshold``
-    (> 0) is one predicted pair.
+    ``scores`` above the diagonal blocks that scores at least
+    ``STRONG_SCORE`` is one predicted pair.
     """
     true = np.concatenate(_as_labels(truth))
     w = scores.matrix.tocoo()
     layout = BlockLayout(scores.sizes)
     upper = layout.locate(w.row)[0] < layout.locate(w.col)[0]
-    strong = upper & (w.data >= threshold)
+    strong = upper & (w.data >= STRONG_SCORE)
     a, b = true[w.row[strong]], true[w.col[strong]]
     correct = int(((a >= 0) & (a == b)).sum())
     return MatchStats(_pair_count(true[true >= 0]), int(strong.sum()), correct)
@@ -130,14 +132,13 @@ def pck(
     return float((dist <= alpha * max(h, w)).mean())
 
 
-def cycle_check(blocks, max_triplets: int | None = None, seed: int = 0) -> float:
+def cycle_check(blocks) -> float:
     """Maximum triplet composition violation max_ijz ||P_ij - P_iz P_zj||_inf.
 
     ``blocks`` maps ordered index pairs to match matrices (a missing
-    direction falls back to the stored transpose).  All ordered triplets
-    are checked unless ``max_triplets`` asks for a seeded subsample.  A
-    selection labeling needs no check: its induced matches X_i X_j^T are
-    cycle-consistent by construction, since X_z^T X_z = I_k.
+    direction falls back to the stored transpose).  Every ordered triplet
+    is checked.  A selection labeling needs no check: its induced matches
+    X_i X_j^T are cycle-consistent by construction, since X_z^T X_z = I_k.
     """
     n = max(max(i, j) for i, j in blocks.keys()) + 1
     store = dict(blocks)
@@ -147,33 +148,11 @@ def cycle_check(blocks, max_triplets: int | None = None, seed: int = 0) -> float
             return np.asarray(store[(i, j)])
         return np.asarray(store[(j, i)]).T
 
-    total = n * (n - 1) * (n - 2)
-    if max_triplets is not None and total > max_triplets:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(total, size=max_triplets, replace=False)
-        triplets = zip(*(a.tolist() for a in _decode_triplets(idx, n)))
-    else:
-        triplets = itertools.permutations(range(n), 3)
     worst = 0.0
-    for i, z, j in triplets:
+    for i, z, j in itertools.permutations(range(n), 3):
         viol = np.abs(get(i, j) - get(i, z) @ get(z, j)).max()
         worst = max(worst, float(viol))
     return worst
-
-
-def _decode_triplets(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ordered triplets at positions ``idx`` of permutations(range(n), 3).
-
-    Position t has first element t // ((n-1)(n-2)); the rest of t indexes
-    the remaining values in increasing order, so no triplet list is built.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    i, rest = np.divmod(idx, (n - 1) * (n - 2))
-    a, b = np.divmod(rest, n - 2)
-    z = a + (a >= i)
-    j = b + (b >= np.minimum(i, z))
-    j += j >= np.maximum(i, z)
-    return i, z, j
 
 
 @dataclass(frozen=True)

@@ -263,19 +263,16 @@ class SolverConfig:
 
     ``k`` is the number of features selected per image, ``r`` the rank bound
     of the geometric fit, ``lam`` the geometric weight, ``rho_schedule`` the
-    increasing sequence of coupling weights, ``max_inner`` the cap on
-    accepted projected-gradient steps per Y update, ``max_sweeps`` the cap
-    on (Y, X, Z) sweeps per rho stage, and ``seed`` the seed of the
+    increasing sequence of coupling weights, and ``seed`` the seed of the
     Gaussian start block of the spectral start's eigensolver.  Step
-    control and stopping tolerances are constants of the solver module.
+    control, stopping tolerances and iteration caps are constants of the
+    solver module.
     """
 
     k: int
     r: int = 4
     lam: float = 1.0
     rho_schedule: tuple[float, ...] = (1.0, 10.0, 100.0)
-    max_inner: int = 500
-    max_sweeps: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -292,8 +289,6 @@ class SolverConfig:
             raise MatchingError("rho schedule must be positive and nonempty")
         if any(b <= a for a, b in zip(self.rho_schedule, self.rho_schedule[1:])):
             raise MatchingError("rho schedule must be strictly increasing")
-        if min(self.max_inner, self.max_sweeps) < 1:
-            raise MatchingError("iteration limits must be at least 1")
 
 
 @dataclass

@@ -21,9 +21,10 @@ where phi is linear along some direction of mu, as for a column with no
 support; a small ridge keeps the system solvable, and the step is cut to
 the entry range of V plus one, so that it stays bounded along such a
 direction.  The step is then halved until phi rises by a fixed fraction
-of the increase it predicts; an image whose step still fails keeps
-nu(mu), which is a round of plain block coordinate ascent, so phi never
-decreases.  The round ends with the column rule at the new nu.
+of the increase it predicts; an image whose step still fails, or whose
+step predicts an increase below the rounding of phi, keeps nu(mu), which
+is a round of plain block coordinate ascent, so phi never decreases.
+The round ends with the column rule at the new nu.
 Each round therefore ends with exact column sums and nu >= 0, and stops
 on the remaining KKT conditions: every row sum is within the cap and
 every row with nu > 0 sums to one, to ``PROJECTION_TOL``.  A feasible
@@ -111,14 +112,15 @@ def _ascend(v: np.ndarray) -> tuple[np.ndarray, int]:
             grad = y.sum(axis=1) - 1.0
             step = _newton_step(vl, nu, y, grad)
             gain = (grad * step).sum(axis=1)
-            trying, t = np.arange(live.size), 1.0
+            # a gain below phi's rounding could pass the Armijo test only on noise
+            trying, t = np.flatnonzero(gain > np.finfo(float).eps * np.abs(phi)), 1.0
             for _ in range(BACKTRACKS):
+                if not trying.size:
+                    break
                 nu_t, _, phi_t = _row_step(vl[trying], mu[trying] + t * step[trying])
                 rises = phi_t >= phi[trying] + ARMIJO * t * gain[trying]
                 nu[trying[rises]] = nu_t[rises]
                 trying, t = trying[~rises], 0.5 * t
-                if not trying.size:
-                    break
             mu, res = _column_step(vl, nu)
         gap = res.sum(axis=2) - 1.0
         np.abs(gap, out=gap, where=nu > 0)

@@ -29,8 +29,9 @@ block seeded by ``config.seed``; a dense eigensolver takes over on small
 problems and whenever the block solver misses its tolerance.
 
 Step control is fixed here rather than configured: the backtracking
-factor, the Armijo constant and the inner and outer stopping tolerances
-are the module constants below.
+factor, the Armijo constant, the inner and outer stopping tolerances and
+the caps on inner steps and sweeps are the module constants below, read
+at call time.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ BACKTRACK = 0.5  # step shrink factor per rejected trial
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 INNER_TOL = 1e-6  # relative objective drop that ends update_Y
 OUTER_TOL = 1e-7  # relative objective drop that ends a rho stage
+MAX_INNER = 500  # accepted projected-gradient steps per update_Y call
+MAX_SWEEPS = 100  # (Y, X, Z) sweeps per rho stage
 EIGEN_MAXITER = 80  # lobpcg iterations before the dense fallback takes over
 
 
@@ -230,21 +233,19 @@ def update_Y(
     rho: float,
     sizes,
     *,
-    eta0: float | None = None,
-    inner_tol: float = INNER_TOL,
-    max_inner: int = 500,
     contraction: Contraction | None = None,
 ) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
 
     Minimizes 0.25 ||w - y y^T||_F^2 + (rho / 2) ||y - x||_F^2 over the
     constraint set.  Steps follow y <- proj(y - eta * grad) with Armijo
-    backtracking along the projection arc; the default initial step is
-    1 / (||y||_2^2 + ||w||_inf + rho).  Stops when the relative objective
-    decrease falls below ``inner_tol`` or after ``max_inner`` accepted
-    steps.  Returns (new y, objective history, stalled flag); the stalled
-    flag reports a line search that shrank the step below ``STALL_ETA``
-    without finding decrease, in which case the current iterate is kept.
+    backtracking along the projection arc; every line search starts from
+    the step 1 / (||y||_2^2 + ||w||_inf + rho) at the starting y.  Stops
+    when the relative objective decrease falls below ``INNER_TOL`` or after
+    ``MAX_INNER`` accepted steps.  Returns (new y, objective history,
+    stalled flag); the stalled flag reports a line search that shrank the
+    step below ``STALL_ETA`` without finding decrease, in which case the
+    current iterate is kept.
     ``contraction``, when given, is a :class:`Contraction` of w carried
     from call to call: it supplies w's norms, and the evaluation of y when
     y is the iterate it last evaluated, and it holds the evaluation of the
@@ -261,11 +262,10 @@ def update_Y(
 
     f_cur, wy, gram = value(y)
     history = [f_cur]
-    if eta0 is None:
-        spectral = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-        eta0 = 1.0 / max(spectral + contraction.inf_norm + rho, 1e-12)
+    spectral = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+    eta0 = 1.0 / max(spectral + contraction.inf_norm + rho, 1e-12)
     stalled = False
-    for _ in range(max_inner):
+    for _ in range(MAX_INNER):
         grad = y @ gram - wy
         if rho:
             grad += rho * (y - x)
@@ -285,7 +285,7 @@ def update_Y(
         drop = f_cur - f_new
         y, f_cur, wy, gram = y_new, f_new, wy_new, gram_new
         history.append(f_cur)
-        if drop <= inner_tol * max(1.0, abs(f_cur)):
+        if drop <= INNER_TOL * max(1.0, abs(f_cur)):
             break
     return y, history, stalled
 
@@ -391,21 +391,19 @@ def initialize(
     by ``config.seed``; projected gradient descent on the cycle term alone
     refines it, and the blocks are discretized into the initial selection,
     blocks of equal height as one stack.  A line search that stalls, or a
-    descent that uses all ``config.max_inner`` steps, is reported as a
+    descent that uses all ``MAX_INNER`` steps, is reported as a
     message appended to ``warnings_out`` when one is given.  The descent
     evaluates through ``contraction`` when one is given (see
     :func:`update_Y`).  Returns (y, selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
     y0 = spectral_start(w, config.k, config.seed, sizes)
-    y, history, stalled = update_Y(
-        y0, np.zeros_like(y0), w, 0.0, sizes, max_inner=config.max_inner, contraction=contraction
-    )
+    y, history, stalled = update_Y(y0, np.zeros_like(y0), w, 0.0, sizes, contraction=contraction)
     if warnings_out is not None:
         if stalled:
             warnings_out.append("line search stalled at init")
-        if len(history) - 1 >= config.max_inner:
-            warnings_out.append(f"max inner steps ({config.max_inner}) reached at init")
+        if len(history) - 1 >= MAX_INNER:
+            warnings_out.append(f"max inner steps ({MAX_INNER}) reached at init")
     index = np.empty((len(sizes), config.k), dtype=np.intp)
     for p, images, rows in BlockLayout(sizes).groups():
         index[images] = discretize(y[rows].reshape(-1, p, config.k))
@@ -417,8 +415,8 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
     objective stops decreasing relative to ``OUTER_TOL``.  Hitting
-    ``config.max_sweeps`` first, a stalled line search in any Y update, an
-    initial descent that uses all ``config.max_inner`` steps, and
+    ``MAX_SWEEPS`` first, a stalled line search in any Y update, an
+    initial descent that uses all ``MAX_INNER`` steps, and
     projections that reach their round cap (one message with their count,
     in place of the :class:`ProjectionWarning` each one raises) are
     recorded as warnings on the state; other Python warnings raised
@@ -461,16 +459,13 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     )
     z = update_Z(x, coords, config.r)
 
-    rho = config.rho_schedule[-1]
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
         parts = objective_components(w, y, x, z, coords, config.lam, rho, cycle=contraction.at(y)[0])
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
-        for sweep in range(1, config.max_sweeps + 1):
-            y, _, stalled = update_Y(
-                y, x.stacked(), w, rho, sizes, max_inner=config.max_inner, contraction=contraction
-            )
+        for sweep in range(1, MAX_SWEEPS + 1):
+            y, _, stalled = update_Y(y, x.stacked(), w, rho, sizes, contraction=contraction)
             if stalled:
                 warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
             x = update_X(y, z, coords, config.lam, rho)
@@ -482,7 +477,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
                 converged = True
                 break
         if not converged:
-            warnings_list.append(f"max sweeps ({config.max_sweeps}) reached at {stage}")
+            warnings_list.append(f"max sweeps ({MAX_SWEEPS}) reached at {stage}")
 
     return SolverState(
         y=y,

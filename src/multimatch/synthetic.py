@@ -161,23 +161,22 @@ def generate(
 def brute_force_solve(
     instance: ProblemInstance,
     config: SolverConfig,
-    budget: int = BRUTE_FORCE_BUDGET,
 ) -> tuple[SelectionLabeling, float]:
     """Enumerate every labeling and return the global optimum.
 
     The objective matches the solver's own accounting: the score term at
     the binary labeling and the geometric term at its optimal rank-r fit,
     in the solver's normalized coordinate frame.  Refuses instances whose
-    labeling count exceeds ``budget``.
+    labeling count exceeds ``BRUTE_FORCE_BUDGET``.
     """
     sizes = [f.p for f in instance.features]
     k = config.k
     count = 1
     for p in sizes:
         count *= math.perm(p, k)
-        if count > budget:
+        if count > BRUTE_FORCE_BUDGET:
             raise InstanceTooLarge(
-                f"{count}+ labelings exceed the enumeration budget {budget}"
+                f"{count}+ labelings exceed the enumeration budget {BRUTE_FORCE_BUDGET}"
             )
     w = assemble_block(instance.scores).toarray()
     coords, _ = normalize_coordinates(instance.coordinates)

@@ -251,7 +251,7 @@ def test_criterion_10_rank_facts(rng):
     print(f"ACCEPTANCE 10 rank-facts: PASS (planted tail < 1e-10, fit tail ratio {worst:.2e})")
 
 
-def _median_y_update_seconds(n, u, k, outliers, iters=30, trials=5, seed=0):
+def _median_y_update_seconds(n, u, k, outliers, trials=5, seed=0):
     planted = generate(n, u, outliers_per_image=outliers, match_corruption_rate=0.2, seed=seed)
     w = assemble_block(planted.instance.scores)
     sizes = planted.instance.layout.sizes
@@ -261,12 +261,15 @@ def _median_y_update_seconds(n, u, k, outliers, iters=30, trials=5, seed=0):
     samples = []
     for _ in range(trials + 1):
         t0 = time.perf_counter()
-        update_Y(y0, x, w, 1.0, sizes, inner_tol=0.0, max_inner=iters)
+        update_Y(y0, x, w, 1.0, sizes)
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples[1:]))  # first sample is warmup
 
 
-def test_criterion_11_complexity_scaling():
+def test_criterion_11_complexity_scaling(monkeypatch):
+    # every timed update_Y call takes the same 30 steps
+    monkeypatch.setattr(mm.solver, "INNER_TOL", 0.0)
+    monkeypatch.setattr(mm.solver, "MAX_INNER", 30)
     base_m = _median_y_update_seconds(n=8, u=10, k=8, outliers=40)  # m = 400
     double_m = _median_y_update_seconds(n=8, u=10, k=8, outliers=90)  # m = 800
     ratio_m = double_m / base_m

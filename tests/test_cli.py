@@ -105,20 +105,19 @@ def test_self_pair_and_repeated_image_id_are_parse_errors(tmp_path):
                 "--out", tmp_path / "c.txt"]) == 2
 
 
-def test_solve_warning_exit_code(tmp_path):
+def test_solve_warning_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multimatch.solver, "MAX_SWEEPS", 1)
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
-    code = run(["solve", "--problem", problem, "--out", tmp_path / "l.json",
-                "--max-sweeps", 1])
-    assert code == 3
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 3
+    assert "warning: max sweeps (1) reached at rho=1\n" in capsys.readouterr().err
 
 
-def test_solve_init_step_cap_exit_code(tmp_path, capsys):
+def test_solve_init_step_cap_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
-    code = run(["solve", "--problem", problem, "--out", tmp_path / "l.json",
-                "--max-inner", 1])
-    assert code == 3
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 3
     assert "warning: max inner steps (1) reached at init" in capsys.readouterr().err
 
 

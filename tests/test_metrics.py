@@ -15,7 +15,6 @@ from multimatch import (
     scores_pair_stats,
     selected_inlier_fraction,
 )
-from multimatch.metrics import _decode_triplets
 from conftest import random_labeling
 
 
@@ -187,14 +186,6 @@ def test_cycle_check_identity_blocks():
     assert cycle_check(blocks) == 0.0
 
 
-def test_cycle_check_sampling_is_deterministic(rng):
-    lab = random_labeling(rng, [3] * 6, 2)
-    blocks = {(i, j): lab.pair_matrix(i, j) for i in range(6) for j in range(6) if i != j}
-    a = cycle_check(blocks, max_triplets=10, seed=7)
-    b = cycle_check(blocks, max_triplets=10, seed=7)
-    assert a == b == 0.0
-
-
 def test_rank_diagnostic_rigid_scene():
     planted = generate(7, 9, seed=2)
     diag = rank_diagnostic(planted.true_measurement(), 4)
@@ -217,37 +208,3 @@ def test_rank_diagnostic_zero_matrix_convention():
     diag = rank_diagnostic(np.zeros((6, 4)), 4)
     assert diag.tail_energy_ratio == 0.0
     assert (diag.singular_values == 0).all()
-
-
-def test_decode_triplets_matches_permutation_order():
-    for n in range(3, 11):
-        expected = list(itertools.permutations(range(n), 3))
-        i, z, j = _decode_triplets(np.arange(len(expected)), n)
-        assert list(zip(i.tolist(), z.tolist(), j.tolist())) == expected
-
-
-def _cycle_check_from_list(blocks, max_triplets, seed):
-    """Reference: sample from the materialized list of ordered triplets."""
-    n = max(max(i, j) for i, j in blocks) + 1
-    triplets = list(itertools.permutations(range(n), 3))
-    if len(triplets) > max_triplets:
-        idx = np.random.default_rng(seed).choice(len(triplets), size=max_triplets, replace=False)
-        triplets = [triplets[t] for t in idx]
-    return max(
-        float(np.abs(blocks[(i, j)] - blocks[(i, z)] @ blocks[(z, j)]).max())
-        for i, z, j in triplets
-    )
-
-
-def test_cycle_check_sampling_matches_triplet_list(rng):
-    for case in range(20):
-        n = int(rng.integers(3, 9))
-        blocks = {
-            (i, j): rng.random((3, 3))  # every triplet violates by a distinct amount
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        }
-        max_triplets = int(rng.integers(1, 40))
-        expected = _cycle_check_from_list(blocks, max_triplets, seed=case)
-        assert cycle_check(blocks, max_triplets=max_triplets, seed=case) == expected

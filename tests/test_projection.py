@@ -178,6 +178,27 @@ def test_project_c_falls_back_when_newton_steps_fail(rng, monkeypatch):
         assert np.abs(out - ref).max() <= 1e-5
 
 
+@pytest.mark.parametrize("seed", [725, 1011])
+def test_project_c_skips_newton_steps_below_rounding(seed, monkeypatch):
+    # the second Newton round of these blocks has a reduced-dual gradient
+    # near 1e-15 and predicts a gain near 1e-22: the block falls back to
+    # coordinate ascent without trying the BACKTRACKS step lengths, so the
+    # row rule runs only 4 times
+    calls = []
+    real = projection._row_step
+
+    def counting(v, mu):
+        calls.append(v.shape[0])
+        return real(v, mu)
+
+    monkeypatch.setattr(projection, "_row_step", counting)
+    v = 3 * np.random.default_rng(seed).standard_normal((3, 3))
+    out = project_onto_C(v, (3,))
+    assert len(calls) == 4
+    assert kkt_residual(v, out, (3,)) <= 1e-6
+    assert feasibility_gap(out, (3,)) <= 1e-6
+
+
 @ROUND_CAP
 def test_project_c_round_budget_on_descriptor_stack(monkeypatch):
     # a projected-gradient trial point of the init descent on a descriptors

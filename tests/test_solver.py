@@ -176,9 +176,10 @@ def test_update_y_fixed_point_when_gradient_zero(rng):
     assert not stalled
 
 
-def test_update_y_small_step_is_plain_gradient_step():
-    # engineered so the gradient has zero column sums: the small step stays
-    # inside the constraint set and the projection must act as identity
+def test_update_y_small_step_is_plain_gradient_step(monkeypatch):
+    # engineered so the gradient has zero column sums: the first step,
+    # 1 / (||y||_2^2 + ||w||_inf), stays inside the constraint set and the
+    # projection must act as identity
     y = np.array([[0.5], [0.3], [0.2]])
     s = float(y[:, 0] @ y[:, 0])
     d = np.array([0.2, 0.6, 0.5])
@@ -186,12 +187,13 @@ def test_update_y_small_step_is_plain_gradient_step():
     w = np.diag(d)
     grad = y @ (y.T @ y) - w @ y
     assert abs(grad.sum()) < 1e-12 and np.abs(grad).max() > 1e-3
-    eta = 1e-3
-    out, _, _ = update_Y(y, np.zeros_like(y), w, 0.0, (3,), eta0=eta, max_inner=1, inner_tol=1e-300)
+    eta = 1.0 / (s + np.abs(d).max())
+    monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
+    out, _, _ = update_Y(y, np.zeros_like(y), w, 0.0, (3,))
     assert np.allclose(out, y - eta * grad, atol=1e-8)
 
 
-def test_update_y_matches_grid_search_on_tiny_instance(rng):
+def test_update_y_matches_grid_search_on_tiny_instance(rng, monkeypatch):
     # two images, two candidates each, one label: C is a product of two
     # 1-simplices, so exhaustive grid search over (y1, y3) is an oracle
     lab = SelectionLabeling([[0], [1]], (2, 2))
@@ -210,7 +212,9 @@ def test_update_y_matches_grid_search_on_tiny_instance(rng):
             val = objective(yv)
             if val < best_val:
                 best_val, best = val, yv
-    out, _, _ = update_Y(y0, np.zeros((4, 1)), w, 0.0, (2, 2), inner_tol=1e-12, max_inner=2000)
+    monkeypatch.setattr(multimatch.solver, "INNER_TOL", 1e-12)
+    monkeypatch.setattr(multimatch.solver, "MAX_INNER", 2000)
+    out, _, _ = update_Y(y0, np.zeros((4, 1)), w, 0.0, (2, 2))
     assert objective_cycle(w, out) <= best_val + 1e-3
 
 
@@ -244,7 +248,9 @@ def test_update_y_with_carried_contraction_matches_fresh(monkeypatch, rho):
     y0 = random_feasible_y(rng, sizes, 4)
     x = random_labeling(rng, sizes, 4).stacked()
     contraction = Contraction(w)
-    y1, _, stalled = update_Y(y0, x, w, rho, sizes, max_inner=2, contraction=contraction)
+    with monkeypatch.context() as patch:
+        patch.setattr(multimatch.solver, "MAX_INNER", 2)
+        y1, _, stalled = update_Y(y0, x, w, rho, sizes, contraction=contraction)
     assert not stalled
     contractions = []
     real = multimatch.solver._cycle
@@ -504,10 +510,11 @@ def test_solve_same_seed_same_result():
     assert a.objective_trace == b.objective_trace
 
 
-def test_solve_reports_init_step_cap():
+def test_solve_reports_init_step_cap(monkeypatch):
+    monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
     planted = generate(6, 5, outliers_per_image=2, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=1)
-    state = solve(planted.instance, SolverConfig(k=5, max_inner=1))
+    state = solve(planted.instance, SolverConfig(k=5))
     assert "max inner steps (1) reached at init" in state.warnings
     assert not state.converged
 
