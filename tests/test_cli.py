@@ -84,9 +84,22 @@ def test_solve_malformed_entry_is_parse_error(tmp_path):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth))
     doc = json.loads(problem.read_text())
-    doc["pairwise"][0]["entries"].append([-1, 0, 1.0])
+    doc["pairwise"][0]["entries"] += [-1, 0, 1.0]
     problem.write_text(json.dumps(doc))
     assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 2
+
+
+def test_solve_rejects_a_version_1_problem(tmp_path, capsys):
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    run(synth_args(problem, truth))
+    doc = json.loads(problem.read_text())
+    for rec in doc["pairwise"]:  # the entries as [row, col, value] triples, as version 1 wrote them
+        flat = rec["entries"]
+        rec["entries"] = [flat[a : a + 3] for a in range(0, len(flat), 3)]
+    problem.write_text(json.dumps({**doc, "format_version": 1}))
+    capsys.readouterr()
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 2
+    assert "unsupported format version 1" in capsys.readouterr().err
 
 
 def test_self_pair_and_repeated_image_id_are_parse_errors(tmp_path):
@@ -97,7 +110,7 @@ def test_self_pair_and_repeated_image_id_are_parse_errors(tmp_path):
     doc = json.loads(problem.read_text())
     bad = tmp_path / "bad.json"
     first = doc["images"][0]["id"]
-    self_pair = {"i": first, "j": first, "entries": [[0, 1, 1.0]]}
+    self_pair = {"i": first, "j": first, "entries": [0, 1, 1.0]}
     bad.write_text(json.dumps({**doc, "pairwise": [self_pair]}))
     assert run(["solve", "--problem", bad, "--out", tmp_path / "x.json"]) == 2
     bad.write_text(json.dumps({**doc, "images": doc["images"] + doc["images"][-1:]}))

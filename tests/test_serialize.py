@@ -6,6 +6,7 @@ import pytest
 
 from multimatch import ParseError, SelectionLabeling, generate
 from multimatch.serialize import (
+    FORMAT_VERSION,
     load_features,
     load_labeling,
     load_problem,
@@ -59,7 +60,7 @@ def test_problem_document_puts_one_record_per_line(planted):
     assert [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"id"')] == doc["images"]
     assert [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"i"')] == doc["pairwise"]
     assert [line for line in lines if not line.startswith('{"')] == [
-        "{", '"format_version": 1,', '"images": [', "],", '"pairwise": [', "],", '"solver_defaults": {"k": 3}', "}",
+        "{", f'"format_version": {FORMAT_VERSION},', '"images": [', "],", '"pairwise": [', "],", '"solver_defaults": {"k": 3}', "}",
     ]
 
 
@@ -82,10 +83,10 @@ def _reference_problem_document(features, scores, defaults):
     pairwise = []
     for i, j in itertools.permutations(range(len(features)), 2):
         block = dense[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
-        entries = [[int(r), int(c), float(block[r, c])] for r, c in zip(*np.nonzero(block))]
+        entries = [x for r, c in zip(*np.nonzero(block)) for x in (int(r), int(c), float(block[r, c]))]
         if entries:
             pairwise.append({"i": features[i].image_id, "j": features[j].image_id, "entries": entries})
-    fields = ['"format_version": 1', listed("images", images), listed("pairwise", pairwise)]
+    fields = [f'"format_version": {FORMAT_VERSION}', listed("images", images), listed("pairwise", pairwise)]
     if defaults:
         order = ("k", "lambda", "r", "rho_schedule", "seed")
         fields.append('"solver_defaults": ' + json.dumps({k: defaults[k] for k in order if k in defaults}))
@@ -171,18 +172,29 @@ def test_trace_is_csv(tmp_path):
 def _two_image_problem(pairwise):
     images = [{"id": "a", "coordinates": [[0, 1, 2], [0, 1, 2]]},
               {"id": "b", "coordinates": [[0, 1, 2], [2, 1, 0]]}]
-    return {"format_version": 1, "images": images, "pairwise": pairwise}
+    return {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
 
 
+OUTSIDE = r"pair \(a, b\): an entry index lies outside the block"
+NOT_TRIPLES = r"a pairwise entry is not a \[row, col, value\] triple"
+
+# (pairwise records, the ParseError each must raise)
 MALFORMED_PAIRWISE = [
-    [{"i": "a", "j": "b", "entries": [[-1, 0, 1.0]]}],  # negative index
-    [{"i": "a", "j": "b", "entries": [[0, 3, 1.0]]}],  # past the block
-    [{"i": "a", "j": "b", "entries": [[1.7, 0, 1.0]]}],  # not an integer
-    [{"i": "a", "j": "b", "entries": [[0, 1, 0.3], [0, 1, 0.9]]}],  # repeated (row, col)
-    [{"i": "a", "j": "b", "entries": [[0, 1, 0.3]]},
-     {"i": "a", "j": "b", "entries": [[1, 1, 0.9]]}],  # pair listed twice
-    [{"i": "a", "j": "b", "entries": [[0, 1], [1, 1, 0.9, 0]]}],  # not triples
-    [{"i": "a", "j": "a", "entries": [[0, 1, 0.5]]}],  # an image paired with itself
+    ([{"i": "a", "j": "b", "entries": [-1, 0, 1.0]}], OUTSIDE),  # negative index
+    ([{"i": "a", "j": "b", "entries": [0, 3, 1.0]}], OUTSIDE),  # past the block
+    ([{"i": "a", "j": "b", "entries": [1.7, 0, 1.0]}], r"pair \(a, b\): an entry index is not an integer"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, 0.3, 0, 1, 0.9]}],
+     r"pair \(a, b\): an entry \(row, col\) is listed twice"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, 0.3]},
+      {"i": "a", "j": "b", "entries": [1, 1, 0.9]}], "an image pair is listed twice"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, 1, 1, 0.9]}], NOT_TRIPLES),
+    ([{"i": "a", "j": "b", "entries": [[0, 1, 0.3]]}], NOT_TRIPLES),  # a triple of the old nested form
+    ([{"i": "a", "j": "b", "entries": [[0, 1, 0.3], [1, 1, 0.9], [2, 0, 1.0]]}],
+     "pairwise entries: expected JSON numbers, found array"),  # three nested triples
+    ([{"i": "a", "j": "b", "entries": ["0", 1, 0.3]}], "pairwise entries: expected JSON numbers, found string"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, True]}], "pairwise entries: expected JSON numbers, found boolean"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, None]}], "pairwise entries: expected JSON numbers, found null"),
+    ([{"i": "a", "j": "a", "entries": [0, 1, 0.5]}], "a record pairs an image with itself"),
 ]
 
 
@@ -194,19 +206,57 @@ def test_load_problem_rejects_bad_documents(tmp_path):
     bad.write_text(json.dumps({"format_version": 99, "images": []}))
     with pytest.raises(ParseError):
         load_problem(bad)
-    bad.write_text(json.dumps({"format_version": 1}))
+    bad.write_text(json.dumps({"format_version": FORMAT_VERSION}))
     with pytest.raises(ParseError):
         load_problem(bad)
     with pytest.raises(ParseError):
         load_problem(tmp_path / "missing.json")
     for images in ([], [{"id": "a", "coordinates": [[0], [0]]}] * 2):  # none, an id twice
-        bad.write_text(json.dumps({"format_version": 1, "images": images}))
+        bad.write_text(json.dumps({"format_version": FORMAT_VERSION, "images": images}))
         with pytest.raises(ParseError):
             load_problem(bad)
-    for pairwise in MALFORMED_PAIRWISE:
+    for pairwise, message in MALFORMED_PAIRWISE:
         bad.write_text(json.dumps(_two_image_problem(pairwise)))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=message):
             load_problem(bad)
+
+
+def test_load_problem_rejects_a_version_1_document(tmp_path):
+    path = tmp_path / "p.json"
+    doc = _two_image_problem([{"i": "a", "j": "b", "entries": [[0, 1, 0.3], [2, 0, 1.0]]}])
+    path.write_text(json.dumps({**doc, "format_version": 1}))
+    with pytest.raises(ParseError, match="unsupported format version 1"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("field, image", [
+    ("coordinates", {"coordinates": [["0", 1], [0, 1]]}),
+    ("coordinates", {"coordinates": [[0, True], [0, 1]]}),
+    ("coordinates", {"coordinates": [[0, 1], [None, 1]]}),
+    ("descriptors", {"coordinates": [[0, 1], [0, 1]], "descriptors": [[1, 0], ["0", 1]]}),
+    ("descriptors", {"coordinates": [[0, 1], [0, 1]], "descriptors": [[1, 0], [False, 1]]}),
+])
+def test_loaders_reject_image_values_that_are_not_numbers(tmp_path, field, image):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "images": [{"id": "a", **image}]}))
+    for load in (load_problem, load_features):
+        with pytest.raises(ParseError, match=f"{field} of image a: expected JSON numbers"):
+            load(path)
+
+
+@pytest.mark.parametrize("defaults, message", [
+    ({"k": 4.7}, "solver default k must be an integer"),
+    ({"k": "4"}, "solver default k must be an integer"),
+    ({"r": True}, "solver default r must be an integer"),
+    ({"seed": 1.0}, "solver default seed must be an integer"),
+    ({"lambda": "0.5"}, "solver default lambda: expected JSON numbers, found string"),
+    ({"rho_schedule": ["1", 10]}, "solver default rho_schedule: expected JSON numbers, found string"),
+])
+def test_load_problem_rejects_solver_defaults_of_the_wrong_type(tmp_path, defaults, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_two_image_problem([]), "solver_defaults": defaults}))
+    with pytest.raises(ParseError, match=message):
+        load_problem(path)
 
 
 def test_load_features_reads_only_image_records(tmp_path, planted):
@@ -217,7 +267,7 @@ def test_load_features_reads_only_image_records(tmp_path, planted):
     assert [f.image_id for f in features] == [f.image_id for f in inst.features]
     for fa, fb in zip(features, inst.features):
         assert np.array_equal(fa.coordinates, fb.coordinates)
-    for pairwise in MALFORMED_PAIRWISE:  # pairwise entries are not parsed
+    for pairwise, _ in MALFORMED_PAIRWISE:  # pairwise entries are not parsed
         path.write_text(json.dumps(_two_image_problem(pairwise)))
         assert [f.image_id for f in load_features(path)] == ["a", "b"]
     bad = tmp_path / "bad.json"
@@ -230,29 +280,30 @@ def test_load_features_reads_only_image_records(tmp_path, planted):
     with pytest.raises(ParseError):
         load_features(bad)
     for images in ([], [{"id": "a", "coordinates": [[0], [0]]}] * 2, [{"id": "a"}]):
-        bad.write_text(json.dumps({"format_version": 1, "images": images}))
+        bad.write_text(json.dumps({"format_version": FORMAT_VERSION, "images": images}))
         with pytest.raises(ParseError):
             load_features(bad)
 
 
 def test_load_features_stops_after_the_image_records(tmp_path):
     images = '[{"id": "a", "coordinates": [[0, 1], [0, 1]]}]'
+    version = f'"format_version": {FORMAT_VERSION}'
     path = tmp_path / "problem.json"
     for text in (
-        '{"format_version": 1, "images": ' + images + ', "pairwise": [not json',
-        ' {\n"images" :' + images + ' ,\t"format_version": 1}  ',
-        '{"format_version": 1, "other": {"images": 0}, "images": ' + images + "}",
+        "{" + version + ', "images": ' + images + ', "pairwise": [not json',
+        ' {\n"images" :' + images + " ,\t" + version + "}  ",
+        "{" + version + ', "other": {"images": 0}, "images": ' + images + "}",
     ):
         path.write_text(text)
         assert [f.image_id for f in load_features(path)] == ["a"]
         assert load_features(path)[0].coordinates.tolist() == [[0, 1], [0, 1]]
     for text in (
-        '{"format_version": 1, "images": [{"id": "a", "coordinates": [[0, 1], [0 1]]}]}',
-        '{"format_version": 1 "images": ' + images + "}",
-        '{"format_version": 1, 2: ' + images + "}",
-        '{"format_version": 1, "pairwise": []}',
-        '{"format_version": 1} trailing',
-        '{"format_version": 1,',
+        "{" + version + ', "images": [{"id": "a", "coordinates": [[0, 1], [0 1]]}]}',
+        "{" + version + ' "images": ' + images + "}",
+        "{" + version + ", 2: " + images + "}",
+        "{" + version + ', "pairwise": []}',
+        "{" + version + "} trailing",
+        "{" + version + ",",
         "[1, 2]",
         "",
     ):
@@ -264,8 +315,8 @@ def test_load_features_stops_after_the_image_records(tmp_path):
 def test_load_problem_keeps_both_directions_of_a_pair(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(_two_image_problem([
-        {"i": "a", "j": "b", "entries": [[0, 1, 0.3], [2, 0, 1.0]]},
-        {"i": "b", "j": "a", "entries": [[1, 0, 0.5]]},
+        {"i": "a", "j": "b", "entries": [0, 1, 0.3, 2, 0, 1.0]},
+        {"i": "b", "j": "a", "entries": [1, 0, 0.5]},
     ])))
     _, scores, _ = load_problem(path)
     assert np.array_equal(scores.blocks[(0, 1)], [[0, 0.3, 0], [0, 0, 0], [1.0, 0, 0]])
@@ -274,20 +325,21 @@ def test_load_problem_keeps_both_directions_of_a_pair(tmp_path):
 
 def test_load_labeling_rejects_empty_images(tmp_path):
     path = tmp_path / "lab.json"
-    path.write_text(json.dumps({"format_version": 1, "k": 2, "images": []}))
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "k": 2, "images": []}))
     with pytest.raises(ParseError):
         load_labeling(path)
 
 
 def _pairs_doc(pairs_per_image, **extra):
     images = [{"id": f"i{t}", "p": 3, "pairs": pairs} for t, pairs in enumerate(pairs_per_image)]
-    return json.dumps({"format_version": 1, **extra, "images": images})
+    return json.dumps({"format_version": FORMAT_VERSION, **extra, "images": images})
 
 
 def test_sidecars_reject_malformed_pairs(tmp_path):
     path = tmp_path / "doc.json"
     bad_pairs = ([[-1, 0], [0, 1]], [[3, 0], [0, 1]], [[0.5, 0], [1, 1]],  # candidate index
-                 [[0, 0], [0, 1]], [[0, 0.7], [1, 1]], [[0, 0], [1, 1], [2, -5]])  # repeat, label
+                 [[0, 0], [0, 1]], [[0, 0.7], [1, 1]], [[0, 0], [1, 1], [2, -5]],  # repeat, label
+                 [["0", 0], [1, 1]], [[True, 0], [1, 1]], [[0, None], [1, 1]])  # not numbers
     for bad in bad_pairs:
         path.write_text(_pairs_doc([[[0, 0], [1, 1]], bad], k=2))
         with pytest.raises(ParseError):
@@ -295,6 +347,25 @@ def test_sidecars_reject_malformed_pairs(tmp_path):
         path.write_text(_pairs_doc([[[0, 0], [1, 1]], bad], universe_size=2))
         with pytest.raises(ParseError):
             load_truth(path)
+
+
+def test_sidecars_put_one_image_record_per_line(tmp_path, rng):
+    from conftest import random_labeling
+
+    truth, lab = tmp_path / "truth.json", tmp_path / "lab.json"
+    save_truth(truth, [np.array([1, -1, 0]), np.array([-1, 0])], ["x", "y"], 2)
+    save_labeling(lab, random_labeling(rng, [4, 5], 3), ["x", "y"])
+    assert json.loads(truth.read_text()) == {
+        "format_version": FORMAT_VERSION, "universe_size": 2, "images": [
+            {"id": "x", "p": 3, "pairs": [[0, 1], [1, -1], [2, 0]]},
+            {"id": "y", "p": 2, "pairs": [[0, -1], [1, 0]]},
+        ],
+    }
+    for path in (truth, lab):
+        text = path.read_text()
+        lines = text.splitlines()
+        records = [json.loads(line.rstrip(",")) for line in lines if line.startswith('{"id"')]
+        assert records == json.loads(text)["images"] and len(records) == 2
 
 
 def test_load_labeling_rejects_invalid_labeling(tmp_path):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multimatch import ParseError, SolverConfig, validate_instance
-from multimatch.serialize import load_labeling, load_problem, load_truth
+from multimatch.serialize import FORMAT_VERSION, load_labeling, load_problem, load_truth
 from conftest import dense_merge_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -23,12 +23,14 @@ IDS = ("a", "b", "c")
 
 @st.composite
 def problem_documents(draw):
-    """Two- or three-image documents, about one in four of them malformed.
+    """Two- or three-image documents, about a third of them malformed.
 
-    Records cover distinct image pairs in either orientation and entries
-    distinct cells, some indices written as floats (1.0, -0.0).  Flaws
-    drawn one in twelve each: a self-pair record, a pair listed twice, a
-    repeated entry, and a negative, fractional or past-the-block index.
+    Records cover distinct image pairs in either orientation, and each
+    record's flat run of (row, col, value) entries covers distinct cells,
+    some indices written as floats (1.0, -0.0).  Flaws drawn one in twelve
+    each: a self-pair record, a pair listed twice, a repeated entry, a
+    negative, fractional or past-the-block index, a run cut short of a
+    whole entry, and a string or boolean in place of a number.
     """
     n = draw(st.integers(2, 3))
     sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -50,15 +52,21 @@ def problem_documents(draw):
     for i, j in keys:
         cells = [(r, c) for r in range(sizes[i]) for c in range(sizes[j])]
         entries = [
-            [draw(st.sampled_from([r, float(r)] if r else [0, -0.0])), c, draw(st.floats(0.0, 1.0))]
+            x
             for r, c in draw(st.lists(st.sampled_from(cells), unique=True, max_size=3))
+            for x in (draw(st.sampled_from([r, float(r)] if r else [0, -0.0])), c, draw(st.floats(0.0, 1.0)))
         ]
         if entries and flaw():
-            entries.append(list(entries[0]))
+            entries += entries[:3]
         if flaw():
-            entries.append([draw(st.sampled_from([-1, sizes[i], 0.5])), 0, 1.0])
+            entries += [draw(st.sampled_from([-1, sizes[i], 0.5])), 0, 1.0]
+        if flaw():
+            entries += [0, 0, 1.0][: draw(st.integers(1, 2))]
+        if entries and flaw():
+            at = draw(st.integers(0, len(entries) - 1))
+            entries[at] = draw(st.sampled_from([str(entries[at]), True, False]))
         pairwise.append({"i": IDS[i], "j": IDS[j], "entries": entries})
-    return {"format_version": 1, "images": images, "pairwise": pairwise}, sizes
+    return {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}, sizes
 
 
 def entry_oracle(doc, sizes):
@@ -71,7 +79,10 @@ def entry_oracle(doc, sizes):
         if i == j or (i, j) in seen:
             return None
         seen.add((i, j))
-        for r, c, v in rec["entries"]:
+        run = rec["entries"]
+        if len(run) % 3 or not all(type(x) in (int, float) for x in run):
+            return None
+        for r, c, v in zip(run[0::3], run[1::3], run[2::3]):
             if r != int(r) or c != int(c) or not (0 <= r < sizes[i] and 0 <= c < sizes[j]):
                 return None
             r, c = int(r), int(c)
@@ -109,7 +120,8 @@ def _bad_size(draw, value):
 
 SIDECAR_FLAWS = (
     "p_type", "size_type", "size_bool", "p_negative", "few_candidates", "label_redrawn",
-    "candidate_repeated", "candidate_invalid", "label_below_minus_one", "id_repeated", "no_images",
+    "candidate_repeated", "candidate_invalid", "label_below_minus_one", "pair_type", "id_repeated",
+    "no_images",
 )
 
 
@@ -124,8 +136,9 @@ def sidecar_documents(draw):
     negative ``p``, too few
     candidates to carry every label, a label redrawn from [-1, size] (so
     it may repeat or pass the size), a repeated, fractional, negative or
-    past-the-image candidate, a label below -1, a repeated image id or an
-    empty image list.  Some flaws leave a valid document, such as missing
+    past-the-image candidate, a label below -1, a candidate or label
+    written as a string or boolean, a repeated image id or an empty image
+    list.  Some flaws leave a valid document, such as missing
     labels in a ground truth.
     """
     kind = draw(st.sampled_from(["labeling", "truth"]))
@@ -154,6 +167,10 @@ def sidecar_documents(draw):
         pairs.append([draw(st.sampled_from([-1, image["p"], 0.5])), -1])
     elif flaw == "label_below_minus_one" and pairs:
         pairs[0][1] = -2
+    elif flaw == "pair_type" and pairs:
+        pair = draw(st.sampled_from(pairs))
+        at = draw(st.integers(0, 1))
+        pair[at] = draw(st.sampled_from([str(pair[at]), True, False]))
     elif flaw == "id_repeated":
         images[-1]["id"] = IDS[0]
     elif flaw == "no_images":
@@ -163,7 +180,7 @@ def sidecar_documents(draw):
         size = _bad_size(draw, size)
     elif flaw == "size_bool":
         size = bool(size)
-    doc = {"format_version": 1, key: size, "images": images}
+    doc = {"format_version": FORMAT_VERSION, key: size, "images": images}
     return kind, doc
 
 
@@ -182,6 +199,8 @@ def sidecar_oracle(kind, doc):
     for rec in images:
         p = rec["p"]
         if not _is_int(p) or p < 0:
+            return None
+        if not all(type(x) in (int, float) for pair in rec["pairs"] for x in pair):
             return None
         lab = np.full(p, -1)
         cands = [c for c, _ in rec["pairs"]]
