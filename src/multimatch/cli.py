@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import metrics, serialize
@@ -24,14 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_SOLVER_WARNING = 3
-
-# the problem file's solver defaults, named as in the file; values from SolverConfig
-BUILTIN_DEFAULTS = {
-    "lambda": SolverConfig.lam,
-    "r": SolverConfig.r,
-    "rho_schedule": SolverConfig.rho_schedule,
-    "seed": SolverConfig.seed,
-}
 
 
 def main(argv=None) -> int:
@@ -72,11 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--problem", required=True)
     slv.add_argument("--out", default="labeling.json", help="labeling output path")
     slv.add_argument("--trace", default=None, help="trace CSV path (default: <out>.trace.csv)")
-    slv.add_argument("--k", type=int, default=None, help="selected features per image")
-    slv.add_argument("--lambda", dest="lam", type=float, default=None, help="geometric weight")
-    slv.add_argument("--r", type=int, default=None, help="rank bound of the geometric fit")
-    slv.add_argument("--rho", default=None, help="comma-separated coupling schedule")
-    slv.add_argument("--seed", type=int, default=None)
+    # dests are SolverConfig fields; a flag left out is None and falls back
+    # to the problem file's solver_defaults, then to SolverConfig's defaults
+    slv.add_argument("--k", type=int, help="selected features per image")
+    slv.add_argument("--lambda", dest="lam", type=float, help="geometric weight")
+    slv.add_argument("--r", type=int, help="rank bound of the geometric fit")
+    slv.add_argument("--rho", dest="rho_schedule", type=_floats, help="comma-separated coupling schedule")
+    slv.add_argument("--seed", type=int)
     slv.set_defaults(func=_cmd_solve)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")
@@ -103,11 +98,8 @@ def _cmd_synth(args) -> int:
         match_corruption_rate=args.corrupt,
         seed=args.seed,
     )
-    defaults = dict(BUILTIN_DEFAULTS)
-    defaults["k"] = planted.universe_size
-    defaults["rho_schedule"] = list(defaults["rho_schedule"])
     instance = planted.instance
-    serialize.save_problem(args.out, instance.features, instance.scores, defaults)
+    serialize.save_problem(args.out, instance.features, instance.scores, {"k": planted.universe_size})
     truth_path = args.truth_out or _with_suffix(args.out, ".truth.json")
     serialize.save_truth(
         truth_path,
@@ -120,27 +112,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    features, scores, file_defaults = serialize.load_problem(args.problem)
-    merged = {**BUILTIN_DEFAULTS, **file_defaults}
-    if args.k is not None:
-        merged["k"] = args.k
-    if args.lam is not None:
-        merged["lambda"] = args.lam
-    if args.r is not None:
-        merged["r"] = args.r
-    if args.rho is not None:
-        merged["rho_schedule"] = tuple(float(v) for v in args.rho.split(","))
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if merged.get("k") is None:
+    features, scores, file_settings = serialize.load_problem(args.problem)
+    flags = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if getattr(args, f.name) is not None}
+    settings = {**file_settings, **flags}
+    if "k" not in settings:
         raise MatchingError("k is required (flag --k or solver_defaults in the problem file)")
-    config = SolverConfig(
-        k=int(merged["k"]),
-        r=int(merged["r"]),
-        lam=float(merged["lambda"]),
-        rho_schedule=tuple(merged["rho_schedule"]),
-        seed=int(merged["seed"]),
-    )
+    config = SolverConfig(**settings)
     instance = validate_instance(features, scores, config)
     state = solve(instance, config)
     serialize.save_labeling(args.out, state.labeling, [f.image_id for f in features])
@@ -201,6 +178,10 @@ def _align(ids, values, wanted_ids, what):
 
 def _aligned_coords(features, wanted_ids):
     return _align([f.image_id for f in features], [f.coordinates for f in features], wanted_ids, "problem")
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _with_suffix(path, suffix: str) -> str:

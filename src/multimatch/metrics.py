@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MatchingError
 from .model import BlockLayout, PairwiseScores, SelectionLabeling
 
 STRONG_SCORE = 0.5  # an input score entry at least this high counts as a predicted pair
@@ -164,7 +165,9 @@ class RankDiagnostic:
 
 
 def rank_diagnostic(m_tilde: np.ndarray, r: int) -> RankDiagnostic:
-    """Singular values of a measurement matrix and their rank-r tail ratio."""
+    """Singular values of a measurement matrix and their rank-r tail ratio, for r >= 1."""
+    if r < 1:
+        raise MatchingError("rank bound must be at least 1")
     s = np.linalg.svd(np.asarray(m_tilde, dtype=float), compute_uv=False)
     total = float((s**2).sum())
     tail = float((s[r:] ** 2).sum())

@@ -14,6 +14,8 @@ the relaxation are derived from that table.
 from __future__ import annotations
 
 import itertools
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,7 +268,9 @@ class SolverConfig:
     increasing sequence of coupling weights, and ``seed`` the seed of the
     Gaussian start block of the spectral start's eigensolver.  Step
     control, stopping tolerances and iteration caps are constants of the
-    solver module.
+    solver module.  Raises :class:`MatchingError` unless ``k``, ``r`` and
+    ``seed`` are integers (not booleans), ``lam`` and every rho are finite
+    real numbers, and each lies in its range; values are never cast.
     """
 
     k: int
@@ -276,13 +280,22 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.k = int(self.k)
-        self.r = int(self.r)
-        self.rho_schedule = tuple(float(r) for r in self.rho_schedule)
+        for name in ("k", "r", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise MatchingError(f"{name} must be an integer, got {value!r}")
+        self.rho_schedule = tuple(self.rho_schedule)
+        for what, value in [("geometric weight", self.lam), *(("rho", r) for r in self.rho_schedule)]:
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            # the bound fails for NaN, infinities and integers too large for a float
+            if not (real and abs(value) <= sys.float_info.max):
+                raise MatchingError(f"{what} must be a finite number, got {value!r}")
         if self.k < 1:
             raise InfeasibleK("k must be at least 1")
         if self.r < 1:
             raise MatchingError("rank bound must be at least 1")
+        if self.seed < 0:
+            raise MatchingError("seed must be nonnegative")
         if self.lam < 0:
             raise MatchingError("geometric weight must be nonnegative")
         if not self.rho_schedule or min(self.rho_schedule) <= 0:

@@ -2,23 +2,18 @@
 
 Problems are single JSON documents: a format version (2), per-image
 records (id, coordinates as two rows, optional descriptors), pairwise
-records keyed by image ids, and optional solver defaults. A pairwise
-record holds its sparse entries as one flat run of numbers,
-``[row, col, value, row, col, value, ...]``: the sparse encoding keeps
-linear-matching blocks compact, and a flat run decodes into one Python
-list per image pair, where version 1's ``[row, col, value]`` triples made
-one list per entry. On a 200-image benchmark problem (19,900 image
-pairs, 159,200 entries) that takes the file from 3.1 to 2.8 MB, its write
-from 0.40 to 0.26 s and its read from 0.31 to 0.18 s (medians of four
-traced benchmark runs, Python 3.11 on a shared 2-core Xeon). The writer
-puts every image record and every pairwise record on a line of its own,
-in compact JSON: diffs stay line by line, the file carries no
-indentation, and the dump runs in the C JSON encoder. Ground truth and
-labeling sidecars share one shape, written the same way: per image,
-(candidate index, label) pairs with -1 marking outliers. Every value the
-readers turn into a number must be a JSON number; a string, boolean or
-null raises :class:`ParseError`. Objective traces are CSV, one line per
-recorded sweep.
+records keyed by image ids, and optional solver defaults (the
+:class:`SolverConfig` settings, with ``lam`` spelled ``lambda``). A
+pairwise record holds its sparse entries as one flat run of numbers,
+``[row, col, value, row, col, value, ...]``, so each image pair decodes
+into one Python list. The writer puts every image record and every
+pairwise record on a line of its own, in compact JSON: diffs stay line
+by line, the file carries no indentation, and the dump runs in the C
+JSON encoder. Ground truth and labeling sidecars share one shape,
+written the same way: per image, (candidate index, label) pairs with -1
+marking outliers. Every value the readers turn into a number must be a
+JSON number; a string, boolean or null raises :class:`ParseError`.
+Objective traces are CSV, one line per recorded sweep.
 """
 
 from __future__ import annotations
@@ -37,15 +32,19 @@ from .solver import TraceRecord
 
 FORMAT_VERSION = 2
 
-_DEFAULT_KEYS = ("k", "lambda", "r", "rho_schedule", "seed")
+# the problem file's solver defaults, in the order written: file key -> SolverConfig field
+_SETTINGS = {"k": "k", "lambda": "lam", "r": "r", "rho_schedule": "rho_schedule", "seed": "seed"}
 
 
 def problem_document(
     features: list[FeatureSet],
     scores: PairwiseScores,
-    defaults: dict | None = None,
+    settings: dict | None = None,
 ) -> str:
-    """Render a problem as canonical JSON text (deterministic ordering)."""
+    """Render a problem as canonical JSON text (deterministic ordering).
+
+    ``settings`` are solver defaults keyed by :class:`SolverConfig` field name.
+    """
     images = []
     for f in features:
         rec = {"id": f.image_id, "coordinates": f.coordinates.tolist()}
@@ -68,11 +67,11 @@ def problem_document(
         for a, b in zip(bounds, bounds[1:])
     ]
     doc = {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
-    if defaults:
-        unknown = set(defaults) - set(_DEFAULT_KEYS)
+    if settings:
+        unknown = set(settings) - set(_SETTINGS.values())
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
-        doc["solver_defaults"] = {k: defaults[k] for k in _DEFAULT_KEYS if k in defaults}
+        doc["solver_defaults"] = {key: settings[name] for key, name in _SETTINGS.items() if name in settings}
     return _record_lines(doc)
 
 
@@ -93,15 +92,17 @@ def _record_lines(doc: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
-def save_problem(path, features, scores, defaults: dict | None = None) -> None:
-    Path(path).write_text(problem_document(features, scores, defaults))
+def save_problem(path, features, scores, settings: dict | None = None) -> None:
+    Path(path).write_text(problem_document(features, scores, settings))
 
 
 def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
-    """Parse a problem document into features, raw scores, and defaults.
+    """Parse a problem document into features, raw scores, and solver defaults.
 
-    Solver defaults ``k``, ``r`` and ``seed`` must be JSON integers, and
-    ``lambda`` and ``rho_schedule`` JSON numbers.
+    The solver defaults come back keyed by :class:`SolverConfig` field name.
+    An unknown key raises :class:`ParseError`, as does a ``k``, ``r`` or
+    ``seed`` that is not a JSON integer and a ``lambda`` or
+    ``rho_schedule`` that is not JSON numbers.
     """
     doc = _load_json(path)
     try:
@@ -110,6 +111,9 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
         layout = BlockLayout(tuple(f.p for f in features))
         scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout.sizes)
         defaults = dict(doc.get("solver_defaults", {}))
+        unknown = set(defaults) - set(_SETTINGS)
+        if unknown:
+            raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
         for key in ("k", "r", "seed"):
             if key in defaults:
                 _json_int(defaults[key], f"solver default {key}")
@@ -117,8 +121,7 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
             _check_numbers([defaults["lambda"]], "solver default lambda")
         if "rho_schedule" in defaults:
             _check_numbers(defaults["rho_schedule"], "solver default rho_schedule")
-            defaults["rho_schedule"] = tuple(float(r) for r in defaults["rho_schedule"])
-        return features, scores, defaults
+        return features, scores, {_SETTINGS[key]: value for key, value in defaults.items()}
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed problem document ({exc})") from exc
 

@@ -100,9 +100,7 @@ class SolverState:
     y: np.ndarray
     labeling: SelectionLabeling
     measurement: MeasurementEstimate
-    rho: float
     objective_trace: list[TraceRecord]
-    layout: BlockLayout
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -441,8 +439,7 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
 
 def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
-    layout = instance.layout
-    sizes = layout.sizes
+    sizes = instance.layout.sizes
     if config.k > min(sizes):
         raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(sizes)}")
     w = assemble_block(instance.scores)
@@ -485,9 +482,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         measurement=MeasurementEstimate(
             assemble_measurements(x, instance.coordinates), denormalize_fit(z, transforms)
         ),
-        rho=float(rho),
         objective_trace=trace,
-        layout=layout,
         warnings=warnings_list,
     )
 

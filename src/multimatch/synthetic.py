@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, MatchingError
 from .model import (
     FeatureSet,
     PairwiseScores,
@@ -86,13 +86,13 @@ def generate(
     column candidates plus their own.
     """
     if n < 2:
-        raise ValueError("need at least two images")
+        raise MatchingError("need at least two images")
     if u < 1:
-        raise ValueError("need at least one scene point")
+        raise MatchingError("need at least one scene point")
     if outliers_per_image < 0 or coord_noise_sigma < 0:
-        raise ValueError("outlier count and noise sigma must be nonnegative")
+        raise MatchingError("outlier count and noise sigma must be nonnegative")
     if not 0.0 <= match_corruption_rate <= 1.0:
-        raise ValueError("corruption rate must lie in [0, 1]")
+        raise MatchingError("corruption rate must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
     scene = rng.uniform(0.0, 1.0, size=(3, u))

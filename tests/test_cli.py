@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import multimatch
 from multimatch import pair_stats, recall
@@ -237,3 +238,43 @@ def test_solve_without_flags_uses_solver_config_defaults(tmp_path):
     expected = multimatch.solve(multimatch.validate_instance(features, scores, config), config)
     _, lab = load_labeling(labeling)
     assert np.array_equal(lab.index, expected.labeling.index)
+
+
+@pytest.fixture(scope="module")
+def solved(tmp_path_factory):
+    """A synthesized problem, its ground truth and a labeling solved from it."""
+    d = tmp_path_factory.mktemp("solved")
+    problem, truth, labeling = d / "p.json", d / "t.json", d / "lab.json"
+    assert run(synth_args(problem, truth, seed=2)) == 0
+    assert run(["solve", "--problem", problem, "--out", labeling]) == 0
+    return problem, truth, labeling
+
+
+def _with_solver_defaults(problem, settings, out):
+    doc = json.loads(problem.read_text())
+    out.write_text(json.dumps({**doc, "solver_defaults": settings}))
+    return out
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (lambda p, t, l, d: ["solve", "--problem", p, "--rho", "1,,2"], 1, "argument --rho"),
+    (lambda p, t, l, d: ["solve", "--problem", p, "--seed", -1], 2, "seed must be nonnegative"),
+    (lambda p, t, l, d: ["solve", "--problem", p, "--lambda", "nan"], 2, "geometric weight must be a finite number"),
+    (lambda p, t, l, d: ["solve", "--problem", _with_solver_defaults(p, {"k": 5, "lambda": float("nan")}, d / "nan.json")],
+     2, "geometric weight must be a finite number"),
+    (lambda p, t, l, d: ["solve", "--problem", _with_solver_defaults(p, {"k": 5, "lamda": 0.0}, d / "typo.json")],
+     2, "unknown solver defaults: ['lamda']"),
+    (lambda p, t, l, d: ["synth", "--n", 1, "--universe", 3, "--out", d / "bad.json"], 2, "need at least two images"),
+    (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--problem", p, "--rank", 0],
+     2, "rank bound must be at least 1"),
+], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "eval-rank"])
+def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, argv, code, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected input reached the solver")
+
+    monkeypatch.setattr(multimatch.cli, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)  # default output paths land here
+    problem, truth, labeling = solved
+    capsys.readouterr()
+    assert run(argv(problem, truth, labeling, tmp_path)) == code
+    assert message in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from multimatch import (
+    MatchingError,
     SelectionLabeling,
     cycle_check,
     generate,
@@ -208,3 +209,9 @@ def test_rank_diagnostic_zero_matrix_convention():
     diag = rank_diagnostic(np.zeros((6, 4)), 4)
     assert diag.tail_energy_ratio == 0.0
     assert (diag.singular_values == 0).all()
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_rank_diagnostic_rejects_a_rank_below_one(r):
+    with pytest.raises(MatchingError, match="rank bound must be at least 1"):
+        rank_diagnostic(np.ones((6, 4)), r)

@@ -314,3 +314,18 @@ def test_solver_config_validation():
         SolverConfig(k=2, lam=-0.5)
     cfg = SolverConfig(k=2)
     assert cfg.lam == 1.0 and cfg.r == 4 and cfg.rho_schedule == (1.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("settings", [
+    {"k": 4.7}, {"k": True}, {"k": "3"}, {"k": 3, "r": 2.9}, {"k": 3, "seed": -1},
+    {"k": 3, "seed": 1.5}, {"k": 3, "lam": np.nan}, {"k": 3, "lam": np.inf}, {"k": 3, "lam": True},
+    {"k": 3, "rho_schedule": (np.nan,)}, {"k": 3, "rho_schedule": (1.0, np.inf)}, {"k": 3, "lam": 10**400},
+])
+def test_solver_config_rejects_instead_of_casting(settings):
+    with pytest.raises(MatchingError):
+        SolverConfig(**settings)
+
+
+def test_solver_config_keeps_numpy_numbers_as_given():
+    cfg = SolverConfig(k=np.int64(3), r=np.int32(2), lam=np.float64(0.5), rho_schedule=[1, 10], seed=np.uint8(7))
+    assert (cfg.k, cfg.r, cfg.lam, cfg.rho_schedule, cfg.seed) == (3, 2, 0.5, (1, 10), 7)

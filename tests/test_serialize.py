@@ -29,7 +29,7 @@ def planted():
 def test_problem_roundtrip_identical_instance(tmp_path, planted):
     path = tmp_path / "problem.json"
     inst = planted.instance
-    save_problem(path, inst.features, inst.scores, {"k": 3, "lambda": 1.0})
+    save_problem(path, inst.features, inst.scores, {"k": 3, "lam": 1.0})
     features, scores, defaults = load_problem(path)
     assert [f.image_id for f in features] == [f.image_id for f in inst.features]
     for fa, fb in zip(features, inst.features):
@@ -37,7 +37,8 @@ def test_problem_roundtrip_identical_instance(tmp_path, planted):
     for (i, j), blk in inst.scores.blocks.items():
         if i != j:
             assert np.array_equal(scores.blocks[(i, j)], blk)
-    assert defaults == {"k": 3, "lambda": 1.0}
+    assert defaults == {"k": 3, "lam": 1.0}
+    assert '"solver_defaults": {"k": 3, "lambda": 1.0}' in path.read_text()
     # serialize -> parse -> serialize is a fixed point
     text1 = problem_document(features, scores, defaults)
     features2, scores2, defaults2 = load_problem(path)
@@ -64,8 +65,11 @@ def test_problem_document_puts_one_record_per_line(planted):
     ]
 
 
-def _reference_problem_document(features, scores, defaults):
-    """The problem document rendered entry by entry, as the format describes it."""
+def _reference_problem_document(features, scores, settings):
+    """The problem document rendered entry by entry, as the format describes it.
+
+    ``settings`` are keyed by SolverConfig field name; the file spells ``lam`` ``lambda``.
+    """
 
     def listed(name, records):
         if not records:
@@ -87,9 +91,9 @@ def _reference_problem_document(features, scores, defaults):
         if entries:
             pairwise.append({"i": features[i].image_id, "j": features[j].image_id, "entries": entries})
     fields = [f'"format_version": {FORMAT_VERSION}', listed("images", images), listed("pairwise", pairwise)]
-    if defaults:
-        order = ("k", "lambda", "r", "rho_schedule", "seed")
-        fields.append('"solver_defaults": ' + json.dumps({k: defaults[k] for k in order if k in defaults}))
+    if settings:
+        keys = {"k": "k", "lam": "lambda", "r": "r", "rho_schedule": "rho_schedule", "seed": "seed"}
+        fields.append('"solver_defaults": ' + json.dumps({keys[name]: settings[name] for name in keys if name in settings}))
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
@@ -110,7 +114,7 @@ def test_problem_document_matches_entry_by_entry_rendering(rng):
         block = rng.random((sizes[i], sizes[j])) * (rng.random((sizes[i], sizes[j])) < 0.6)
         block[0, 0] = 0.1 + 0.2  # a value whose shortest repr has 17 digits
         blocks[(i, j)] = block
-    defaults = {"seed": 3, "rho_schedule": [1.0, 10.0], "k": 1, "lambda": 0.5}
+    defaults = {"seed": 3, "rho_schedule": [1.0, 10.0], "k": 1, "lam": 0.5}
     for blocks_kept, defaults_kept in ((blocks, defaults), ({}, {})):
         scores = scores_from_blocks(blocks_kept, sizes)
         expected = _reference_problem_document(features, scores, defaults_kept)
@@ -257,6 +261,16 @@ def test_load_problem_rejects_solver_defaults_of_the_wrong_type(tmp_path, defaul
     path.write_text(json.dumps({**_two_image_problem([]), "solver_defaults": defaults}))
     with pytest.raises(ParseError, match=message):
         load_problem(path)
+
+
+def test_solver_defaults_reject_unknown_keys(tmp_path, planted):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_two_image_problem([]), "solver_defaults": {"k": 2, "lamda": 0.0}}))
+    with pytest.raises(ParseError, match=r"unknown solver defaults: \['lamda'\]"):
+        load_problem(path)
+    inst = planted.instance
+    with pytest.raises(ParseError, match=r"unknown solver defaults: \['lambda'\]"):
+        problem_document(inst.features, inst.scores, {"k": 2, "lambda": 0.0})
 
 
 def test_load_features_reads_only_image_records(tmp_path, planted):
