@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 parse or validation error,
 3 solved with warnings (a continuation stage hit its sweep limit, a line
-search stalled, the start's descent used all its inner steps, or a
-projection stopped at its round cap).
+search stalled, a Y update used all its inner steps, or a projection
+stopped at its round cap).
 All commands are deterministic given identical inputs and seeds.
 """
 

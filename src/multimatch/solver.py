@@ -18,6 +18,13 @@ per-image centered frame of mean norm sqrt(2) so that the geometric weight
 acts on the same scale as the score residual; the fit is mapped back to
 the input frame on the final state.
 
+The cycle term 0.25 ||W - Y Y^T||_F^2 has one owner, :class:`Contraction`:
+its value, its gradient (Y Y^T - W) Y and the bound that sets the first
+trial step all contract through W Y and the k x k Gram matrix Y^T Y,
+kept for the last iterate evaluated.  Every function that takes the
+score matrix ``w`` also takes its contraction; a solve builds one and
+passes it everywhere, so W is contracted once per iterate.
+
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
 top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
 pivoted QR of U^T, turn that basis into the start point U U_S^{-1}, which
@@ -108,46 +115,50 @@ class SolverState:
         return not self.warnings
 
 
-def _frob2(w) -> float:
-    if sp.issparse(w):
-        return float((w.data**2).sum())
-    return float((np.asarray(w) ** 2).sum())
-
-
-def _inf_norm(w) -> float:
-    """Maximum absolute row sum."""
-    return float(abs(w).sum(axis=1).max())
-
-
-def _cycle(w, y: np.ndarray, wsq: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cycle term at y given ||w||_F^2, plus the w @ y and y^T y it contracts through."""
-    wy = w @ y
-    gram = y.T @ y
-    return 0.25 * (wsq - 2.0 * float(np.vdot(y, wy)) + float((gram * gram).sum())), wy, gram
-
-
 class Contraction:
-    """The fixed norms of w, and its contraction with the last iterate evaluated.
+    """The cycle term 0.25 ||w - y y^T||_F^2 of one score matrix w.
 
-    ``at(y)`` returns the cycle term at y with the w @ y and y^T y it
-    contracts through, and keeps them for y: the trace record after an
+    ``value(y)``, ``gradient(y)`` = (y y^T - w) y and ``step_bound(y)`` =
+    ||y||_2^2 + ||w||_inf all read w @ y and y^T y from one slot that holds
+    them for the last iterate evaluated: the trace record after an
     ``update_Y`` call and the next call's starting point evaluate the y
-    that call returned, which it has evaluated already.  The one slot is
-    keyed on the array's identity, so an evaluated iterate must not be
-    modified in place.
+    that call returned, which it has evaluated already.  The slot is keyed
+    on the array's identity, so an evaluated iterate must not be modified
+    in place.  ||w||_F^2 is computed on construction and ||w||_inf on the
+    first step bound.
     """
 
     def __init__(self, w):
         self.w = w
-        self.wsq = _frob2(w)
-        self.inf_norm = _inf_norm(w)
-        self._y = None
-        self._value = None
+        self.wsq = float((w.data**2).sum()) if sp.issparse(w) else float((np.asarray(w) ** 2).sum())
+        self._w_inf = None
+        self._y = self._wy = self._gram = None
 
-    def at(self, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    @classmethod
+    def of(cls, w) -> Contraction:
+        """w itself when it is a contraction, else a new contraction of the matrix w."""
+        return w if isinstance(w, cls) else cls(w)
+
+    def _contract(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if y is not self._y:
-            self._y, self._value = y, _cycle(self.w, y, self.wsq)
-        return self._value
+            self._y, self._wy, self._gram = y, self.w @ y, y.T @ y
+        return self._wy, self._gram
+
+    def value(self, y: np.ndarray) -> float:
+        wy, gram = self._contract(y)
+        return 0.25 * (self.wsq - 2.0 * float(np.vdot(y, wy)) + float((gram * gram).sum()))
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """A new array, which the caller may update in place."""
+        wy, gram = self._contract(y)
+        return y @ gram - wy
+
+    def step_bound(self, y: np.ndarray) -> float:
+        """||y||_2^2 + ||w||_inf, the curvature scale that sets the first trial step."""
+        if self._w_inf is None:
+            self._w_inf = float(abs(self.w).sum(axis=1).max())  # maximum absolute row sum
+        gram = self._contract(y)[1]
+        return (float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0) + self._w_inf
 
 
 def _coupling(y: np.ndarray, xs: np.ndarray, rho: float) -> float:
@@ -160,10 +171,11 @@ def _coupling(y: np.ndarray, xs: np.ndarray, rho: float) -> float:
 def objective_cycle(w, y: np.ndarray) -> float:
     """Quarter squared Frobenius mismatch between the scores and y y^T.
 
-    Evaluated without forming the m x m product: the cross term contracts
-    through w @ y and the quartic term through the k x k Gram matrix.
+    ``w`` is the score matrix or its :class:`Contraction`.  Evaluated
+    without forming the m x m product: the cross term contracts through
+    w @ y and the quartic term through the k x k Gram matrix.
     """
-    return _cycle(w, np.asarray(y, dtype=float), _frob2(w))[0]
+    return Contraction.of(w).value(np.asarray(y, dtype=float))
 
 
 def objective_geo(x: SelectionLabeling, z: np.ndarray, coords: list[np.ndarray]) -> float:
@@ -175,19 +187,16 @@ def objective_geo(x: SelectionLabeling, z: np.ndarray, coords: list[np.ndarray])
     return 0.5 * float(np.cumsum(per_image)[-1])
 
 
-def objective_components(
-    w, y, x: SelectionLabeling, z, coords, lam: float, rho: float, *, cycle: float | None = None
-) -> tuple[float, float, float]:
+def objective_components(w, y, x: SelectionLabeling, z, coords, lam: float, rho: float) -> tuple[float, float, float]:
     """The (cycle, lam * geometric, coupling) terms of the full objective.
 
     Their sum is the objective the solver minimizes; a trace record stores
-    the three terms and that sum.  ``cycle``, when given, is the cycle term
-    at y, already evaluated by the caller.
+    the three terms and that sum.  ``w`` is the score matrix or its
+    :class:`Contraction`, whose slot already holds y after an ``update_Y``
+    call that returned it.
     """
     geo = lam * objective_geo(x, z, coords) if lam else 0.0
-    if cycle is None:
-        cycle = objective_cycle(w, y)
-    return cycle, geo, _coupling(y, x.stacked(), rho)
+    return objective_cycle(w, y), geo, _coupling(y, x.stacked(), rho)
 
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
@@ -224,54 +233,43 @@ def denormalize_fit(z: np.ndarray, transforms: list[tuple[float, np.ndarray]]) -
     return out
 
 
-def update_Y(
-    y: np.ndarray,
-    x: np.ndarray,
-    w,
-    rho: float,
-    sizes,
-    *,
-    contraction: Contraction | None = None,
-) -> tuple[np.ndarray, list[float], bool]:
+def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
 
     Minimizes 0.25 ||w - y y^T||_F^2 + (rho / 2) ||y - x||_F^2 over the
-    constraint set.  Steps follow y <- proj(y - eta * grad) with Armijo
-    backtracking along the projection arc; every line search starts from
-    the step 1 / (||y||_2^2 + ||w||_inf + rho) at the starting y.  Stops
-    when the relative objective decrease falls below ``INNER_TOL`` or after
-    ``MAX_INNER`` accepted steps.  Returns (new y, objective history,
-    stalled flag); the stalled flag reports a line search that shrank the
-    step below ``STALL_ETA`` without finding decrease, in which case the
-    current iterate is kept.
-    ``contraction``, when given, is a :class:`Contraction` of w carried
-    from call to call: it supplies w's norms, and the evaluation of y when
-    y is the iterate it last evaluated, and it holds the evaluation of the
-    returned y unless the line search stalled.
+    constraint set.  ``w`` is the score matrix or its :class:`Contraction`,
+    which supplies the first term's value, gradient and step bound; one
+    carried from call to call reuses its evaluation of y when it holds one,
+    and ends holding the returned y's unless the line search stalled.
+    Steps follow y <- proj(y - eta * grad) with Armijo backtracking along
+    the projection arc, every line search starting from the step
+    1 / (step bound + rho) at the starting y.  Stops when the relative
+    objective decrease falls below ``INNER_TOL`` or after ``MAX_INNER``
+    accepted steps.  Returns (new y, objective history, stalled flag); the
+    stalled flag reports a line search that shrank the step below
+    ``STALL_ETA`` without finding decrease, in which case the current
+    iterate is kept.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if contraction is None:
-        contraction = Contraction(w)
+    cycle = Contraction.of(w)
 
-    def value(yc: np.ndarray):
-        cycle, wy, gram = contraction.at(yc)
-        return cycle + _coupling(yc, x, rho), wy, gram
+    def value(yc: np.ndarray) -> float:
+        return cycle.value(yc) + _coupling(yc, x, rho)
 
-    f_cur, wy, gram = value(y)
+    f_cur = value(y)
     history = [f_cur]
-    spectral = float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-    eta0 = 1.0 / max(spectral + contraction.inf_norm + rho, 1e-12)
+    eta0 = 1.0 / max(cycle.step_bound(y) + rho, 1e-12)
     stalled = False
     for _ in range(MAX_INNER):
-        grad = y @ gram - wy
+        grad = cycle.gradient(y)
         if rho:
             grad += rho * (y - x)
         eta = eta0
         accepted = False
         while eta >= STALL_ETA:
             y_new = project_onto_C(y - eta * grad, sizes)
-            f_new, wy_new, gram_new = value(y_new)
+            f_new = value(y_new)
             decrease = float(np.vdot(grad, y - y_new))
             if f_new <= f_cur - ARMIJO * decrease:
                 accepted = True
@@ -281,11 +279,19 @@ def update_Y(
             stalled = True
             break
         drop = f_cur - f_new
-        y, f_cur, wy, gram = y_new, f_new, wy_new, gram_new
+        y, f_cur = y_new, f_new
         history.append(f_cur)
         if drop <= INNER_TOL * max(1.0, abs(f_cur)):
             break
     return y, history, stalled
+
+
+def _report_update_y(warnings_out: list[str], where: str, history: list[float], stalled: bool) -> None:
+    """Append the warnings of one ``update_Y`` result: a stalled line search, or all steps used."""
+    if stalled:
+        warnings_out.append(f"line search stalled at {where}")
+    if len(history) - 1 >= MAX_INNER:
+        warnings_out.append(f"max inner steps ({MAX_INNER}) reached at {where}")
 
 
 def _squared_distances(ci: np.ndarray, zi: np.ndarray) -> np.ndarray:
@@ -376,32 +382,25 @@ def spectral_start(w, k: int, seed: int, sizes) -> np.ndarray:
 
 
 def initialize(
-    w,
-    config: SolverConfig,
-    sizes,
-    *,
-    warnings_out: list[str] | None = None,
-    contraction: Contraction | None = None,
+    w, config: SolverConfig, sizes, *, warnings_out: list[str] | None = None
 ) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
     """Solve the score-only relaxation from the spectral start.
 
-    The start point is :func:`spectral_start` with its eigensolver seeded
-    by ``config.seed``; projected gradient descent on the cycle term alone
+    ``w`` is the score matrix or its :class:`Contraction`.  The start point
+    is :func:`spectral_start` with its eigensolver seeded by
+    ``config.seed``; projected gradient descent on the cycle term alone
     refines it, and the blocks are discretized into the initial selection,
     blocks of equal height as one stack.  A line search that stalls, or a
     descent that uses all ``MAX_INNER`` steps, is reported as a
-    message appended to ``warnings_out`` when one is given.  The descent
-    evaluates through ``contraction`` when one is given (see
-    :func:`update_Y`).  Returns (y, selection, objective history).
+    message appended to ``warnings_out`` when one is given.  Returns
+    (y, selection, objective history).
     """
     sizes = tuple(int(p) for p in sizes)
-    y0 = spectral_start(w, config.k, config.seed, sizes)
-    y, history, stalled = update_Y(y0, np.zeros_like(y0), w, 0.0, sizes, contraction=contraction)
+    cycle = Contraction.of(w)
+    y0 = spectral_start(cycle.w, config.k, config.seed, sizes)
+    y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, sizes)
     if warnings_out is not None:
-        if stalled:
-            warnings_out.append("line search stalled at init")
-        if len(history) - 1 >= MAX_INNER:
-            warnings_out.append(f"max inner steps ({MAX_INNER}) reached at init")
+        _report_update_y(warnings_out, "init", history, stalled)
     index = np.empty((len(sizes), config.k), dtype=np.intp)
     for p, images, rows in BlockLayout(sizes).groups():
         index[images] = discretize(y[rows].reshape(-1, p, config.k))
@@ -413,14 +412,14 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
     objective stops decreasing relative to ``OUTER_TOL``.  Hitting
-    ``MAX_SWEEPS`` first, a stalled line search in any Y update, an
-    initial descent that uses all ``MAX_INNER`` steps, and
-    projections that reach their round cap (one message with their count,
-    in place of the :class:`ProjectionWarning` each one raises) are
-    recorded as warnings on the state; other Python warnings raised
-    during the solve are shown once it returns.  The trace carries the
-    initialization objective per accepted step and one record per sweep
-    and stage thereafter.
+    ``MAX_SWEEPS`` first, a stalled line search in any Y update, any Y
+    update (the initial descent included) that uses all ``MAX_INNER``
+    steps, and projections that reach their round cap (one message with
+    their count, in place of the :class:`ProjectionWarning` each one
+    raises) are recorded as warnings on the state; other Python warnings
+    raised during the solve are shown once it returns.  The trace carries
+    the initialization objective per accepted step and one record per
+    sweep and stage thereafter.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ProjectionWarning)
@@ -442,15 +441,13 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     sizes = instance.layout.sizes
     if config.k > min(sizes):
         raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(sizes)}")
-    w = assemble_block(instance.scores)
+    # y enters the trace as update_Y last evaluated it
+    w = Contraction(assemble_block(instance.scores))
     coords, transforms = normalize_coordinates(instance.coordinates)
 
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
-    contraction = Contraction(w)  # y enters the trace as update_Y last evaluated it
-    y, x, init_history = initialize(
-        w, config, sizes, warnings_out=warnings_list, contraction=contraction
-    )
+    y, x, init_history = initialize(w, config, sizes, warnings_out=warnings_list)
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
@@ -458,16 +455,15 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
-        parts = objective_components(w, y, x, z, coords, config.lam, rho, cycle=contraction.at(y)[0])
+        parts = objective_components(w, y, x, z, coords, config.lam, rho)
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         for sweep in range(1, MAX_SWEEPS + 1):
-            y, _, stalled = update_Y(y, x.stacked(), w, rho, sizes, contraction=contraction)
-            if stalled:
-                warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
+            y, history, stalled = update_Y(y, x.stacked(), w, rho, sizes)
+            _report_update_y(warnings_list, f"{stage} sweep {sweep}", history, stalled)
             x = update_X(y, z, coords, config.lam, rho)
             z = update_Z(x, coords, config.r)
-            parts = objective_components(w, y, x, z, coords, config.lam, rho, cycle=contraction.at(y)[0])
+            parts = objective_components(w, y, x, z, coords, config.lam, rho)
             trace.append(TraceRecord(stage, sweep, *parts, sum(parts)))
             prev, total = trace[-2].total, trace[-1].total
             if prev - total <= OUTER_TOL * max(1.0, abs(prev)):
@@ -492,7 +488,9 @@ def selection_objective(w, labeling: SelectionLabeling, coords: list[np.ndarray]
 
     The cycle term is evaluated at the labeling itself and the geometric
     term at the best rank-r fit of the induced measurements, i.e. half the
-    energy of the discarded singular values.
+    energy of the discarded singular values.  ``w`` is the score matrix or
+    its :class:`Contraction`; a caller that scores many labelings passes
+    one contraction, so ||w||_F^2 is computed once.
     """
     xs = labeling.stacked()
     val = objective_cycle(w, xs)

@@ -29,7 +29,7 @@ from .model import (
     assemble_block,
     validate_instance,
 )
-from .solver import normalize_coordinates, selection_objective
+from .solver import Contraction, normalize_coordinates, selection_objective
 
 BRUTE_FORCE_BUDGET = 1_000_000
 
@@ -178,7 +178,7 @@ def brute_force_solve(
             raise InstanceTooLarge(
                 f"{count}+ labelings exceed the enumeration budget {BRUTE_FORCE_BUDGET}"
             )
-    w = assemble_block(instance.scores).toarray()
+    w = Contraction(assemble_block(instance.scores).toarray())  # ||w||_F^2 once for all labelings
     coords, _ = normalize_coordinates(instance.coordinates)
 
     best_obj = np.inf

@@ -30,7 +30,7 @@ from multimatch import (
     update_Y,
     update_Z,
 )
-from multimatch.solver import selection_objective
+from multimatch.solver import Contraction, selection_objective
 from conftest import enumerate_lap, kkt_residual, qp_project, random_feasible_y, random_labeling
 
 SIZES = dict(n=10, u=10, outliers_per_image=10)  # shared planted geometry
@@ -217,7 +217,7 @@ def test_criterion_9_gradient_check(rng):
             diff = yc - x
             return objective_cycle(w, yc) + 0.5 * rho * (diff * diff).sum()
 
-        analytic = y @ (y.T @ y) - w @ y + rho * (y - x)
+        analytic = Contraction(w).gradient(y) + rho * (y - x)
         numeric = np.zeros_like(y)
         for a in range(y.shape[0]):
             for b in range(k):

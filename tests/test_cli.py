@@ -132,7 +132,9 @@ def test_solve_init_step_cap_exit_code(tmp_path, capsys, monkeypatch):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
     assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 3
-    assert "warning: max inner steps (1) reached at init" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "warning: max inner steps (1) reached at init\n" in err
+    assert "warning: max inner steps (1) reached at rho=1 sweep 1\n" in err
 
 
 def test_solve_projection_round_cap_exit_code(tmp_path, capsys, monkeypatch):

@@ -137,34 +137,35 @@ def test_objective_total_decomposes(rng):
     assert objective_components(w, y, lab, z, coords, 0.0, rho) == (cycle, 0.0, coupling)
 
 
-def gradient_fd(w, y, x, rho, h=1e-5):
-    """Central finite differences of the smooth objective in y."""
-
-    def f(yc):
-        diff = yc - x
-        return objective_cycle(w, yc) + 0.5 * rho * (diff * diff).sum()
-
+def gradient_fd(w, y, h=1e-5):
+    """Central finite differences of the cycle term in y."""
     g = np.zeros_like(y)
     for a in range(y.shape[0]):
         for b in range(y.shape[1]):
             e = np.zeros_like(y)
             e[a, b] = h
-            g[a, b] = (f(y + e) - f(y - e)) / (2 * h)
+            g[a, b] = (objective_cycle(w, y + e) - objective_cycle(w, y - e)) / (2 * h)
     return g
 
 
 def test_gradient_matches_finite_differences(rng):
     sizes = (4, 3)
-    for _ in range(5):
-        y = random_feasible_y(rng, sizes, 2)
-        x = random_labeling(rng, sizes, 2).stacked()
-        w = rng.random((7, 7))
-        w = 0.5 * (w + w.T)
-        rho = float(rng.uniform(0, 3))
-        analytic = y @ (y.T @ y) - w @ y + rho * (y - x)
-        numeric = gradient_fd(w, y, x, rho)
-        rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
-        assert rel <= 1e-5
+    for sparse in (False, True):
+        for _ in range(5):
+            y = random_feasible_y(rng, sizes, 2)
+            w = rng.uniform(-0.5, 1.0, (7, 7))
+            w = 0.5 * (w + w.T)
+            if sparse:
+                w[np.abs(w) < 0.4] = 0.0
+                w = sp.csr_matrix(w)
+            c = Contraction(w)
+            analytic = c.gradient(y)
+            numeric = gradient_fd(w, y)
+            rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
+            assert rel <= 1e-5
+            dense = w.toarray() if sparse else w
+            bound = np.linalg.norm(y, 2) ** 2 + np.abs(dense).sum(axis=1).max()
+            assert c.step_bound(y) == pytest.approx(bound, rel=1e-12)
 
 
 def test_update_y_fixed_point_when_gradient_zero(rng):
@@ -239,10 +240,20 @@ def test_update_y_stays_feasible(rng):
     assert feasibility_gap(out, sizes) <= 1e-5
 
 
+class ProductCounting(np.ndarray):
+    """A dense score matrix that counts the products taken with it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        ProductCounting.products += 1
+        return np.asarray(self) @ other
+
+
 @pytest.mark.parametrize("rho", [0.0, 3.0])
 def test_update_y_with_carried_contraction_matches_fresh(monkeypatch, rho):
     planted = generate(5, 4, outliers_per_image=1, match_corruption_rate=0.3, seed=9)
-    w = assemble_block(planted.instance.scores)
+    w = assemble_block(planted.instance.scores).toarray().view(ProductCounting)
     sizes = planted.instance.layout.sizes
     rng = np.random.default_rng(9)
     y0 = random_feasible_y(rng, sizes, 4)
@@ -250,24 +261,40 @@ def test_update_y_with_carried_contraction_matches_fresh(monkeypatch, rho):
     contraction = Contraction(w)
     with monkeypatch.context() as patch:
         patch.setattr(multimatch.solver, "MAX_INNER", 2)
-        y1, _, stalled = update_Y(y0, x, w, rho, sizes, contraction=contraction)
+        y1, _, stalled = update_Y(y0, x, contraction, rho, sizes)
     assert not stalled
-    contractions = []
-    real = multimatch.solver._cycle
-
-    def counting(*args):
-        contractions.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(multimatch.solver, "_cycle", counting)
-    carried = update_Y(y1, x, w, rho, sizes, contraction=contraction)
-    reused = len(contractions)
+    start = ProductCounting.products
+    carried = update_Y(y1, x, contraction, rho, sizes)
+    reused = ProductCounting.products - start
     fresh = update_Y(y1, x, w, rho, sizes)
     # the carried call starts from the evaluation the previous call left
-    assert reused == len(contractions) - reused - 1
+    assert reused == ProductCounting.products - start - reused - 1
     assert np.array_equal(carried[0], fresh[0])
     assert carried[1:] == fresh[1:]
-    assert contraction.at(carried[0])[0] == objective_cycle(w, carried[0])
+    assert contraction.value(carried[0]) == objective_cycle(w, carried[0])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_functions_taking_w_accept_its_contraction(sparse):
+    planted = generate(4, 4, outliers_per_image=2, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=12)
+    w = assemble_block(planted.instance.scores)
+    w = w if sparse else w.toarray()
+    sizes = planted.instance.layout.sizes
+    config = SolverConfig(k=4, seed=12)
+    rng = np.random.default_rng(12)
+    y = random_feasible_y(rng, sizes, 4)
+    lab = random_labeling(rng, sizes, 4)
+    coords, _ = normalize_coordinates(planted.instance.coordinates)
+    z = update_Z(lab, coords, 2)
+    a, b = update_Y(y, lab.stacked(), w, 3.0, sizes), update_Y(y, lab.stacked(), Contraction(w), 3.0, sizes)
+    assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+    a, b = initialize(w, config, sizes), initialize(Contraction(w), config, sizes)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1].index, b[1].index) and a[2] == b[2]
+    c = Contraction(w)
+    assert objective_cycle(c, y) == objective_cycle(w, y)
+    parts = objective_components(w, y, lab, z, coords, 0.7, 3.0)
+    assert objective_components(c, y, lab, z, coords, 0.7, 3.0) == parts
 
 
 def test_update_x_reduces_to_discretize_without_geometry(rng):
@@ -516,6 +543,7 @@ def test_solve_reports_init_step_cap(monkeypatch):
                        match_corruption_rate=0.3, seed=1)
     state = solve(planted.instance, SolverConfig(k=5))
     assert "max inner steps (1) reached at init" in state.warnings
+    assert "max inner steps (1) reached at rho=1 sweep 1" in state.warnings
     assert not state.converged
 
 
