@@ -19,8 +19,8 @@ acts on the same scale as the score residual; the fit is mapped back to
 the input frame on the final state.
 
 The cycle term 0.25 ||W - Y Y^T||_F^2 has one owner, :class:`Contraction`:
-its value, its gradient (Y Y^T - W) Y and the bound that sets the first
-trial step all contract through W Y and the k x k Gram matrix Y^T Y,
+its value, its gradient (Y Y^T - W) Y and the curvature bound behind
+the step sizes all contract through W Y and the k x k Gram matrix Y^T Y,
 kept for the last iterate evaluated.  Every function that takes the
 score matrix ``w`` also takes its contraction; a solve builds one and
 passes it everywhere, so W is contracted once per iterate.
@@ -35,10 +35,21 @@ single-vector Lanczos method cannot resolve) started from a Gaussian
 block seeded by ``config.seed``; a dense eigensolver takes over on small
 problems and whenever the block solver misses its tolerance.
 
+Each line search of the Y update backtracks along the projection arc
+until the Armijo condition holds, so every accepted step lowers the
+objective and each stage's trace never increases.  The first line
+search of an update tries the bound step
+eta0 = 1 / (||Y||_2^2 + ||W||_inf + rho) at the update's starting point.
+Each later one tries the two-point step s^T s / s^T (g+ - g) of Barzilai
+and Borwein, the step rule of spectral projected gradient (Birgin,
+Martinez and Raydan): s is the last accepted step and g, g+ are the
+gradients before and after it.  That trial is clamped to
+[eta0, SPECTRAL_CAP * eta0], and is eta0 itself when s^T (g+ - g) <= 0.
+
 Step control is fixed here rather than configured: the backtracking
-factor, the Armijo constant, the inner and outer stopping tolerances and
-the caps on inner steps and sweeps are the module constants below, read
-at call time.
+factor, the Armijo constant, the spectral step's cap, the inner and
+outer stopping tolerances and the caps on inner steps and sweeps are the
+module constants below, read at call time.
 """
 
 from __future__ import annotations
@@ -67,6 +78,7 @@ from .projection import ProjectionWarning, project_onto_C
 STALL_ETA = 1e-12  # a line search that shrinks the step below this stalls
 BACKTRACK = 0.5  # step shrink factor per rejected trial
 ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+SPECTRAL_CAP = 1e3  # a spectral first trial is at most this multiple of the bound step
 INNER_TOL = 1e-6  # relative objective drop that ends update_Y
 OUTER_TOL = 1e-7  # relative objective drop that ends a rho stage
 MAX_INNER = 500  # accepted projected-gradient steps per update_Y call
@@ -154,7 +166,7 @@ class Contraction:
         return y @ gram - wy
 
     def step_bound(self, y: np.ndarray) -> float:
-        """||y||_2^2 + ||w||_inf, the curvature scale that sets the first trial step."""
+        """||y||_2^2 + ||w||_inf, the curvature scale that sets the bound step of a line search."""
         if self._w_inf is None:
             self._w_inf = float(abs(self.w).sum(axis=1).max())  # maximum absolute row sum
         gram = self._contract(y)[1]
@@ -233,6 +245,22 @@ def denormalize_fit(z: np.ndarray, transforms: list[tuple[float, np.ndarray]]) -
     return out
 
 
+def spectral_step(s: np.ndarray, dg: np.ndarray, eta0: float) -> float:
+    """First trial step after the step s that changed the gradient by dg.
+
+    The two-point step s^T s / s^T dg of Barzilai and Borwein, clamped to
+    [eta0, SPECTRAL_CAP * eta0]; eta0 itself when s^T dg <= 0, where the
+    quotient says nothing about the curvature along s.
+    """
+    sdg = float(np.vdot(s, dg))
+    if sdg <= 0.0:
+        return eta0
+    ss = float(np.vdot(s, s))
+    cap = SPECTRAL_CAP * eta0
+    # compared before dividing, so a tiny s^T dg cannot overflow the quotient
+    return cap if ss >= cap * sdg else max(ss / sdg, eta0)
+
+
 def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
 
@@ -242,8 +270,12 @@ def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.nda
     carried from call to call reuses its evaluation of y when it holds one,
     and ends holding the returned y's unless the line search stalled.
     Steps follow y <- proj(y - eta * grad) with Armijo backtracking along
-    the projection arc, every line search starting from the step
-    1 / (step bound + rho) at the starting y.  Stops when the relative
+    the projection arc, so every accepted step lowers the objective.  The
+    bound step eta0 = 1 / (step bound + rho) at the starting y is the first
+    trial of the first line search; each later one starts from the
+    spectral step (:func:`spectral_step`) of the last accepted step and
+    the change in the full gradient across it, which falls back to eta0
+    when that step showed no positive curvature.  Stops when the relative
     objective decrease falls below ``INNER_TOL`` or after ``MAX_INNER``
     accepted steps.  Returns (new y, objective history, stalled flag); the
     stalled flag reports a line search that shrank the step below
@@ -261,11 +293,12 @@ def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.nda
     history = [f_cur]
     eta0 = 1.0 / max(cycle.step_bound(y) + rho, 1e-12)
     stalled = False
+    y_prev = grad_prev = None
     for _ in range(MAX_INNER):
         grad = cycle.gradient(y)
         if rho:
             grad += rho * (y - x)
-        eta = eta0
+        eta = eta0 if y_prev is None else spectral_step(y - y_prev, grad - grad_prev, eta0)
         accepted = False
         while eta >= STALL_ETA:
             y_new = project_onto_C(y - eta * grad, sizes)
@@ -279,19 +312,12 @@ def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.nda
             stalled = True
             break
         drop = f_cur - f_new
+        y_prev, grad_prev = y, grad
         y, f_cur = y_new, f_new
         history.append(f_cur)
         if drop <= INNER_TOL * max(1.0, abs(f_cur)):
             break
     return y, history, stalled
-
-
-def _report_update_y(warnings_out: list[str], where: str, history: list[float], stalled: bool) -> None:
-    """Append the warnings of one ``update_Y`` result: a stalled line search, or all steps used."""
-    if stalled:
-        warnings_out.append(f"line search stalled at {where}")
-    if len(history) - 1 >= MAX_INNER:
-        warnings_out.append(f"max inner steps ({MAX_INNER}) reached at {where}")
 
 
 def _squared_distances(ci: np.ndarray, zi: np.ndarray) -> np.ndarray:
@@ -400,7 +426,10 @@ def initialize(
     y0 = spectral_start(cycle.w, config.k, config.seed, sizes)
     y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, sizes)
     if warnings_out is not None:
-        _report_update_y(warnings_out, "init", history, stalled)
+        if stalled:
+            warnings_out.append("line search stalled at init")
+        if len(history) > MAX_INNER:  # every step used: history holds the start too
+            warnings_out.append(f"max inner steps ({MAX_INNER}) reached at init")
     index = np.empty((len(sizes), config.k), dtype=np.intp)
     for p, images, rows in BlockLayout(sizes).groups():
         index[images] = discretize(y[rows].reshape(-1, p, config.k))
@@ -412,11 +441,12 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
     objective stops decreasing relative to ``OUTER_TOL``.  Hitting
-    ``MAX_SWEEPS`` first, a stalled line search in any Y update, any Y
-    update (the initial descent included) that uses all ``MAX_INNER``
-    steps, and projections that reach their round cap (one message with
-    their count, in place of the :class:`ProjectionWarning` each one
-    raises) are recorded as warnings on the state; other Python warnings
+    ``MAX_SWEEPS`` first, a stalled line search in any Y update, Y updates
+    that use all ``MAX_INNER`` steps (the initial descent's, and one
+    message per stage with the count of its sweeps whose update did), and
+    projections that reach their round cap (one message with their count,
+    in place of the :class:`ProjectionWarning` each one raises) are
+    recorded as warnings on the state; other Python warnings
     raised during the solve are shown once it returns.  The trace carries
     the initialization objective per accepted step and one record per
     sweep and stage thereafter.
@@ -458,9 +488,12 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         parts = objective_components(w, y, x, z, coords, config.lam, rho)
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
+        capped = 0
         for sweep in range(1, MAX_SWEEPS + 1):
             y, history, stalled = update_Y(y, x.stacked(), w, rho, sizes)
-            _report_update_y(warnings_list, f"{stage} sweep {sweep}", history, stalled)
+            if stalled:
+                warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
+            capped += len(history) > MAX_INNER
             x = update_X(y, z, coords, config.lam, rho)
             z = update_Z(x, coords, config.r)
             parts = objective_components(w, y, x, z, coords, config.lam, rho)
@@ -469,6 +502,8 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
             if prev - total <= OUTER_TOL * max(1.0, abs(prev)):
                 converged = True
                 break
+        if capped:
+            warnings_list.append(f"max inner steps ({MAX_INNER}) reached in {capped} sweeps at {stage}")
         if not converged:
             warnings_list.append(f"max sweeps ({MAX_SWEEPS}) reached at {stage}")
 

@@ -1,5 +1,7 @@
 import warnings
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.linalg
@@ -33,6 +35,7 @@ from multimatch.solver import (
     denormalize_fit,
     selection_objective,
     spectral_start,
+    spectral_step,
     top_eigenvectors,
 )
 from conftest import (
@@ -238,6 +241,86 @@ def test_update_y_stays_feasible(rng):
     w = 0.5 * (w + w.T)
     out, _, _ = update_Y(y, x, w, 1.0, sizes)
     assert feasibility_gap(out, sizes) <= 1e-5
+
+
+@pytest.mark.parametrize("rho", [0.0, 3.0])
+def test_update_y_second_step_starts_from_spectral_step(monkeypatch, rho):
+    planted = generate(4, 3, outliers_per_image=1, match_corruption_rate=0.3, seed=9)
+    w = assemble_block(planted.instance.scores).toarray()
+    sizes = planted.instance.layout.sizes
+    rng = np.random.default_rng(9)
+    y0 = random_feasible_y(rng, sizes, 3)
+    x = random_labeling(rng, sizes, 3).stacked()
+
+    def grad(y):
+        return (y @ y.T - w) @ y + rho * (y - x)
+
+    eta0 = 1.0 / (np.linalg.norm(y0, 2) ** 2 + np.abs(w).sum(axis=1).max() + rho)
+    y1 = project_onto_C(y0 - eta0 * grad(y0), sizes)
+    s, dg = y1 - y0, grad(y1) - grad(y0)
+    eta = (s * s).sum() / (s * dg).sum()
+    assert eta0 < eta < 1e3 * eta0  # inside the clamp: the quotient itself is the trial
+    monkeypatch.setattr(multimatch.solver, "INNER_TOL", 0.0)
+    monkeypatch.setattr(multimatch.solver, "MAX_INNER", 2)
+    out, hist, stalled = update_Y(y0, x, w, rho, sizes)
+    assert len(hist) == 3 and not stalled
+    assert np.allclose(out, project_onto_C(y1 - eta * grad(y1), sizes), atol=1e-12)
+
+
+def test_spectral_step_clamps_to_the_bound_step():
+    s = np.array([[1.0, 0.0], [0.0, 2.0]])
+    eta0 = 0.25
+    # s^T s = 5; s^T dg <= 0 carries no curvature and falls back to eta0
+    assert spectral_step(s, -s, eta0) == eta0
+    assert spectral_step(s, np.array([[0.0, 1.0], [1.0, 0.0]]), eta0) == eta0
+    # inside [eta0, 1e3 eta0] the trial is the quotient itself
+    assert spectral_step(s, 2.0 * s, eta0) == pytest.approx(0.5)
+    # a quotient below eta0 is floored there, a huge one capped at 1e3 eta0
+    assert spectral_step(s, 100.0 * s, eta0) == eta0
+    assert spectral_step(s, 1e-6 * s, eta0) == 1e3 * eta0
+    assert spectral_step(s, 1e-320 * s, eta0) == 1e3 * eta0  # no overflow on the way
+
+
+def test_initialize_on_a_sparse_image_graph_takes_spectral_steps(monkeypatch):
+    # 40 images, keeping only the pairs of a random graph of mean degree 4:
+    # the bound step is short on such a W, and the spectral trial lengthens it
+    planted = generate(40, 5, outliers_per_image=1, coord_noise_sigma=0.01,
+                       match_corruption_rate=0.1, seed=0)
+    sizes = planted.instance.layout.sizes
+    rng = np.random.default_rng(0)
+    upper = np.triu(rng.random((40, 40)) < 4 / 39, 1)
+    graph = upper | upper.T | np.eye(40, dtype=bool)
+    image = np.repeat(np.arange(40), sizes)
+    full = assemble_block(planted.instance.scores).tocoo()
+    keep = graph[image[full.row], image[full.col]]
+    w = sp.csr_matrix((full.data[keep], (full.row[keep], full.col[keep])), shape=full.shape)
+    config = SolverConfig(k=5, seed=0)
+    _, _, hist = initialize(w, config, sizes)
+    assert (np.diff(hist) <= 0.0).all()
+    # a cap of 1 pins every first trial to the bound step
+    monkeypatch.setattr(multimatch.solver, "SPECTRAL_CAP", 1.0)
+    _, _, bound_hist = initialize(w, config, sizes)
+    assert len(hist) - 1 <= 10 < len(bound_hist) - 1
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    st.integers(1, 2),
+    st.floats(0.1, 0.9),
+    st.sampled_from([0.0, 0.5, 10.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_update_y_history_never_increases_on_sparse_signed_scores(sizes, k, density, rho, seed):
+    sizes = [max(p, k) for p in sizes]
+    m = sum(sizes)
+    rng = np.random.default_rng(seed)
+    w = sp.random(m, m, density=density, random_state=rng, data_rvs=lambda n: rng.uniform(-1.0, 1.0, n))
+    w = sp.csr_matrix(w + w.T)
+    y = random_feasible_y(rng, sizes, k)
+    x = random_labeling(rng, sizes, k).stacked()
+    _, hist, _ = update_Y(y, x, w, rho, sizes)
+    assert (np.diff(hist) <= 1e-12 * max(1.0, abs(hist[0]))).all()
 
 
 class ProductCounting(np.ndarray):
@@ -542,8 +625,13 @@ def test_solve_reports_init_step_cap(monkeypatch):
     planted = generate(6, 5, outliers_per_image=2, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=1)
     state = solve(planted.instance, SolverConfig(k=5))
-    assert "max inner steps (1) reached at init" in state.warnings
-    assert "max inner steps (1) reached at rho=1 sweep 1" in state.warnings
+    # one step binds the cap in every sweep: one message per stage counts them
+    sweeps = {rec.stage: rec.iteration for rec in state.objective_trace if rec.stage != "init"}
+    assert [m for m in state.warnings if m.startswith("max inner steps")] == [
+        "max inner steps (1) reached at init",
+        *(f"max inner steps (1) reached in {n} sweeps at {stage}" for stage, n in sweeps.items()),
+    ]
+    assert sweeps["rho=1"] > 1
     assert not state.converged
 
 
