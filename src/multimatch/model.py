@@ -87,6 +87,8 @@ class FeatureSet:
     descriptors: np.ndarray | None = None  # (d, p), unit-norm columns
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str):
+            raise MatchingError(f"image id must be a string, got {self.image_id!r}")
         self.coordinates = np.asarray(self.coordinates, dtype=float)
         if self.coordinates.ndim != 2 or self.coordinates.shape[0] != 2:
             raise DimensionMismatch(
@@ -270,7 +272,8 @@ class SolverConfig:
     control, stopping tolerances and iteration caps are constants of the
     solver module.  Raises :class:`MatchingError` unless ``k``, ``r`` and
     ``seed`` are integers (not booleans), ``lam`` and every rho are finite
-    real numbers, and each lies in its range; values are never cast.
+    real numbers, ``rho_schedule`` is a sequence, and each lies in its
+    range; values are never cast.
     """
 
     k: int
@@ -284,7 +287,10 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise MatchingError(f"{name} must be an integer, got {value!r}")
-        self.rho_schedule = tuple(self.rho_schedule)
+        try:
+            self.rho_schedule = tuple(self.rho_schedule)
+        except TypeError:
+            raise MatchingError(f"rho schedule must be a sequence, got {self.rho_schedule!r}") from None
         for what, value in [("geometric weight", self.lam), *(("rho", r) for r in self.rho_schedule)]:
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             # the bound fails for NaN, infinities and integers too large for a float

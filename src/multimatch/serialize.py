@@ -2,22 +2,26 @@
 
 Problems are single JSON documents: a format version (2), per-image
 records (id, coordinates as two rows, optional descriptors), pairwise
-records keyed by image ids, and optional solver defaults (the
-:class:`SolverConfig` settings, with ``lam`` spelled ``lambda``). A
+records keyed by image ids, and optional solver defaults (an object of
+the :class:`SolverConfig` settings, with ``lam`` spelled ``lambda``). A
 pairwise record holds its sparse entries as one flat run of numbers,
 ``[row, col, value, row, col, value, ...]``, so each image pair decodes
 into one Python list. The writer puts every image record and every
 pairwise record on a line of its own, in compact JSON: diffs stay line
 by line, the file carries no indentation, and the dump runs in the C
-JSON encoder. Ground truth and labeling sidecars share one shape,
-written the same way: per image, (candidate index, label) pairs with -1
-marking outliers. Every value the readers turn into a number must be a
-JSON number; a string, boolean or null raises :class:`ParseError`.
+JSON encoder. Ground truth and labeling sidecars share one shape and
+one writer: per image, its id, ``p`` and the (candidate index, label)
+pairs of its labeled candidates; an unlisted candidate is an outlier.
+Every reader runs in one frame, :func:`_document`, which decodes the
+file, checks its version and raises :class:`ParseError` on a malformed
+document. Image ids (and pairwise ``i``, ``j``) must be JSON strings and
+every value read as a number a JSON number; nothing is converted.
 Objective traces are CSV, one line per recorded sweep.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import re
@@ -102,15 +106,17 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
     The solver defaults come back keyed by :class:`SolverConfig` field name.
     An unknown key raises :class:`ParseError`, as does a ``k``, ``r`` or
     ``seed`` that is not a JSON integer and a ``lambda`` or
-    ``rho_schedule`` that is not JSON numbers.
+    ``rho_schedule`` that is not JSON numbers, or defaults that are not
+    a JSON object.
     """
-    doc = _load_json(path)
-    try:
+    with _document(path, "problem") as doc:
         features = _features(doc)
         index = {f.image_id: i for i, f in enumerate(features)}
         layout = BlockLayout(tuple(f.p for f in features))
         scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout.sizes)
-        defaults = dict(doc.get("solver_defaults", {}))
+        defaults = doc.get("solver_defaults", {})
+        if not isinstance(defaults, dict):
+            raise ParseError(f"solver_defaults must be a JSON object, got {json.dumps(defaults)}")
         unknown = set(defaults) - set(_SETTINGS)
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
@@ -122,8 +128,6 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
         if "rho_schedule" in defaults:
             _check_numbers(defaults["rho_schedule"], "solver default rho_schedule")
         return features, scores, {_SETTINGS[key]: value for key, value in defaults.items()}
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed problem document ({exc})") from exc
 
 
 def load_features(path) -> list[FeatureSet]:
@@ -134,22 +138,18 @@ def load_features(path) -> list[FeatureSet]:
     solver defaults) are neither decoded nor checked for valid JSON syntax;
     :func:`load_problem` checks the whole document.
     """
-    doc = _load_json(path, ("format_version", "images"))
-    try:
+    with _document(path, "problem", ("format_version", "images")) as doc:
         return _features(doc)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed problem document ({exc})") from exc
 
 
 def _features(doc: dict) -> list[FeatureSet]:
-    """The feature sets of a problem document's image records, ids distinct.
+    """The feature sets of a problem document's image records.
 
     Coordinates and descriptors must be rows of JSON numbers.
     """
-    _check_version(doc)
     features = []
-    for rec in doc["images"]:
-        image_id, coords, desc = str(rec["id"]), rec["coordinates"], rec.get("descriptors")
+    for image_id, rec in zip(_image_ids(doc["images"]), doc["images"]):
+        coords, desc = rec["coordinates"], rec.get("descriptors")
         _check_numbers(itertools.chain.from_iterable(coords), f"coordinates of image {image_id}")
         if desc is not None:
             _check_numbers(itertools.chain.from_iterable(desc), f"descriptors of image {image_id}")
@@ -160,10 +160,6 @@ def _features(doc: dict) -> list[FeatureSet]:
                 None if desc is None else np.asarray(desc, dtype=float),
             )
         )
-    if not features:
-        raise ParseError("document lists no images")
-    if len({f.image_id for f in features}) < len(features):
-        raise ParseError("an image id is listed twice")
     return features
 
 
@@ -172,13 +168,15 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
 
     Each record's ``entries`` is one flat run of numbers, row, col, value,
     row, col, value, ...; the runs of all records are read as one
-    [row, col, value] table.  Every run must hold whole triples of JSON
-    numbers, every index must be an integer inside its block, every
-    (row, col) may appear once in a block, every ordered image pair once in
-    the document, and no record may pair an image with itself; anything
-    else raises :class:`ParseError`.
+    [row, col, value] table.  ``i`` and ``j`` must be listed image ids,
+    every run must hold whole triples of JSON numbers, every index must be
+    an integer inside its block, every (row, col) may appear once in a
+    block, every ordered image pair once in the document, and no record may
+    pair an image with itself; anything else raises :class:`ParseError`.
     """
-    keys = [(index[str(rec["i"])], index[str(rec["j"])]) for rec in records]
+    keys = [
+        (index[_json_str(rec["i"], "pairwise i")], index[_json_str(rec["j"], "pairwise j")]) for rec in records
+    ]
     if any(i == j for i, j in keys):
         raise ParseError("a record pairs an image with itself")
     if len(set(keys)) < len(keys):
@@ -213,60 +211,43 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     return sp.csr_matrix((table[:, 2], (rows, cols)), shape=(layout.m, layout.m))
 
 
-def _pairs_document(ids, sizes, labels, extra: dict) -> str:
+def _save_pairs(path, ids, labels, size_key: str, size: int) -> None:
+    """Write per-candidate ``labels`` as the (candidate, label) pairs of each image's labeled candidates."""
     images = []
-    for image_id, p, lab in zip(ids, sizes, labels):
-        pairs = [[int(c), int(l)] for c, l in enumerate(lab)]
-        images.append({"id": image_id, "p": int(p), "pairs": pairs})
-    doc = {"format_version": FORMAT_VERSION, **extra, "images": images}
-    return _record_lines(doc)
+    for image_id, lab in zip(ids, labels):
+        lab = np.asarray(lab, dtype=int)
+        chosen = np.flatnonzero(lab >= 0)
+        images.append({"id": image_id, "p": lab.size, "pairs": np.column_stack((chosen, lab[chosen])).tolist()})
+    Path(path).write_text(_record_lines({"format_version": FORMAT_VERSION, size_key: int(size), "images": images}))
 
 
 def save_truth(path, labels, ids, universe_size: int) -> None:
     """Write per-candidate universe labels, -1 for outliers, for every image."""
-    sizes = [len(lab) for lab in labels]
-    text = _pairs_document(ids, sizes, labels, {"universe_size": int(universe_size)})
-    Path(path).write_text(text)
+    _save_pairs(path, ids, labels, "universe_size", universe_size)
 
 
 def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
-    doc = _load_json(path)
-    try:
-        _check_version(doc)
+    with _document(path, "ground-truth") as doc:
         ids, labels = _read_pairs(doc)
         universe = _json_int(doc["universe_size"], "universe_size")
         for image_id, lab in zip(ids, labels):
             used = lab[lab >= 0]
             if (used >= universe).any() or np.unique(used).size < used.size:
-                raise ParseError(
-                    f"image {image_id}: labels must be -1 or distinct values in [0, {universe})"
-                )
+                raise ParseError(f"image {image_id}: labels must be -1 or distinct values in [0, {universe})")
         return ids, labels, universe
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed ground-truth document ({exc})") from exc
 
 
 def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
     """Write the selected candidate indices and their labels per image."""
-    images = []
-    for image_id, p, lab in zip(ids, labeling.sizes, labeling.labels()):
-        sel = np.nonzero(lab >= 0)[0]
-        pairs = [[int(c), int(lab[c])] for c in sel]
-        images.append({"id": image_id, "p": p, "pairs": pairs})
-    doc = {"format_version": FORMAT_VERSION, "k": labeling.k, "images": images}
-    Path(path).write_text(_record_lines(doc))
+    _save_pairs(path, ids, labeling.labels(), "k", labeling.k)
 
 
 def load_labeling(path) -> tuple[list[str], SelectionLabeling]:
-    doc = _load_json(path)
-    try:
-        _check_version(doc)
+    with _document(path, "labeling") as doc:
         ids, labels = _read_pairs(doc)
         labeling = SelectionLabeling.from_labels(labels, _json_int(doc["k"], "k"))
         labeling.validate()
         return ids, labeling
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed labeling document ({exc})") from exc
 
 
 def save_trace(path, trace: list[TraceRecord]) -> None:
@@ -290,37 +271,41 @@ def save_point_cloud(path, shape: np.ndarray) -> None:
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
-def _load_json(path, members: tuple[str, ...] | None = None) -> dict:
-    """The JSON object in the file at ``path``.
+@contextlib.contextmanager
+def _document(path, kind: str, members: tuple[str, ...] = ()):
+    """Every reader's frame: the JSON object in the file at ``path``, for the ``with`` body to read.
 
-    With ``members`` the top-level members are decoded one at a time, and
-    decoding stops once all of ``members`` have been read: the object holds
-    the members read so far, and the text after them is not looked at.
+    The object is decoded whole, or up to the last of ``members``, and must
+    carry ``format_version`` 2.  An unreadable file, and a ``KeyError``,
+    ``TypeError``, ``ValueError`` or ``IndexError`` raised in decoding, the
+    version check or the body, raise :class:`ParseError` naming ``path``.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        doc = json.loads(text) if members is None else _leading_members(text, set(members))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object at top level")
-    return doc
+        doc = _leading_members(text, set(members))
+        del text  # not kept alive while the body runs
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version {doc.get('format_version')!r}")
+        yield doc
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: malformed {kind} document ({exc})") from exc
 
 
-def _leading_members(text: str, wanted: set[str]):
+def _leading_members(text: str, wanted: set[str]) -> dict:
     """The top-level object of ``text``, decoded member by member until every ``wanted`` key is read.
 
-    A top-level value that is not an object is decoded whole and returned
-    as it is.  Malformed text up to the last member read raises
-    :class:`json.JSONDecodeError`.
+    The text after the last wanted member is not looked at; with nothing
+    wanted the whole object is read and trailing data raises.  Malformed
+    text up to the last member read, or a top level that is not an object,
+    raises :class:`json.JSONDecodeError`.
     """
     decoder = json.JSONDecoder()
     pos = _WHITESPACE.match(text).end()
     if not text.startswith("{", pos):
-        return decoder.decode(text)
+        raise json.JSONDecodeError("Expecting a JSON object at top level", text, pos)
     doc: dict = {}
     pos = _WHITESPACE.match(text, pos + 1).end()
     closed = text.startswith("}", pos)
@@ -332,7 +317,7 @@ def _leading_members(text: str, wanted: set[str]):
         if not text.startswith(":", pos):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
         doc[key], pos = decoder.raw_decode(text, _WHITESPACE.match(text, pos + 1).end())
-        if wanted <= doc.keys():
+        if wanted and wanted <= doc.keys():
             return doc
         pos = _WHITESPACE.match(text, pos).end()
         closed = text.startswith("}", pos)
@@ -343,12 +328,6 @@ def _leading_members(text: str, wanted: set[str]):
     if _WHITESPACE.match(text, pos + 1).end() < len(text):
         raise json.JSONDecodeError("Extra data", text, pos + 1)
     return doc
-
-
-def _check_version(doc: dict) -> None:
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version!r}")
 
 
 _JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
@@ -374,33 +353,42 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_str(value, what: str) -> str:
+    """``value`` if it is a JSON string; anything else raises :class:`ParseError`."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a JSON string, got {json.dumps(value)}")
+    return value
+
+
+def _image_ids(records) -> list[str]:
+    """The ids of a document's image records: JSON strings, at least one, none listed twice."""
+    ids = [_json_str(rec["id"], "image id") for rec in records]
+    if not ids:
+        raise ParseError("document lists no images")
+    if len(set(ids)) < len(ids):
+        raise ParseError("an image id is listed twice")
+    return ids
+
+
 def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
     """Per-image labels from (candidate, label) pairs; -1 marks unlisted candidates.
 
-    Image ids must be distinct, every ``p`` a JSON integer, every pair two
-    JSON numbers, candidates distinct integers in [0, p) and labels
-    integers of at least -1;
-    anything else raises :class:`ParseError`.
+    Image ids must be distinct JSON strings, every ``p`` a JSON integer,
+    every pair two JSON numbers, candidates distinct integers in [0, p) and
+    labels integers of at least -1; anything else raises :class:`ParseError`.
     """
-    ids, labels = [], []
-    if not doc["images"]:
-        raise ParseError("document lists no images")
-    for rec in doc["images"]:
-        ids.append(str(rec["id"]))
-        lab = np.full(_json_int(rec["p"], f"image {ids[-1]}: p"), -1, dtype=int)
-        _check_numbers(itertools.chain.from_iterable(rec["pairs"]), f"pairs of image {ids[-1]}")
+    ids, labels = _image_ids(doc["images"]), []
+    for image_id, rec in zip(ids, doc["images"]):
+        lab = np.full(_json_int(rec["p"], f"image {image_id}: p"), -1, dtype=int)
+        _check_numbers(itertools.chain.from_iterable(rec["pairs"]), f"pairs of image {image_id}")
         pairs = np.asarray(rec["pairs"], dtype=float).reshape(len(rec["pairs"]), 2)
         if not (np.isfinite(pairs) & (pairs == np.trunc(pairs))).all():
-            raise ParseError(f"image {ids[-1]}: candidates and labels must be integers")
+            raise ParseError(f"image {image_id}: candidates and labels must be integers")
         cand, label = pairs.astype(int).T
         if (cand < 0).any() or (cand >= lab.size).any() or np.unique(cand).size < cand.size:
-            raise ParseError(
-                f"image {ids[-1]}: candidates must be distinct indices in [0, {lab.size})"
-            )
+            raise ParseError(f"image {image_id}: candidates must be distinct indices in [0, {lab.size})")
         if (label < -1).any():
-            raise ParseError(f"image {ids[-1]}: labels must be -1 or nonnegative")
+            raise ParseError(f"image {image_id}: labels must be -1 or nonnegative")
         lab[cand] = label
         labels.append(lab)
-    if len(set(ids)) < len(ids):
-        raise ParseError("an image id is listed twice")
     return ids, labels

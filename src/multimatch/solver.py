@@ -441,9 +441,9 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
     objective stops decreasing relative to ``OUTER_TOL``.  Hitting
-    ``MAX_SWEEPS`` first, a stalled line search in any Y update, Y updates
-    that use all ``MAX_INNER`` steps (the initial descent's, and one
-    message per stage with the count of its sweeps whose update did), and
+    ``MAX_SWEEPS`` first, Y updates whose line search stalled and Y updates
+    that use all ``MAX_INNER`` steps (the initial descent's, and per stage
+    one message of each kind with the count of its sweeps), and
     projections that reach their round cap (one message with their count,
     in place of the :class:`ProjectionWarning` each one raises) are
     recorded as warnings on the state; other Python warnings
@@ -488,11 +488,10 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         parts = objective_components(w, y, x, z, coords, config.lam, rho)
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
-        capped = 0
+        stalls = capped = 0
         for sweep in range(1, MAX_SWEEPS + 1):
             y, history, stalled = update_Y(y, x.stacked(), w, rho, sizes)
-            if stalled:
-                warnings_list.append(f"line search stalled at {stage} sweep {sweep}")
+            stalls += stalled
             capped += len(history) > MAX_INNER
             x = update_X(y, z, coords, config.lam, rho)
             z = update_Z(x, coords, config.r)
@@ -502,6 +501,8 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
             if prev - total <= OUTER_TOL * max(1.0, abs(prev)):
                 converged = True
                 break
+        if stalls:
+            warnings_list.append(f"line search stalled in {stalls} sweeps at {stage}")
         if capped:
             warnings_list.append(f"max inner steps ({MAX_INNER}) reached in {capped} sweeps at {stage}")
         if not converged:

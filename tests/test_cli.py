@@ -103,6 +103,19 @@ def test_solve_rejects_a_version_1_problem(tmp_path, capsys):
     assert "unsupported format version 1" in capsys.readouterr().err
 
 
+def test_solve_refuses_an_image_id_that_is_not_a_string(tmp_path, capsys):
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    labeling = tmp_path / "l.json"
+    run(synth_args(problem, truth))
+    doc = json.loads(problem.read_text())
+    doc["images"][0]["id"] = 7
+    problem.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["solve", "--problem", problem, "--out", labeling]) == 2
+    assert "image id must be a JSON string, got 7" in capsys.readouterr().err
+    assert not labeling.exists()
+
+
 def test_self_pair_and_repeated_image_id_are_parse_errors(tmp_path):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     labeling = tmp_path / "l.json"

@@ -320,10 +320,17 @@ def test_solver_config_validation():
     {"k": 4.7}, {"k": True}, {"k": "3"}, {"k": 3, "r": 2.9}, {"k": 3, "seed": -1},
     {"k": 3, "seed": 1.5}, {"k": 3, "lam": np.nan}, {"k": 3, "lam": np.inf}, {"k": 3, "lam": True},
     {"k": 3, "rho_schedule": (np.nan,)}, {"k": 3, "rho_schedule": (1.0, np.inf)}, {"k": 3, "lam": 10**400},
+    {"k": 3, "rho_schedule": 5},
 ])
 def test_solver_config_rejects_instead_of_casting(settings):
     with pytest.raises(MatchingError):
         SolverConfig(**settings)
+
+
+@pytest.mark.parametrize("image_id", [None, True, 7])
+def test_feature_set_refuses_an_image_id_that_is_not_a_string(image_id):
+    with pytest.raises(MatchingError, match="image id must be a string"):
+        FeatureSet(image_id, np.zeros((2, 3)))
 
 
 def test_solver_config_keeps_numpy_numbers_as_given():

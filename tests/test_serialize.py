@@ -148,6 +148,12 @@ def test_truth_roundtrip(tmp_path, planted):
     assert got_ids == ids and u == 3
     for a, b in zip(labels, planted.truth_labels):
         assert np.array_equal(a, b)
+    # a truth file that lists its outliers as -1 pairs reads the same
+    doc = json.loads(path.read_text())
+    for rec, lab in zip(doc["images"], planted.truth_labels):
+        rec["pairs"] = [[c, int(label)] for c, label in enumerate(lab)]
+    path.write_text(json.dumps(doc))
+    assert all(np.array_equal(a, b) for a, b in zip(load_truth(path)[1], planted.truth_labels))
 
 
 def test_labeling_roundtrip(tmp_path, rng):
@@ -255,12 +261,44 @@ def test_loaders_reject_image_values_that_are_not_numbers(tmp_path, field, image
     ({"seed": 1.0}, "solver default seed must be an integer"),
     ({"lambda": "0.5"}, "solver default lambda: expected JSON numbers, found string"),
     ({"rho_schedule": ["1", 10]}, "solver default rho_schedule: expected JSON numbers, found string"),
+    ([["k", 2]], r'solver_defaults must be a JSON object, got \[\["k", 2\]\]'),
 ])
 def test_load_problem_rejects_solver_defaults_of_the_wrong_type(tmp_path, defaults, message):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({**_two_image_problem([]), "solver_defaults": defaults}))
     with pytest.raises(ParseError, match=message):
         load_problem(path)
+
+
+NOT_STRINGS = [(None, "null"), (True, "true"), (7, "7")]
+
+
+@pytest.mark.parametrize("value, spelled", NOT_STRINGS)
+@pytest.mark.parametrize("field", ["id", "i", "j"])
+def test_load_problem_refuses_image_ids_that_are_not_strings(tmp_path, field, value, spelled):
+    doc = _two_image_problem([{"i": "a", "j": "b", "entries": [0, 1, 0.5]}])
+    if field == "id":
+        doc["images"][0]["id"] = value
+    else:
+        doc["pairwise"][0][field] = value
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    what = "image id" if field == "id" else f"pairwise {field}"
+    loads = (load_problem, load_features) if field == "id" else (load_problem,)
+    for load in loads:
+        with pytest.raises(ParseError, match=f"{what} must be a JSON string, got {spelled}"):
+            load(path)
+
+
+@pytest.mark.parametrize("value, spelled", NOT_STRINGS)
+def test_sidecars_refuse_image_ids_that_are_not_strings(tmp_path, value, spelled):
+    path = tmp_path / "doc.json"
+    for load, size in ((load_labeling, {"k": 2}), (load_truth, {"universe_size": 2})):
+        doc = json.loads(_pairs_doc([[[0, 0], [1, 1]], [[2, 1], [0, 0]]], **size))
+        doc["images"][1]["id"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"image id must be a JSON string, got {spelled}"):
+            load(path)
 
 
 def test_solver_defaults_reject_unknown_keys(tmp_path, planted):
@@ -369,10 +407,11 @@ def test_sidecars_put_one_image_record_per_line(tmp_path, rng):
     truth, lab = tmp_path / "truth.json", tmp_path / "lab.json"
     save_truth(truth, [np.array([1, -1, 0]), np.array([-1, 0])], ["x", "y"], 2)
     save_labeling(lab, random_labeling(rng, [4, 5], 3), ["x", "y"])
+    # outliers are the candidates left unlisted
     assert json.loads(truth.read_text()) == {
         "format_version": FORMAT_VERSION, "universe_size": 2, "images": [
-            {"id": "x", "p": 3, "pairs": [[0, 1], [1, -1], [2, 0]]},
-            {"id": "y", "p": 2, "pairs": [[0, -1], [1, 0]]},
+            {"id": "x", "p": 3, "pairs": [[0, 1], [2, 0]]},
+            {"id": "y", "p": 2, "pairs": [[1, 0]]},
         ],
     }
     for path in (truth, lab):

@@ -1,7 +1,8 @@
 """Property tests of the document loaders against oracles built from the documents.
 
 The problem loader is checked against a dense matrix of its entries, the
-labeling and ground-truth loaders against labels read off their pairs.
+labeling and ground-truth loaders against labels read off their pairs,
+and the decoder every loader shares against the json module.
 """
 
 import json
@@ -11,14 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multimatch import ParseError, SolverConfig, validate_instance
-from multimatch.serialize import FORMAT_VERSION, load_labeling, load_problem, load_truth
+from multimatch import ParseError, SolverConfig, serialize, validate_instance
+from multimatch.serialize import FORMAT_VERSION, load_labeling, load_problem, load_truth, problem_document
 from conftest import dense_merge_oracle
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 IDS = ("a", "b", "c")
+NOT_STRINGS = (None, True, 7)
 
 
 @st.composite
@@ -30,7 +32,9 @@ def problem_documents(draw):
     some indices written as floats (1.0, -0.0).  Flaws drawn one in twelve
     each: a self-pair record, a pair listed twice, a repeated entry, a
     negative, fractional or past-the-block index, a run cut short of a
-    whole entry, and a string or boolean in place of a number.
+    whole entry, a string or boolean in place of a number, an image id that
+    is not a string (the records naming that image name it so too) and a
+    record's ``i`` or ``j`` that is not a string.
     """
     n = draw(st.integers(2, 3))
     sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
@@ -40,6 +44,9 @@ def problem_documents(draw):
 
     def flaw():
         return draw(st.integers(0, 11)) == 6
+
+    if flaw():
+        draw(st.sampled_from(images))["id"] = draw(st.sampled_from(NOT_STRINGS))
 
     ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
     keys = draw(st.permutations(ordered))[: draw(st.integers(1, 3))]
@@ -65,7 +72,9 @@ def problem_documents(draw):
         if entries and flaw():
             at = draw(st.integers(0, len(entries) - 1))
             entries[at] = draw(st.sampled_from([str(entries[at]), True, False]))
-        pairwise.append({"i": IDS[i], "j": IDS[j], "entries": entries})
+        pairwise.append({"i": images[i]["id"], "j": images[j]["id"], "entries": entries})
+        if flaw():
+            pairwise[-1][draw(st.sampled_from("ij"))] = draw(st.sampled_from(NOT_STRINGS))
     return {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}, sizes
 
 
@@ -74,8 +83,12 @@ def entry_oracle(doc, sizes):
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     dense = np.zeros((offsets[-1], offsets[-1]))
     blocks, seen = {}, set()
+    ids = [rec["id"] for rec in doc["images"]]
+    named = ids + [rec[key] for rec in doc["pairwise"] for key in "ij"]
+    if not all(isinstance(x, str) for x in named):
+        return None
     for rec in doc["pairwise"]:
-        i, j = IDS.index(rec["i"]), IDS.index(rec["j"])
+        i, j = ids.index(rec["i"]), ids.index(rec["j"])
         if i == j or (i, j) in seen:
             return None
         seen.add((i, j))
@@ -121,7 +134,7 @@ def _bad_size(draw, value):
 SIDECAR_FLAWS = (
     "p_type", "size_type", "size_bool", "p_negative", "few_candidates", "label_redrawn",
     "candidate_repeated", "candidate_invalid", "label_below_minus_one", "pair_type", "id_repeated",
-    "no_images",
+    "no_images", "id_type",
 )
 
 
@@ -137,9 +150,9 @@ def sidecar_documents(draw):
     candidates to carry every label, a label redrawn from [-1, size] (so
     it may repeat or pass the size), a repeated, fractional, negative or
     past-the-image candidate, a label below -1, a candidate or label
-    written as a string or boolean, a repeated image id or an empty image
-    list.  Some flaws leave a valid document, such as missing
-    labels in a ground truth.
+    written as a string or boolean, a repeated image id, an image id that
+    is not a string or an empty image list.  Some flaws leave a valid
+    document, such as missing labels in a ground truth.
     """
     kind = draw(st.sampled_from(["labeling", "truth"]))
     flaw = draw(st.sampled_from((None,) * len(SIDECAR_FLAWS) + SIDECAR_FLAWS))
@@ -175,6 +188,8 @@ def sidecar_documents(draw):
         images[-1]["id"] = IDS[0]
     elif flaw == "no_images":
         images = []
+    elif flaw == "id_type":
+        image["id"] = draw(st.sampled_from(NOT_STRINGS))
     key = "k" if kind == "labeling" else "universe_size"
     if flaw == "size_type":
         size = _bad_size(draw, size)
@@ -193,7 +208,9 @@ def sidecar_oracle(kind, doc):
     key = "k" if kind == "labeling" else "universe_size"
     size, images = doc[key], doc["images"]
     ids = [rec["id"] for rec in images]
-    if not images or len(set(ids)) < len(ids) or not _is_int(size):
+    if not images or not all(isinstance(i, str) for i in ids) or len(set(ids)) < len(ids):
+        return None
+    if not _is_int(size):
         return None
     labels = []
     for rec in images:
@@ -243,3 +260,40 @@ def test_sidecar_loaders_match_pair_oracle(case):
     assert len(got_labels) == len(labels)
     for a, b in zip(got_labels, labels):
         assert np.array_equal(a, b)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    st.one_of(problem_documents().map(lambda case: ("problem", case[0])), sidecar_documents()),
+    st.sampled_from([None, 0, 2, "\t"]),
+    st.sampled_from([(", ", ": "), (",", ":"), (" ,\r\n", " :\t")]),
+)
+def test_document_frame_decodes_as_the_json_module(case, indent, separators):
+    kind, doc = case
+    text = json.dumps(doc, indent=indent, separators=separators)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        with serialize._document(path, kind) as decoded:
+            # dumped again, so an int read as a float, or a reordered member, shows
+            assert json.dumps(decoded) == json.dumps(json.loads(text))
+
+
+SOLVER_DEFAULTS = st.fixed_dictionaries({}, optional={
+    "k": st.integers(1, 5), "lambda": st.floats(0.0, 2.0), "r": st.integers(1, 4),
+    "rho_schedule": st.lists(st.floats(0.1, 100.0), max_size=3), "seed": st.integers(0, 9),
+})
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(problem_documents(), SOLVER_DEFAULTS)
+def test_problem_document_is_a_fixed_point_of_load_problem(case, defaults):
+    doc, sizes = case
+    hypothesis.assume(entry_oracle(doc, sizes) is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps({**doc, "solver_defaults": defaults}))
+        text = problem_document(*load_problem(path))
+        path.write_text(text)
+        assert problem_document(*load_problem(path)) == text
+    assert json.loads(text).get("solver_defaults", {}) == defaults
