@@ -179,9 +179,8 @@ class SelectionLabeling:
     ``index`` is an (n, k) integer array: ``index[i, l]`` is the candidate
     of image i that carries label l, and ``sizes[i]`` is image i's
     candidate count p_i.  A valid labeling has k distinct candidates in
-    [0, p_i) on every row.  The stacked binary matrix, the label arrays,
-    the per-image assignment matrices and the induced pair matches are all
-    derived from ``index``.
+    [0, p_i) on every row.  The stacked binary matrix, the label arrays
+    and the per-image assignment matrices are derived from ``index``.
     """
 
     index: np.ndarray
@@ -253,12 +252,6 @@ class SelectionLabeling:
                 raise MatchingError(f"image {i}: every label in [0, {k}) must be used exactly once")
             index[i, lab[chosen]] = chosen
         return cls(index, tuple(len(lab) for lab in labels))
-
-    def pair_matrix(self, i: int, j: int) -> np.ndarray:
-        """Induced candidate-to-candidate matches between images i and j."""
-        out = np.zeros((self.sizes[i], self.sizes[j]), dtype=int)
-        out[self.index[i], self.index[j]] = 1
-        return out
 
 
 @dataclass

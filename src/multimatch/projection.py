@@ -146,21 +146,21 @@ def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
     in the row caps.
     """
     v = np.asarray(y, dtype=float)
-    sizes = tuple(int(p) for p in sizes)
-    if v.ndim != 2 or v.shape[0] != sum(sizes):
-        raise DimensionMismatch(f"expected {sum(sizes)} rows, got shape {v.shape}")
-    if min(sizes) < v.shape[1]:
+    layout = BlockLayout(sizes)
+    if v.ndim != 2 or v.shape[0] != layout.m:
+        raise DimensionMismatch(f"expected {layout.m} rows, got shape {v.shape}")
+    if min(layout.sizes) < v.shape[1]:
         raise InfeasibleK("block column sums cannot reach 1 when k exceeds a block height")
     k = v.shape[1]
     out = np.empty_like(v)
     capped = 0
-    for p, _, rows in BlockLayout(sizes).groups():
+    for p, _, rows in layout.groups():
         block_out, left = _ascend(v[rows].reshape(-1, p, k))
         out[rows] = block_out.reshape(-1, k)
         capped += left
     if capped:
         warnings.warn(
-            f"projection stopped after {PROJECTION_MAX_ITER} rounds with {capped} of {len(sizes)} "
+            f"projection stopped after {PROJECTION_MAX_ITER} rounds with {capped} of {layout.n} "
             f"images unsettled, row sums up to {out.sum(axis=1).max():.6g}",
             ProjectionWarning,
             stacklevel=2,
@@ -171,12 +171,9 @@ def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
 def feasibility_gap(y: np.ndarray, sizes) -> float:
     """Largest violation of the constraint set; zero for feasible points."""
     y = np.asarray(y, dtype=float)
-    sizes = tuple(int(p) for p in sizes)
     gap = max(float(-y.min(initial=0.0)), float((y - 1.0).max(initial=0.0)))
     gap = max(gap, float((y.sum(axis=1) - 1.0).max(initial=0.0)))
-    offset = 0
-    for p in sizes:
-        col_sums = y[offset : offset + p].sum(axis=0)
-        gap = max(gap, float(np.abs(col_sums - 1.0).max()))
-        offset += p
+    for p, _, rows in BlockLayout(sizes).groups():
+        col_sums = y[rows].reshape(-1, p, y.shape[1]).sum(axis=1)
+        gap = max(gap, float(np.abs(col_sums - 1.0).max(initial=0.0)))
     return gap

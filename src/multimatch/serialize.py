@@ -14,8 +14,10 @@ one writer: per image, its id, ``p`` and the (candidate index, label)
 pairs of its labeled candidates; an unlisted candidate is an outlier.
 Every reader runs in one frame, :func:`_document`, which decodes the
 file, checks its version and raises :class:`ParseError` on a malformed
-document. Image ids (and pairwise ``i``, ``j``) must be JSON strings and
-every value read as a number a JSON number; nothing is converted.
+document, including one that repeats a top-level member among those it
+reads (JSON decoders differ on which copy wins). Image ids (and pairwise
+``i``, ``j``) must be JSON strings and every value read as a number a
+JSON number; nothing is converted.
 Objective traces are CSV, one line per recorded sweep.
 """
 
@@ -300,7 +302,8 @@ def _leading_members(text: str, wanted: set[str]) -> dict:
     The text after the last wanted member is not looked at; with nothing
     wanted the whole object is read and trailing data raises.  Malformed
     text up to the last member read, or a top level that is not an object,
-    raises :class:`json.JSONDecodeError`.
+    raises :class:`json.JSONDecodeError`; a key read a second time raises
+    :class:`ParseError`, where ``json.loads`` would keep the last value.
     """
     decoder = json.JSONDecoder()
     pos = _WHITESPACE.match(text).end()
@@ -313,6 +316,8 @@ def _leading_members(text: str, wanted: set[str]) -> dict:
         key, pos = decoder.raw_decode(text, pos)
         if not isinstance(key, str):
             raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+        if key in doc:
+            raise ParseError(f"member {json.dumps(key)} is listed twice")
         pos = _WHITESPACE.match(text, pos).end()
         if not text.startswith(":", pos):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)

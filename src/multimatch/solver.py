@@ -23,7 +23,10 @@ its value, its gradient (Y Y^T - W) Y and the curvature bound behind
 the step sizes all contract through W Y and the k x k Gram matrix Y^T Y,
 kept for the last iterate evaluated.  Every function that takes the
 score matrix ``w`` also takes its contraction; a solve builds one and
-passes it everywhere, so W is contracted once per iterate.
+passes it everywhere, so W is contracted once per iterate.  The
+geometric term has one owner too: :func:`update_Z` returns it with the
+fit it makes.  The trace and :func:`selection_objective` both sum the
+terms through :func:`objective_components`.
 
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
 top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
@@ -190,25 +193,16 @@ def objective_cycle(w, y: np.ndarray) -> float:
     return Contraction.of(w).value(np.asarray(y, dtype=float))
 
 
-def objective_geo(x: SelectionLabeling, z: np.ndarray, coords: list[np.ndarray]) -> float:
-    """Half squared residual between selected coordinates and the fit z."""
-    diff = assemble_measurements(x, coords) - z
-    # per image, then sequentially over the images: a summation order that
-    # does not depend on how numpy blocks one long sum
-    per_image = (diff * diff).reshape(x.n, -1).sum(axis=1)
-    return 0.5 * float(np.cumsum(per_image)[-1])
-
-
-def objective_components(w, y, x: SelectionLabeling, z, coords, lam: float, rho: float) -> tuple[float, float, float]:
+def objective_components(w, y, xs, geo: float, lam: float, rho: float) -> tuple[float, float, float]:
     """The (cycle, lam * geometric, coupling) terms of the full objective.
 
     Their sum is the objective the solver minimizes; a trace record stores
     the three terms and that sum.  ``w`` is the score matrix or its
     :class:`Contraction`, whose slot already holds y after an ``update_Y``
-    call that returned it.
+    call that returned it; ``xs`` is the stacked binary selection and
+    ``geo`` the geometric term that :func:`update_Z` returned with its fit.
     """
-    geo = lam * objective_geo(x, z, coords) if lam else 0.0
-    return objective_cycle(w, y), geo, _coupling(y, x.stacked(), rho)
+    return objective_cycle(w, y), lam * geo if lam else 0.0, _coupling(y, xs, rho)
 
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
@@ -360,13 +354,19 @@ def update_X(
     return SelectionLabeling(index, layout.sizes)
 
 
-def update_Z(x, coords: list[np.ndarray], r: int) -> np.ndarray:
-    """Best rank-r approximation of the stacked selected coordinates."""
+def update_Z(x: SelectionLabeling, coords: list[np.ndarray], r: int) -> tuple[np.ndarray, float]:
+    """Best rank-r fit z of the stacked selected coordinates, and the geometric term at z.
+
+    The term is half the squared residual, summed per image and then in
+    sequence over the images, an order independent of numpy's blocking.
+    """
     m_tilde = assemble_measurements(x, coords)
     if r >= min(m_tilde.shape):
-        return m_tilde.copy()
+        return m_tilde.copy(), 0.0
     u, s, vt = np.linalg.svd(m_tilde, full_matrices=False)
-    return (u[:, :r] * s[:r]) @ vt[:r]
+    z = (u[:, :r] * s[:r]) @ vt[:r]
+    per_image = np.square(m_tilde - z).reshape(x.n, -1).sum(axis=1)
+    return z, 0.5 * float(np.cumsum(per_image)[-1])
 
 
 def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
@@ -421,19 +421,19 @@ def initialize(
     message appended to ``warnings_out`` when one is given.  Returns
     (y, selection, objective history).
     """
-    sizes = tuple(int(p) for p in sizes)
+    layout = BlockLayout(sizes)
     cycle = Contraction.of(w)
-    y0 = spectral_start(cycle.w, config.k, config.seed, sizes)
-    y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, sizes)
+    y0 = spectral_start(cycle.w, config.k, config.seed, layout.sizes)
+    y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, layout.sizes)
     if warnings_out is not None:
         if stalled:
             warnings_out.append("line search stalled at init")
         if len(history) > MAX_INNER:  # every step used: history holds the start too
             warnings_out.append(f"max inner steps ({MAX_INNER}) reached at init")
-    index = np.empty((len(sizes), config.k), dtype=np.intp)
-    for p, images, rows in BlockLayout(sizes).groups():
+    index = np.empty((layout.n, config.k), dtype=np.intp)
+    for p, images, rows in layout.groups():
         index[images] = discretize(y[rows].reshape(-1, p, config.k))
-    return y, SelectionLabeling(index, sizes), history
+    return y, SelectionLabeling(index, layout.sizes), history
 
 
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
@@ -481,21 +481,23 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
-    z = update_Z(x, coords, config.r)
+    xs = x.stacked()
+    z, geo = update_Z(x, coords, config.r)
 
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
-        parts = objective_components(w, y, x, z, coords, config.lam, rho)
+        parts = objective_components(w, y, xs, geo, config.lam, rho)
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         stalls = capped = 0
         for sweep in range(1, MAX_SWEEPS + 1):
-            y, history, stalled = update_Y(y, x.stacked(), w, rho, sizes)
+            y, history, stalled = update_Y(y, xs, w, rho, sizes)
             stalls += stalled
             capped += len(history) > MAX_INNER
             x = update_X(y, z, coords, config.lam, rho)
-            z = update_Z(x, coords, config.r)
-            parts = objective_components(w, y, x, z, coords, config.lam, rho)
+            xs = x.stacked()
+            z, geo = update_Z(x, coords, config.r)
+            parts = objective_components(w, y, xs, geo, config.lam, rho)
             trace.append(TraceRecord(stage, sweep, *parts, sum(parts)))
             prev, total = trace[-2].total, trace[-1].total
             if prev - total <= OUTER_TOL * max(1.0, abs(prev)):
@@ -522,17 +524,9 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 def selection_objective(w, labeling: SelectionLabeling, coords: list[np.ndarray], lam: float, r: int) -> float:
     """Objective of a binary labeling with the geometric fit optimized out.
 
-    The cycle term is evaluated at the labeling itself and the geometric
-    term at the best rank-r fit of the induced measurements, i.e. half the
-    energy of the discarded singular values.  ``w`` is the score matrix or
-    its :class:`Contraction`; a caller that scores many labelings passes
-    one contraction, so ||w||_F^2 is computed once.
+    The total a trace records at y = x = the labeling and z its rank-r
+    fit.  ``w`` is the score matrix or its :class:`Contraction`; a caller
+    that scores many labelings passes one, so ||w||_F^2 is computed once.
     """
     xs = labeling.stacked()
-    val = objective_cycle(w, xs)
-    if lam:
-        m_tilde = assemble_measurements(labeling, coords)
-        if r < min(m_tilde.shape):
-            s = np.linalg.svd(m_tilde, compute_uv=False)
-            val += 0.5 * lam * float((s[r:] ** 2).sum())
-    return val
+    return sum(objective_components(w, xs, xs, update_Z(labeling, coords, r)[1], lam, 0.0))

@@ -60,6 +60,14 @@ def naive_geo_objective(blocks, z, coords):
     return 0.5 * total
 
 
+def pair_matrix(labeling, i, j):
+    """The p_i x p_j 0/1 matches a labeling induces between images i and j, label by label."""
+    out = np.zeros((labeling.sizes[i], labeling.sizes[j]), dtype=int)
+    for a, b in zip(labeling.index[i], labeling.index[j]):
+        out[a, b] = 1
+    return out
+
+
 def random_labeling(rng, sizes, k):
     """Uniformly random valid selection labeling."""
     return SelectionLabeling([rng.permutation(p)[:k] for p in sizes], sizes)

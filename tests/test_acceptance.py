@@ -243,7 +243,7 @@ def test_criterion_10_rank_facts(rng):
         lab = random_labeling(rng, sizes, k)
         coords = [rng.normal(size=(2, p)) for p in sizes]
         r = int(rng.integers(1, 5))
-        z = update_Z(lab, coords, r)
+        z, _ = update_Z(lab, coords, r)
         s = np.linalg.svd(z, compute_uv=False)
         if r < s.size and s[0] > 0:
             worst = max(worst, s[r] / s[0])

@@ -116,6 +116,19 @@ def test_solve_refuses_an_image_id_that_is_not_a_string(tmp_path, capsys):
     assert not labeling.exists()
 
 
+def test_solve_refuses_a_repeated_images_member(tmp_path, capsys):
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    labeling = tmp_path / "l.json"
+    run(synth_args(problem, truth))
+    doc = json.loads(problem.read_text())
+    moved = [{**rec, "coordinates": (np.array(rec["coordinates"]) + 100).tolist()} for rec in doc["images"]]
+    problem.write_text(problem.read_text().rstrip()[:-1] + ', "images": ' + json.dumps(moved) + "}")
+    capsys.readouterr()
+    assert run(["solve", "--problem", problem, "--out", labeling]) == 2
+    assert 'member "images" is listed twice' in capsys.readouterr().err
+    assert not labeling.exists()
+
+
 def test_self_pair_and_repeated_image_id_are_parse_errors(tmp_path):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     labeling = tmp_path / "l.json"

@@ -16,7 +16,7 @@ from multimatch import (
     scores_pair_stats,
     selected_inlier_fraction,
 )
-from conftest import random_labeling
+from conftest import pair_matrix, random_labeling
 
 
 def hand_counted_stats(pred_labels, true_labels):
@@ -171,7 +171,7 @@ def test_pck_validates_inputs():
 def test_cycle_check_detects_corrupted_block(rng):
     lab = random_labeling(rng, [3, 3, 3], 2)
     blocks = {
-        (i, j): lab.pair_matrix(i, j) for i in range(3) for j in range(3) if i != j
+        (i, j): pair_matrix(lab, i, j) for i in range(3) for j in range(3) if i != j
     }
     bad = blocks[(0, 1)].copy()
     r, c = np.nonzero(bad)

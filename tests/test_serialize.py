@@ -231,6 +231,38 @@ def test_load_problem_rejects_bad_documents(tmp_path):
             load_problem(bad)
 
 
+def _members(*pairs):
+    """A JSON object's text from (key, value) members in order, a key possibly repeated."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in pairs) + "}"
+
+
+def test_readers_refuse_a_repeated_top_level_member(tmp_path):
+    doc = _two_image_problem([{"i": "a", "j": "b", "entries": [0, 1, 0.5]}])
+    images = doc["images"]
+    moved = [{**rec, "coordinates": (np.array(rec["coordinates"]) + 100).tolist()} for rec in images]
+    path = tmp_path / "p.json"
+    for key, value in [("images", moved), ("pairwise", []), ("format_version", FORMAT_VERSION),
+                       ("solver_defaults", {"k": 3})]:
+        path.write_text(_members(*doc.items(), ("solver_defaults", {"k": 2}), (key, value)))
+        with pytest.raises(ParseError, match=rf'malformed problem document \(member "{key}" is listed twice\)'):
+            load_problem(path)
+    # load_features stops once format_version and images are read: it refuses a repeat before then
+    version = ("format_version", FORMAT_VERSION)
+    for members, key in [
+        ((("images", images), ("images", moved), version), "images"),
+        ((version, version, ("images", images)), "format_version"),
+    ]:
+        path.write_text(_members(*members))
+        with pytest.raises(ParseError, match=f'member "{key}" is listed twice'):
+            load_features(path)
+    path.write_text(_members(*doc.items(), ("images", moved)))  # after its last member: not read
+    assert [f.coordinates.tolist() for f in load_features(path)] == [rec["coordinates"] for rec in images]
+    sidecar = json.loads(_pairs_doc([[[0, 0], [1, 1]], [[2, 1], [0, 0]]], k=2))
+    path.write_text(_members(*sidecar.items(), ("k", 3)))
+    with pytest.raises(ParseError, match='member "k" is listed twice'):
+        load_labeling(path)
+
+
 def test_load_problem_rejects_a_version_1_document(tmp_path):
     path = tmp_path / "p.json"
     doc = _two_image_problem([{"i": "a", "j": "b", "entries": [[0, 1, 0.3], [2, 0, 1.0]]}])

@@ -20,7 +20,6 @@ from multimatch import (
     normalize_coordinates,
     objective_components,
     objective_cycle,
-    objective_geo,
     project_onto_C,
     recall,
     generate,
@@ -82,11 +81,19 @@ def test_objective_cycle_accepts_sparse(rng):
     assert sparse == pytest.approx(dense, rel=1e-12)
 
 
-def test_objective_geo_zero_at_exact_fit(rng):
+def test_update_z_geo_zero_at_exact_fit(rng):
     coords = [rng.random((2, 4)), rng.random((2, 5))]
     lab = random_labeling(rng, [4, 5], 3)
-    m_tilde = assemble_measurements(lab, coords)
-    assert objective_geo(lab, m_tilde, coords) == 0.0
+    z, geo = update_Z(lab, coords, 3)  # 3 >= min(2n, k): the fit is the measurements
+    assert np.array_equal(z, assemble_measurements(lab, coords)) and geo == 0.0
+    # rank-1 measurements a_i v^T, fitted by SVD at r = 1 < min(2n, k)
+    v = rng.random(3)
+    coords = []
+    for a, p, index in zip(([1.0, -2.0], [0.5, 3.0]), (4, 5), lab.index):
+        t = rng.random(p)
+        t[index] = v
+        coords.append(np.outer(a, t))
+    assert update_Z(lab, coords, 1)[1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_assemble_measurements_matches_per_image_slices(rng):
@@ -99,19 +106,21 @@ def test_assemble_measurements_matches_per_image_slices(rng):
     assert np.array_equal(assemble_measurements(one, coords[:1]), expected[:2])
 
 
-def test_objective_geo_single_point():
+def test_update_z_geo_single_point_at_rank_zero():
+    # the rank-0 fit is zero, so the term is half the point's squared norm
     coords = [np.array([[3.0], [4.0]])]
     lab = SelectionLabeling([[0]], (1,))
-    z = np.zeros((2, 1))
-    assert objective_geo(lab, z, coords) == pytest.approx(12.5)
+    z, geo = update_Z(lab, coords, 0)
+    assert np.array_equal(z, np.zeros((2, 1)))
+    assert geo == pytest.approx(12.5)
 
 
-def test_objective_geo_matches_naive_loop(rng):
-    coords = [rng.random((2, 4)), rng.random((2, 3))]
-    lab = random_labeling(rng, [4, 3], 2)
-    z = rng.random((4, 2))
-    expected = naive_geo_objective([b for b in lab.assignments], z, coords)
-    assert objective_geo(lab, z, coords) == pytest.approx(expected, rel=1e-12)
+def test_update_z_geo_matches_naive_loop(rng):
+    for sizes, k, r in [((4, 3), 2, 1), ((5, 3, 6, 4), 3, 2), ((6,) * 5, 4, 3)]:
+        coords = [rng.random((2, p)) for p in sizes]
+        lab = random_labeling(rng, sizes, k)
+        z, geo = update_Z(lab, coords, r)
+        assert geo == pytest.approx(naive_geo_objective(lab.assignments, z, coords), rel=1e-12)
 
 
 def test_objective_total_zero_for_consistent_state(rng):
@@ -119,8 +128,8 @@ def test_objective_total_zero_for_consistent_state(rng):
     xs = lab.stacked()
     w = xs @ xs.T
     coords = [rng.random((2, 3)), rng.random((2, 3))]
-    m_tilde = assemble_measurements(lab, coords)
-    parts = objective_components(w, xs, lab, m_tilde, coords, lam=1.0, rho=5.0)
+    geo = update_Z(lab, coords, 4)[1]  # 4 >= min(2n, k) = 2: an exact fit
+    parts = objective_components(w, xs, xs, geo, lam=1.0, rho=5.0)
     assert sum(parts) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -130,14 +139,15 @@ def test_objective_total_decomposes(rng):
     w = rng.random((8, 8))
     w = 0.5 * (w + w.T)
     coords = [rng.random((2, 4)), rng.random((2, 4))]
-    z = rng.random((4, 2))
+    z, fit = update_Z(lab, coords, 1)
+    xs = lab.stacked()
     lam, rho = 0.7, 3.0
-    cycle, geo, coupling = objective_components(w, y, lab, z, coords, lam, rho)
+    cycle, geo, coupling = objective_components(w, y, xs, fit, lam, rho)
     assert cycle == pytest.approx(naive_cycle_objective(w, y), rel=1e-9)
     assert geo == pytest.approx(lam * naive_geo_objective(lab.assignments, z, coords), rel=1e-9)
-    assert coupling == pytest.approx(0.5 * rho * ((lab.stacked() - y) ** 2).sum(), rel=1e-9)
-    assert objective_components(w, y, lab, z, coords, lam, 0.0) == (cycle, geo, 0.0)
-    assert objective_components(w, y, lab, z, coords, 0.0, rho) == (cycle, 0.0, coupling)
+    assert coupling == pytest.approx(0.5 * rho * ((xs - y) ** 2).sum(), rel=1e-9)
+    assert objective_components(w, y, xs, fit, lam, 0.0) == (cycle, geo, 0.0)
+    assert objective_components(w, y, xs, fit, 0.0, rho) == (cycle, 0.0, coupling)
 
 
 def gradient_fd(w, y, h=1e-5):
@@ -369,15 +379,15 @@ def test_functions_taking_w_accept_its_contraction(sparse):
     y = random_feasible_y(rng, sizes, 4)
     lab = random_labeling(rng, sizes, 4)
     coords, _ = normalize_coordinates(planted.instance.coordinates)
-    z = update_Z(lab, coords, 2)
+    geo = update_Z(lab, coords, 2)[1]
     a, b = update_Y(y, lab.stacked(), w, 3.0, sizes), update_Y(y, lab.stacked(), Contraction(w), 3.0, sizes)
     assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
     a, b = initialize(w, config, sizes), initialize(Contraction(w), config, sizes)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1].index, b[1].index) and a[2] == b[2]
     c = Contraction(w)
     assert objective_cycle(c, y) == objective_cycle(w, y)
-    parts = objective_components(w, y, lab, z, coords, 0.7, 3.0)
-    assert objective_components(c, y, lab, z, coords, 0.7, 3.0) == parts
+    parts = objective_components(w, y, lab.stacked(), geo, 0.7, 3.0)
+    assert objective_components(c, y, lab.stacked(), geo, 0.7, 3.0) == parts
 
 
 def test_update_x_reduces_to_discretize_without_geometry(rng):
@@ -397,7 +407,7 @@ def test_update_x_zero_distance_optimum(rng):
     z = coords[0][:, pick]
     lab = update_X(np.zeros((5, 2)), z, coords, lam=1.0, rho=0.0)
     assert lab.assignments[0][pick, [0, 1]].tolist() == [1, 1]
-    assert objective_geo(lab, z, coords) == pytest.approx(0.0, abs=1e-16)
+    assert naive_geo_objective(lab.assignments, z, coords) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_update_x_matches_enumeration(rng):
@@ -457,14 +467,15 @@ def test_update_x_optimal_against_single_image_swaps(rng):
 def test_update_z_identity_when_rank_already_low(rng):
     lab = random_labeling(rng, [5, 5], 3)
     coords = [rng.random((2, 5)), rng.random((2, 5))]
-    z = update_Z(lab, coords, r=4)  # 4 >= min(2n, k) = 3
+    z, _ = update_Z(lab, coords, r=4)  # 4 >= min(2n, k) = 3
     assert np.allclose(z, assemble_measurements(lab, coords), atol=1e-9)
 
 
 def test_update_z_zero_matrix():
     lab = SelectionLabeling([[0, 1]] * 2, (2, 2))
     coords = [np.zeros((2, 2)), np.zeros((2, 2))]
-    assert np.array_equal(update_Z(lab, coords, 1), np.zeros((4, 2)))
+    z, geo = update_Z(lab, coords, 1)
+    assert np.array_equal(z, np.zeros((4, 2))) and geo == 0.0
 
 
 def test_update_z_tail_energy_identity(rng):
@@ -472,10 +483,11 @@ def test_update_z_tail_energy_identity(rng):
     # cross-checked through the eigendecomposition of M^T M
     m = rng.normal(size=(8, 5))
     coords = [m[2 * i : 2 * i + 2] for i in range(4)]
-    z = update_Z(SelectionLabeling([np.arange(5)] * 4, (5,) * 4), coords, r=4)
+    z, geo = update_Z(SelectionLabeling([np.arange(5)] * 4, (5,) * 4), coords, r=4)
     eigvals = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
     expected_tail = eigvals[4:].sum()
     assert ((m - z) ** 2).sum() == pytest.approx(expected_tail, rel=1e-9, abs=1e-12)
+    assert geo == pytest.approx(0.5 * expected_tail, rel=1e-9, abs=1e-12)
     s = np.linalg.svd(z, compute_uv=False)
     assert s[4] <= 1e-8 * max(s[0], 1e-300)
 
@@ -717,13 +729,44 @@ def test_solve_reports_pixel_frame_measurements():
     assert np.allclose(state.measurement.z, expected, atol=1e-6)
 
 
-def test_selection_objective_matches_components(rng):
+def _rank_r_fit(blocks, coords, r):
+    """Measurements of a labeling, stacked by hand, and their rank-r fit by numpy's SVD."""
+    m = np.vstack([c @ b for b, c in zip(blocks, coords)])
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u[:, :r] * s[:r]) @ vt[:r]
+
+
+def test_selection_objective_matches_naive_oracles(rng):
     planted = generate(3, 3, outliers_per_image=1, seed=5)
     w = assemble_block(planted.instance.scores).toarray()
     coords, _ = normalize_coordinates(planted.instance.coordinates)
-    lab = random_labeling(rng, [f.p for f in planted.instance.features], 2)
-    val = selection_objective(w, lab, coords, lam=1.0, r=2)
-    m_tilde = assemble_measurements(lab, coords)
-    z = update_Z(lab, coords, 2)
-    expected = objective_cycle(w, lab.stacked()) + objective_geo(lab, z, coords)
-    assert val == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    sizes = [f.p for f in planted.instance.features]
+    for lam, r in [(1.0, 2), (0.3, 1), (0.0, 1)]:
+        lab = random_labeling(rng, sizes, 3)
+        blocks = lab.assignments
+        expected = naive_cycle_objective(w, lab.stacked())
+        expected += lam * naive_geo_objective(blocks, _rank_r_fit(blocks, coords, r), coords)
+        val = selection_objective(w, lab, coords, lam=lam, r=r)
+        assert val == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_last_trace_record_matches_naive_oracles_at_the_final_state():
+    planted = generate(4, 4, outliers_per_image=2, coord_noise_sigma=0.05,
+                       match_corruption_rate=0.3, seed=8)
+    config = SolverConfig(k=4, r=2, lam=0.5, seed=8)
+    state = solve(planted.instance, config)
+    w = assemble_block(planted.instance.scores).toarray()
+    coords, transforms = normalize_coordinates(planted.instance.coordinates)
+    blocks = state.labeling.assignments
+    z = _rank_r_fit(blocks, coords, config.r)
+    assert np.allclose(denormalize_fit(z, transforms), state.measurement.z, atol=1e-9)
+    last = state.objective_trace[-1]
+    assert last.stage == f"rho={config.rho_schedule[-1]:g}"
+    diff = state.y - state.labeling.stacked()
+    expected = (
+        naive_cycle_objective(w, state.y),
+        config.lam * naive_geo_objective(blocks, z, coords),
+        0.5 * config.rho_schedule[-1] * float((diff * diff).sum()),
+    )
+    assert (last.cycle, last.geo, last.coupling) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+    assert last.total == pytest.approx(sum(expected), rel=1e-9, abs=1e-12)

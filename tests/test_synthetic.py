@@ -12,6 +12,7 @@ from multimatch import (
     selection_objective,
 )
 from multimatch.solver import objective_cycle
+from conftest import pair_matrix
 
 
 def test_same_seed_is_bit_identical():
@@ -44,7 +45,7 @@ def test_uncorrupted_scores_equal_truth_product():
     for i in range(5):
         for j in range(i + 1, 5):
             got = w[layout.block_slice(i), layout.block_slice(j)]
-            expected = planted.ground_truth.pair_matrix(i, j)
+            expected = pair_matrix(planted.ground_truth, i, j)
             assert np.array_equal(got, expected)
 
 
@@ -72,7 +73,7 @@ def test_corruption_fraction_measured_against_truth():
     for i in range(10):
         for j in range(i + 1, 10):
             w = planted.instance.scores.blocks[(i, j)]
-            truth = planted.ground_truth.pair_matrix(i, j)
+            truth = pair_matrix(planted.ground_truth, i, j)
             rows, cols = np.nonzero(truth)
             total += rows.size
             damaged += int((w[rows, cols] < 0.5).sum())
@@ -114,7 +115,7 @@ def test_brute_force_finds_planted_optimum_zero_objective():
     assert obj == pytest.approx(0.0, abs=1e-12)
     for i in range(3):
         for j in range(3):
-            assert np.array_equal(best.pair_matrix(i, j), planted.ground_truth.pair_matrix(i, j))
+            assert np.array_equal(pair_matrix(best, i, j), pair_matrix(planted.ground_truth, i, j))
 
 
 def test_brute_force_finds_planted_optimum_with_outliers():
@@ -129,7 +130,7 @@ def test_brute_force_finds_planted_optimum_with_outliers():
         for j in range(3):
             if i != j:
                 assert np.array_equal(
-                    best.pair_matrix(i, j), planted.ground_truth.pair_matrix(i, j)
+                    pair_matrix(best, i, j), pair_matrix(planted.ground_truth, i, j)
                 )
 
 
