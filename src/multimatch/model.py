@@ -71,11 +71,14 @@ class BlockLayout:
             out.append((int(p), images, (offsets[images, None] + np.arange(p)).ravel()))
         return out
 
+    def candidate_images(self) -> np.ndarray:
+        """The image of every stacked candidate, an m-long array to gather from."""
+        return np.repeat(np.arange(self.n), self.sizes)
+
     def locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Image and local candidate index of each stacked candidate index."""
-        offsets = np.asarray(self.offsets)
-        image = np.searchsorted(offsets, index, side="right") - 1
-        return image, index - offsets[image]
+        image = self.candidate_images()[index]
+        return image, index - np.asarray(self.offsets)[image]
 
 
 @dataclass
@@ -201,14 +204,24 @@ class SelectionLabeling:
         return self.index.shape[1]
 
     def validate(self) -> None:
-        """Raise unless every row holds k distinct candidates of its image."""
-        for i, (row, p) in enumerate(zip(self.index, self.sizes)):
-            if p < self.k:
-                raise InfeasibleK(f"image {i}: k={self.k} exceeds p={p}")
-            if ((row < 0) | (row >= p)).any():
-                raise MatchingError(f"image {i}: a chosen candidate lies outside [0, {p})")
-            if np.unique(row).size < self.k:
-                raise MatchingError(f"image {i}: some candidate carries multiple labels")
+        """Raise unless every row holds k distinct candidates of its image.
+
+        The first image at fault is named: :class:`InfeasibleK` when its p
+        is below k, else :class:`MatchingError`.
+        """
+        sizes = np.asarray(self.sizes, dtype=np.intp)
+        short = sizes < self.k
+        outside = ((self.index < 0) | (self.index >= sizes[:, None])).any(axis=1)
+        ordered = np.sort(self.index, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        faulty = np.flatnonzero(short | outside | repeated)
+        if faulty.size:
+            i = int(faulty[0])
+            if short[i]:
+                raise InfeasibleK(f"image {i}: k={self.k} exceeds p={self.sizes[i]}")
+            if outside[i]:
+                raise MatchingError(f"image {i}: a chosen candidate lies outside [0, {self.sizes[i]})")
+            raise MatchingError(f"image {i}: some candidate carries multiple labels")
 
     def stacked_rows(self) -> np.ndarray:
         """Row of each chosen candidate in the stacked (m, k) layout, as an (n, k) array."""
@@ -244,14 +257,25 @@ class SelectionLabeling:
         in [0, k) exactly once.
         """
         k = int(k)
-        index = np.empty((len(labels), k), dtype=np.intp)
-        for i, lab in enumerate(labels):
-            lab = np.asarray(lab, dtype=int)
-            chosen = np.flatnonzero(lab >= 0)
-            if not np.array_equal(np.sort(lab[chosen]), np.arange(k)):
-                raise MatchingError(f"image {i}: every label in [0, {k}) must be used exactly once")
-            index[i, lab[chosen]] = chosen
-        return cls(index, tuple(len(lab) for lab in labels))
+        sizes = tuple(map(len, labels))
+        # the leading empty array keeps an empty list of images readable
+        flat = np.concatenate([np.empty(0, dtype=int), *labels]).astype(int, copy=False)
+        starts = np.cumsum(sizes, dtype=np.intp) - sizes
+        chosen = np.flatnonzero(flat >= 0)
+        image = np.repeat(np.arange(len(sizes)), sizes)[chosen]
+        label = flat[chosen]
+        faulty = np.bincount(image, minlength=len(sizes)) != k
+        faulty[image[label >= k]] = True
+        # one row per image left, each with k labels below k (so at most m
+        # entries in all): a label used twice leaves another one unused
+        ok = ~faulty
+        index = np.full((np.count_nonzero(ok), k), -1, dtype=np.intp)
+        take = ok[image]
+        index[(np.cumsum(ok) - 1)[image[take]], label[take]] = (chosen - starts[image])[take]
+        faulty[ok] = (index < 0).any(axis=1)
+        if faulty.any():
+            raise MatchingError(f"image {np.argmax(faulty)}: every label in [0, {k}) must be used exactly once")
+        return cls(index, sizes)
 
 
 @dataclass
@@ -335,9 +359,14 @@ def validate_instance(
     Diagonal blocks become the identity: a candidate always matches itself.
     A pair stored in both orientations is averaged, 0.5 * (fwd + rev.T),
     one stored once is taken as it is, and the result is folded into the
-    upper block triangle.  Raises :class:`InfeasibleK` when ``config.k``
-    exceeds some image's candidate count, :class:`DimensionMismatch` on
-    shape disagreements, and :class:`NonFiniteEntry` on NaN or infinite scores.
+    upper block triangle.  Each step is one pass over the stored entries:
+    their images are gathered from an m-long array, the pairs stored in
+    both orientations are read off an n x n table of stored blocks, and one
+    CSR build adds the two orientations (it sorts only the rows that
+    receive folded lower-triangle entries).  Raises :class:`InfeasibleK`
+    when ``config.k`` exceeds some image's candidate count,
+    :class:`DimensionMismatch` on shape disagreements, and
+    :class:`NonFiniteEntry` on NaN or infinite scores.
     """
     if not features:
         raise DimensionMismatch("at least one image is required")
@@ -356,30 +385,30 @@ def validate_instance(
 
     layout = BlockLayout(sizes)
     n, m = layout.n, layout.m
+    image = layout.candidate_images()
     raw = scores.matrix.tocoo()
-    (bi, _), (bj, _) = layout.locate(raw.row), layout.locate(raw.col)
+    bi, bj = image[raw.row], image[raw.col]
     off = bi != bj
     rows, cols, vals, bi, bj = raw.row[off], raw.col[off], raw.data[off], bi[off], bj[off]
     if not np.isfinite(vals).all():
         t = np.flatnonzero(~np.isfinite(vals))[0]
         raise NonFiniteEntry(f"block ({bi[t]}, {bj[t]}) contains non-finite scores")
+    stored = np.zeros((n, n), dtype=bool)
+    stored[bi, bj] = True
+    both = stored & stored.T  # image pairs stored in both orientations
     lower = bi > bj
-    pair = np.minimum(bi, bj) * n + np.maximum(bi, bj)
-    both = np.intersect1d(pair[lower], pair[~lower])
     rows, cols = np.where(lower, cols, rows), np.where(lower, rows, cols)
-    merged = sp.coo_matrix((vals, (rows, cols)), shape=(m, m))
-    merged.sum_duplicates()  # adds the two orientations of a pair
-    (bi, _), (bj, _) = layout.locate(merged.row), layout.locate(merged.col)
-    merged.data[np.isin(bi * n + bj, both)] *= 0.5
+    merged = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    bi, bj = np.repeat(image, np.diff(merged.indptr)), image[merged.indices]
+    merged.data[both[bi, bj]] *= 0.5
     bad = (merged.data < -SCORE_RANGE_SLACK) | (merged.data > 1.0 + SCORE_RANGE_SLACK)
     if bad.any():
         t = np.flatnonzero(bad)[0]
         raise MatchingError(f"block ({bi[t]}, {bj[t]}) has scores outside [0, 1]")
     np.clip(merged.data, 0.0, 1.0, out=merged.data)
-    canonical = merged.tocsr()
-    canonical.eliminate_zeros()
+    merged.eliminate_zeros()
     return ProblemInstance(
-        list(features), PairwiseScores(canonical + sp.identity(m, format="csr"), sizes)
+        list(features), PairwiseScores(merged + sp.identity(m, format="csr"), sizes)
     )
 
 

@@ -169,48 +169,61 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     """The m x m score matrix of the pairwise records of a problem document.
 
     Each record's ``entries`` is one flat run of numbers, row, col, value,
-    row, col, value, ...; the runs of all records are read as one
-    [row, col, value] table.  ``i`` and ``j`` must be listed image ids,
-    every run must hold whole triples of JSON numbers, every index must be
-    an integer inside its block, every (row, col) may appear once in a
-    block, every ordered image pair once in the document, and no record may
-    pair an image with itself; anything else raises :class:`ParseError`.
+    row, col, value, ...; the runs of all records are streamed into one
+    [row, col, value] table, and every check runs over whole arrays: each
+    record's block offsets and sizes are repeated over its entries, and a
+    (row, col) listed twice shows as fewer stored entries after the CSR
+    build (only then are the entries sorted, to name the record).  ``i``
+    and ``j`` must be listed image ids, ``entries`` a JSON array of whole
+    triples of JSON numbers, every index an integer inside its block, every
+    (row, col) may appear once in a block, every ordered image pair once in
+    the document, and no record may pair an image with itself; anything
+    else raises :class:`ParseError`.
     """
-    keys = [
-        (index[_json_str(rec["i"], "pairwise i")], index[_json_str(rec["j"], "pairwise j")]) for rec in records
-    ]
-    if any(i == j for i, j in keys):
+    firsts, seconds = [rec["i"] for rec in records], [rec["j"] for rec in records]
+    if not set(map(type, firsts)) | set(map(type, seconds)) <= {str}:
+        for i, j in zip(firsts, seconds):
+            _json_str(i, "pairwise i")
+            _json_str(j, "pairwise j")
+    first = np.fromiter(map(index.__getitem__, firsts), np.int64, len(firsts))
+    second = np.fromiter(map(index.__getitem__, seconds), np.int64, len(seconds))
+    if (first == second).any():
         raise ParseError("a record pairs an image with itself")
-    if len(set(keys)) < len(keys):
+    pairs = np.sort(first * layout.n + second)
+    if (pairs[1:] == pairs[:-1]).any():
         raise ParseError("an image pair is listed twice")
     runs = [rec["entries"] for rec in records]
-    counts, partial = np.divmod(np.array([len(run) for run in runs], dtype=np.int64), 3)
+    if not set(map(type, runs)) <= {list}:
+        t = next(t for t, run in enumerate(runs) if not isinstance(run, list))
+        raise ParseError(f"pair ({firsts[t]}, {seconds[t]}): entries must be a JSON array, got {json.dumps(runs[t])}")
+    counts, partial = np.divmod(np.fromiter(map(len, runs), np.int64, len(runs)), 3)
     if partial.any():
         raise ParseError("a pairwise entry is not a [row, col, value] triple")
     _check_numbers(itertools.chain.from_iterable(runs), "pairwise entries")
     table = np.fromiter(itertools.chain.from_iterable(runs), float, 3 * counts.sum()).reshape(-1, 3)
-    owner = np.repeat(np.arange(len(keys)), counts)
-    images = np.array(keys, dtype=np.int64).reshape(-1, 2)[owner]  # (i, j) of every entry
-    shapes = np.asarray(layout.sizes, dtype=np.int64)[images]
 
-    def reject(bad: np.ndarray, what: str):
-        rec = records[owner[bad][0]]
-        raise ParseError(f"pair ({rec['i']}, {rec['j']}): {what}")
+    def reject(entry: int, what: str):
+        t = np.searchsorted(np.cumsum(counts), entry, side="right")  # the record holding the entry
+        raise ParseError(f"pair ({firsts[t]}, {seconds[t]}): {what}")
 
     position = table[:, :2]
-    integral = (np.isfinite(position) & (position == np.trunc(position))).all(axis=1)
+    integral = np.isfinite(position) & (position == np.trunc(position))
     if not integral.all():
-        reject(~integral, "an entry index is not an integer")
-    outside = ((position < 0) | (position >= shapes)).any(axis=1)
+        reject(np.argmax(~integral.all(axis=1)), "an entry index is not an integer")
+    sizes, offsets = np.asarray(layout.sizes), np.asarray(layout.offsets)
+    row, col = table[:, 0], table[:, 1]
+    outside = (row < 0) | (row >= np.repeat(sizes[first], counts))
+    outside |= (col < 0) | (col >= np.repeat(sizes[second], counts))
     if outside.any():
-        reject(outside, "an entry index lies outside the block")
-    rows, cols = (np.asarray(layout.offsets, dtype=np.int64)[images] + position.astype(np.int64)).T
-    flat = rows * layout.m + cols
-    order = np.argsort(flat, kind="stable")
-    repeated = order[1:][flat[order[1:]] == flat[order[:-1]]]
-    if repeated.size:
-        reject(repeated, "an entry (row, col) is listed twice")
-    return sp.csr_matrix((table[:, 2], (rows, cols)), shape=(layout.m, layout.m))
+        reject(np.argmax(outside), "an entry index lies outside the block")
+    rows = np.repeat(offsets[first], counts) + row.astype(np.int64)
+    cols = np.repeat(offsets[second], counts) + col.astype(np.int64)
+    matrix = sp.csr_matrix((table[:, 2], (rows, cols)), shape=(layout.m, layout.m))
+    if matrix.nnz < len(table):  # the CSR build added up a repeated (row, col)
+        flat = rows * layout.m + cols
+        order = np.argsort(flat, kind="stable")
+        reject(order[1:][flat[order[1:]] == flat[order[:-1]]][0], "an entry (row, col) is listed twice")
+    return matrix
 
 
 def _save_pairs(path, ids, labels, size_key: str, size: int) -> None:
@@ -232,10 +245,18 @@ def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
     with _document(path, "ground-truth") as doc:
         ids, labels = _read_pairs(doc)
         universe = _json_int(doc["universe_size"], "universe_size")
-        for image_id, lab in zip(ids, labels):
-            used = lab[lab >= 0]
-            if (used >= universe).any() or np.unique(used).size < used.size:
-                raise ParseError(f"image {image_id}: labels must be -1 or distinct values in [0, {universe})")
+        flat = np.concatenate(labels)
+        used = np.flatnonzero(flat >= 0)
+        image = np.repeat(np.arange(len(labels)), list(map(len, labels)))[used]
+        label = flat[used]
+        faulty = np.zeros(len(labels), dtype=bool)
+        faulty[image[label >= universe]] = True
+        order = np.lexsort((label, image))  # a label repeated in an image lands beside itself
+        image, label = image[order], label[order]
+        faulty[image[1:][(image[1:] == image[:-1]) & (label[1:] == label[:-1])]] = True
+        if faulty.any():
+            image_id = ids[np.argmax(faulty)]
+            raise ParseError(f"image {image_id}: labels must be -1 or distinct values in [0, {universe})")
         return ids, labels, universe
 
 
@@ -378,22 +399,53 @@ def _image_ids(records) -> list[str]:
 def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
     """Per-image labels from (candidate, label) pairs; -1 marks unlisted candidates.
 
-    Image ids must be distinct JSON strings, every ``p`` a JSON integer,
-    every pair two JSON numbers, candidates distinct integers in [0, p) and
-    labels integers of at least -1; anything else raises :class:`ParseError`.
+    The pairs of all images are read as one [candidate, label] table and
+    checked in whole-array passes; a fault names the first image holding
+    one.  Image ids must be distinct JSON strings, every ``p`` a
+    nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
+    pairs of JSON numbers, candidates distinct integers in [0, p) and labels
+    integers from -1 up to below 2**63; anything else raises
+    :class:`ParseError`.  The returned arrays are consecutive views of one
+    array.
     """
-    ids, labels = _image_ids(doc["images"]), []
-    for image_id, rec in zip(ids, doc["images"]):
-        lab = np.full(_json_int(rec["p"], f"image {image_id}: p"), -1, dtype=int)
-        _check_numbers(itertools.chain.from_iterable(rec["pairs"]), f"pairs of image {image_id}")
-        pairs = np.asarray(rec["pairs"], dtype=float).reshape(len(rec["pairs"]), 2)
-        if not (np.isfinite(pairs) & (pairs == np.trunc(pairs))).all():
-            raise ParseError(f"image {image_id}: candidates and labels must be integers")
-        cand, label = pairs.astype(int).T
-        if (cand < 0).any() or (cand >= lab.size).any() or np.unique(cand).size < cand.size:
-            raise ParseError(f"image {image_id}: candidates must be distinct indices in [0, {lab.size})")
-        if (label < -1).any():
-            raise ParseError(f"image {image_id}: labels must be -1 or nonnegative")
-        lab[cand] = label
-        labels.append(lab)
-    return ids, labels
+    records = doc["images"]
+    ids = _image_ids(records)
+    sizes, runs = [rec["p"] for rec in records], [rec["pairs"] for rec in records]
+    if not set(map(type, sizes)) <= {int}:
+        for image_id, p in zip(ids, sizes):
+            _json_int(p, f"image {image_id}: p")
+    if min(sizes) < 0:
+        t = next(t for t, p in enumerate(sizes) if p < 0)
+        raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
+    if not set(map(type, runs)) <= {list}:
+        t = next(t for t, run in enumerate(runs) if not isinstance(run, list))
+        raise ParseError(f"image {ids[t]}: pairs must be a JSON array, got {json.dumps(runs[t])}")
+    counts = np.fromiter(map(len, runs), np.int64, len(runs))
+    owner = np.repeat(np.arange(len(runs)), counts)  # the image of every pair
+    pairs = list(itertools.chain.from_iterable(runs))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        t = next(t for t, pair in enumerate(pairs) if not (isinstance(pair, list) and len(pair) == 2))
+        raise ParseError(f"image {ids[owner[t]]}: a pair must be [candidate, label], got {json.dumps(pairs[t])}")
+    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
+        t = next(t for t, pair in enumerate(pairs) if not set(map(type, pair)) <= {int, float})
+        _check_numbers(pairs[t], f"pairs of image {ids[owner[t]]}")
+    table = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
+    integral = (np.isfinite(table) & (table == np.trunc(table))).all(axis=1)
+    if not integral.all():
+        raise ParseError(f"image {ids[owner[np.argmax(~integral)]]}: candidates and labels must be integers")
+    labels = np.full(sum(sizes), -1, dtype=int)
+    ends = np.cumsum(sizes)
+    candidate, label = table.T
+    misplaced = (candidate < 0) | (candidate >= np.take(sizes, owner))
+    if not misplaced.any():  # every candidate inside its image: a repeat shows in the count per slot
+        slot = (ends - sizes)[owner] + candidate.astype(np.int64)
+        misplaced = np.bincount(slot, minlength=labels.size)[slot] > 1
+    if misplaced.any():
+        i = owner[np.argmax(misplaced)]
+        raise ParseError(f"image {ids[i]}: candidates must be distinct indices in [0, {sizes[i]})")
+    wrong = (label < -1) | (label >= 2.0**63)  # 2**63 and up would not cast to an integer label
+    if wrong.any():
+        image_id = ids[owner[np.argmax(wrong)]]
+        raise ParseError(f"image {image_id}: labels must be -1 or nonnegative integers below 2**63")
+    labels[slot] = label
+    return ids, np.split(labels, ends[:-1])

@@ -214,3 +214,44 @@ def descriptor_instance(seed, dim=32, noise=0.25):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def canonical_csr_oracle(raw, sizes):
+    """Canonical scores built block by block from raw ones, as (indptr, indices, data).
+
+    Every stored entry of ``raw`` is read one at a time into its block;
+    a block counts as given when it stores any entry, explicit zeros
+    included.  Diagonal blocks become the identity; a pair given in both
+    orientations is 0.5 * (fwd + rev.T), one given once is taken as it is
+    (a lower block transposed), and the result is clipped to [0, 1] in the
+    upper block triangle.  The rows are then read off left to right,
+    dropping zeros.
+    """
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    image = [i for i, p in enumerate(sizes) for _ in range(p)]
+    blocks = {}
+    coo = sp.coo_matrix(raw)
+    for a, b, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        i, j = image[a], image[b]
+        block = blocks.setdefault((i, j), np.zeros((sizes[i], sizes[j])))
+        block[a - offsets[i], b - offsets[j]] += v
+    dense = np.zeros((offsets[-1], offsets[-1]))
+    for i in range(len(sizes)):
+        dense[offsets[i] : offsets[i + 1], offsets[i] : offsets[i + 1]] = np.eye(sizes[i])
+        for j in range(i + 1, len(sizes)):
+            fwd, rev = blocks.get((i, j)), blocks.get((j, i))
+            if fwd is not None and rev is not None:
+                merged = 0.5 * (fwd + rev.T)
+            elif fwd is not None or rev is not None:
+                merged = fwd if rev is None else rev.T
+            else:
+                continue
+            dense[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]] = np.clip(merged, 0.0, 1.0)
+    indptr, indices, data = [0], [], []
+    for row in dense:
+        for col, v in enumerate(row.tolist()):
+            if v != 0.0:
+                indices.append(col)
+                data.append(v)
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices, dtype=int), np.array(data)

@@ -337,3 +337,69 @@ def test_feature_set_refuses_an_image_id_that_is_not_a_string(image_id):
 def test_solver_config_keeps_numpy_numbers_as_given():
     cfg = SolverConfig(k=np.int64(3), r=np.int32(2), lam=np.float64(0.5), rho_schedule=[1, 10], seed=np.uint8(7))
     assert (cfg.k, cfg.r, cfg.lam, cfg.rho_schedule, cfg.seed) == (3, 2, 0.5, (1, 10), 7)
+
+
+def test_validate_matches_block_by_block_csr_oracle(rng):
+    # lower-only pairs, pairs in both orientations, explicit zeros and
+    # scores within SCORE_RANGE_SLACK of [0, 1]
+    from multimatch.model import SCORE_RANGE_SLACK
+    from conftest import canonical_csr_oracle
+
+    values = [0.0, 1.0, -0.5 * SCORE_RANGE_SLACK, 1.0 + 0.5 * SCORE_RANGE_SLACK, 1e-300, 5e-324]
+
+    def block(a, b):
+        v = np.where(rng.random((a, b)) < 0.3, rng.choice(values, size=(a, b)), rng.random((a, b)))
+        return v * (rng.random((a, b)) < 0.7)  # zeros stored explicitly
+
+    for case in range(60):
+        n = int(rng.integers(1, 6))
+        sizes = [int(p) for p in rng.integers(1, 5, size=n)]
+        blocks = {}
+        for i in range(n):
+            if rng.random() < 0.2:
+                blocks[(i, i)] = block(sizes[i], sizes[i])
+            for j in range(i + 1, n):
+                kind = rng.integers(4)  # none, upper only, lower only, both
+                if kind in (1, 3):
+                    blocks[(i, j)] = block(sizes[i], sizes[j])
+                if kind in (2, 3):
+                    blocks[(j, i)] = block(sizes[j], sizes[i])
+        raw = scores_from_blocks(blocks, sizes)
+        w = validate_instance(toy_features(sizes, rng), raw, SolverConfig(k=1)).scores.matrix
+        indptr, indices, data = canonical_csr_oracle(raw.matrix, sizes)
+        assert np.array_equal(w.indptr, indptr), case
+        assert np.array_equal(w.indices, indices), case
+        assert np.array_equal(w.data, data), case
+
+
+def test_validate_names_the_faulty_block(rng):
+    sizes = (2, 3, 2)
+    features = toy_features(sizes, rng)
+    good = {(0, 1): rng.random((2, 3)), (2, 0): rng.random((2, 2)), (1, 2): rng.random((3, 2))}
+
+    def validate(blocks):
+        validate_instance(features, scores_from_blocks({**good, **blocks}, sizes), SolverConfig(k=1))
+
+    # a non-finite score names its block as stored, a score out of range the upper block it folds into
+    with pytest.raises(NonFiniteEntry, match=r"block \(2, 1\) contains non-finite scores"):
+        validate({(2, 1): np.full((2, 3), np.inf)})
+    with pytest.raises(MatchingError, match=r"block \(0, 2\) has scores outside \[0, 1\]"):
+        validate({(2, 0): np.full((2, 2), 1.1)})
+    # 0.5 * (1.1 + 1.0) is out of range too: the two orientations are averaged before the check
+    with pytest.raises(MatchingError, match=r"block \(1, 2\) has scores outside \[0, 1\]"):
+        validate({(2, 1): np.full((2, 3), 1.1), (1, 2): np.ones((3, 2))})
+
+
+def test_labeling_checks_name_the_first_faulty_image():
+    sizes = (3, 3, 3)
+    with pytest.raises(MatchingError, match="image 1: some candidate carries multiple labels"):
+        SelectionLabeling([[0, 1], [2, 2], [5, 1]], sizes).validate()
+    with pytest.raises(MatchingError, match=r"image 1: a chosen candidate lies outside \[0, 3\)"):
+        SelectionLabeling([[0, 1], [0, 3], [1, 1]], sizes).validate()
+    with pytest.raises(InfeasibleK, match="image 1: k=2 exceeds p=1"):
+        SelectionLabeling([[0, 1], [0, 0], [5, 1]], (3, 1, 3)).validate()
+    # a label used twice (image 1) is named before a label missing (image 2)
+    labels = [[0, 1, -1], [0, 0, -1], [0, -1, -1]]
+    with pytest.raises(MatchingError, match=r"image 1: every label in \[0, 2\) must be used exactly once"):
+        SelectionLabeling.from_labels(labels, 2)
+    assert SelectionLabeling.from_labels([], 2).index.shape == (0, 2)

@@ -472,3 +472,105 @@ def test_load_truth_rejects_invalid_labels(tmp_path):
         path.write_text(_pairs_doc([[[0, 0], [1, 1]], bad], universe_size=2))
         with pytest.raises(ParseError):
             load_truth(path)
+
+
+def _three_image_problem(pairwise):
+    sizes = {"a": 3, "b": 3, "c": 2}
+    images = [{"id": name, "coordinates": [list(range(p)), list(range(p))]} for name, p in sizes.items()]
+    return {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
+
+
+_AB = {"i": "a", "j": "b", "entries": [0, 1, 0.5, 2, 2, 0.25]}
+
+# one fault each, in the record after a well-formed one: (pairwise records, the ParseError text)
+SINGLE_FAULT_PROBLEMS = {
+    "self pair": ([_AB, {"i": "c", "j": "c", "entries": [0, 1, 0.5]}], "a record pairs an image with itself"),
+    "repeated pair": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5]}, {"i": "b", "j": "c", "entries": []}],
+                      "an image pair is listed twice"),
+    "unknown id": ([_AB, {"i": "b", "j": "zz", "entries": [0, 1, 0.5]}], "'zz'"),
+    "fractional index": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5, 1.5, 0, 0.2]}],
+                         r"pair \(b, c\): an entry index is not an integer"),
+    "infinite index": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5, 1, float("inf"), 0.2]}],
+                       r"pair \(b, c\): an entry index is not an integer"),
+    "index past the block": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5, 1, 2, 0.2]}],
+                             r"pair \(b, c\): an entry index lies outside the block"),
+    "negative index": ([_AB, {"i": "c", "j": "b", "entries": [1, 2, 0.5, -1, 0, 0.2]}],
+                       r"pair \(c, b\): an entry index lies outside the block"),
+    "repeated entry": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5, 2, 0, 0.2, 0, 1, 0.3]}],
+                       r"pair \(b, c\): an entry \(row, col\) is listed twice"),
+}
+
+
+@pytest.mark.parametrize("fault", SINGLE_FAULT_PROBLEMS)
+def test_load_problem_names_the_faulty_record(tmp_path, fault):
+    pairwise, message = SINGLE_FAULT_PROBLEMS[fault]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_three_image_problem(pairwise)))
+    with pytest.raises(ParseError, match=message):
+        load_problem(path)
+
+
+def _sidecar(y_pairs, **size):
+    images = [{"id": "x", "p": 3, "pairs": [[0, 0], [1, 1]]}, {"id": "y", "p": 3, "pairs": y_pairs},
+              {"id": "z", "p": 2, "pairs": [[1, 0], [0, 1]]}]
+    return json.dumps({"format_version": FORMAT_VERSION, **size, "images": images})
+
+
+CANDIDATES = r"image y: candidates must be distinct indices in \[0, 3\)"
+
+# one fault each, in image y's pairs: (pairs, the ParseError text of load_labeling, of load_truth)
+SINGLE_FAULT_SIDECARS = {
+    "candidate past the image": ([[3, 1], [0, 0]], CANDIDATES, CANDIDATES),
+    "negative candidate": ([[-1, 1], [0, 0]], CANDIDATES, CANDIDATES),
+    "repeated candidate": ([[0, 1], [0, 0]], CANDIDATES, CANDIDATES),
+    "label below -1": ([[2, -2], [0, 0]], *["image y: labels must be -1 or nonnegative"] * 2),
+    "fractional candidate": ([[2.5, 1], [0, 0]], *["image y: candidates and labels must be integers"] * 2),
+    "fractional label": ([[2, 0.5], [0, 0]], *["image y: candidates and labels must be integers"] * 2),
+    "string candidate": ([["2", 1], [0, 0]], *["pairs of image y: expected JSON numbers, found string"] * 2),
+    "label past the size": ([[2, 2], [0, 0]], r"image 1: every label in \[0, 2\) must be used exactly once",
+                            r"image y: labels must be -1 or distinct values in \[0, 2\)"),
+    "label repeated": ([[2, 0], [0, 0]], r"image 1: every label in \[0, 2\) must be used exactly once",
+                       r"image y: labels must be -1 or distinct values in \[0, 2\)"),
+    "label missing": ([[0, 0]], r"image 1: every label in \[0, 2\) must be used exactly once", None),
+}
+
+
+@pytest.mark.parametrize("fault", SINGLE_FAULT_SIDECARS)
+def test_sidecars_name_the_faulty_image(tmp_path, fault):
+    pairs, labeling_message, truth_message = SINGLE_FAULT_SIDECARS[fault]
+    path = tmp_path / "doc.json"
+    path.write_text(_sidecar(pairs, k=2))
+    with pytest.raises(ParseError, match=labeling_message):
+        load_labeling(path)
+    path.write_text(_sidecar(pairs, universe_size=2))
+    if truth_message is None:  # a ground truth may leave a label unused
+        assert load_truth(path)[1][1].tolist() == [0, -1, -1]
+    else:
+        with pytest.raises(ParseError, match=truth_message):
+            load_truth(path)
+
+
+@pytest.mark.parametrize("image, message", [
+    ({"id": "y", "p": -1, "pairs": []}, "image y: p must be nonnegative, got -1"),
+    ({"id": "y", "p": 3, "pairs": 5}, "image y: pairs must be a JSON array, got 5"),
+    ({"id": "y", "p": 3, "pairs": [[2, 1, 0], [0, 0]]}, r"image y: a pair must be \[candidate, label\], got \[2, 1, 0\]"),
+    ({"id": "y", "p": 3, "pairs": [[2, 1], 0]}, r"image y: a pair must be \[candidate, label\], got 0"),
+    ({"id": "y", "p": 3, "pairs": [[2, 1], [0]]}, r"image y: a pair must be \[candidate, label\], got \[0\]"),
+    ({"id": "y", "p": 3, "pairs": [[2, 1e20], [0, 0]]}, "image y: labels must be -1 or nonnegative integers below 2"),
+])
+def test_sidecars_explain_malformed_shapes(tmp_path, image, message):
+    path = tmp_path / "doc.json"
+    for size in ({"k": 2}, {"universe_size": 2}):
+        doc = json.loads(_sidecar([[0, 0], [1, 1]], **size))
+        doc["images"][1] = image
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=message):
+            (load_labeling if "k" in size else load_truth)(path)
+
+
+@pytest.mark.parametrize("entries, spelled", [(5, "5"), ("0, 1, 0.5", '"0, 1, 0.5"'), ({"0": 1}, r'\{"0": 1\}')])
+def test_load_problem_explains_entries_that_are_not_an_array(tmp_path, entries, spelled):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_three_image_problem([_AB, {"i": "b", "j": "c", "entries": entries}])))
+    with pytest.raises(ParseError, match=rf"pair \(b, c\): entries must be a JSON array, got {spelled}"):
+        load_problem(path)
