@@ -137,9 +137,6 @@ def _cmd_eval(args) -> int:
     lab_ids, labeling = serialize.load_labeling(args.labeling)
     truth_ids, truth_labels, _ = serialize.load_truth(args.truth)
     truth = _align(truth_ids, truth_labels, lab_ids, "ground truth")
-    for pred, true in zip(labeling.labels(), truth):
-        if len(pred) != len(true):
-            raise MatchingError("candidate counts disagree between labeling and truth")
     instance_id = Path(args.labeling).stem
     stats = metrics.pair_stats(labeling, truth)
     print(f"recall {stats.recall!r} {instance_id}")

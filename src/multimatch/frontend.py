@@ -81,4 +81,4 @@ def scores_from_descriptors(features: list[FeatureSet]) -> PairwiseScores:
         cols.append(offsets[j] + c)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     matrix = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(layout.m, layout.m))
-    return PairwiseScores(matrix, layout.sizes)
+    return PairwiseScores(matrix, layout)

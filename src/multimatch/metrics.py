@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatchingError
-from .model import BlockLayout, PairwiseScores, SelectionLabeling
+from .model import PairwiseScores, SelectionLabeling
 
 STRONG_SCORE = 0.5  # an input score entry at least this high counts as a predicted pair
 
@@ -61,10 +61,12 @@ def pair_stats(predicted, truth) -> MatchStats:
     (-1 marks unlabeled candidates), with no label repeated in one image.
     A predicted pair is correct when both candidates carry the same
     non-negative truth label; a label shared by c images makes C(c, 2) pairs.
+    Raises :class:`MatchingError` unless both give the same candidate count
+    for every image.
     """
     pred, true = _as_labels(predicted), _as_labels(truth)
     if [len(lab) for lab in pred] != [len(lab) for lab in true]:
-        raise ValueError("prediction and truth must cover the same images and candidates")
+        raise MatchingError("prediction and truth must cover the same images and candidates")
     if not pred:
         return MatchStats(0, 0, 0)
     pred, true = np.concatenate(pred), np.concatenate(true)
@@ -95,8 +97,8 @@ def scores_pair_stats(scores: PairwiseScores, truth) -> MatchStats:
     """
     true = np.concatenate(_as_labels(truth))
     w = scores.matrix.tocoo()
-    layout = BlockLayout(scores.sizes)
-    upper = layout.locate(w.row)[0] < layout.locate(w.col)[0]
+    image = scores.layout.candidate_images()
+    upper = image[w.row] < image[w.col]
     strong = upper & (w.data >= STRONG_SCORE)
     a, b = true[w.row[strong]], true[w.col[strong]]
     correct = int(((a >= 0) & (a == b)).sum())

@@ -29,17 +29,15 @@ SCORE_RANGE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Row layout of per-image blocks inside stacked m x k matrices."""
+    """Row layout of per-image blocks inside stacked m x k matrices: any partition, empty blocks too."""
 
     sizes: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.sizes or any(int(p) < 1 for p in self.sizes):
-            raise DimensionMismatch("every image must contribute at least one candidate")
-        sizes = tuple(int(p) for p in self.sizes)
+        sizes = tuple(map(int, self.sizes))
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "offsets", tuple(itertools.accumulate(sizes[:-1], initial=0)))
+        object.__setattr__(self, "offsets", tuple(itertools.accumulate(sizes, initial=0))[:-1])
 
     @property
     def n(self) -> int:
@@ -124,7 +122,7 @@ class FeatureSet:
 class PairwiseScores:
     """Pairwise scores: one sparse m x m matrix over the stacked candidates.
 
-    Candidates are numbered image by image as in :class:`BlockLayout`.  Raw
+    Candidates are numbered image by image as ``layout`` lays them out.  Raw
     scores may store a pair in either orientation or both; a pair with no
     stored entry scores 0.  Canonical scores, as :func:`validate_instance`
     returns them, are block-upper-triangular with identity diagonal blocks
@@ -132,10 +130,9 @@ class PairwiseScores:
     """
 
     matrix: sp.csr_matrix
-    sizes: tuple[int, ...]
+    layout: BlockLayout
 
     def __post_init__(self):
-        self.sizes = tuple(int(p) for p in self.sizes)
         # a private copy: sum_duplicates sorts the indices in place
         self.matrix = sp.csr_matrix(self.matrix, dtype=float, copy=True)
         self.matrix.sum_duplicates()
@@ -145,12 +142,16 @@ class PairwiseScores:
             )
 
     @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.layout.sizes
+
+    @property
     def n(self) -> int:
-        return len(self.sizes)
+        return self.layout.n
 
     @property
     def m(self) -> int:
-        return sum(self.sizes)
+        return self.layout.m
 
     @property
     def blocks(self) -> dict[tuple[int, int], np.ndarray]:
@@ -161,8 +162,7 @@ class PairwiseScores:
         their identity (i, i) blocks.
         """
         w = self.matrix.tocoo()
-        layout = BlockLayout(self.sizes)
-        (bi, rows), (bj, cols) = layout.locate(w.row), layout.locate(w.col)
+        (bi, rows), (bj, cols) = self.layout.locate(w.row), self.layout.locate(w.col)
         key = bi * self.n + bj
         order = np.argsort(key, kind="stable")
         keys, starts = np.unique(key[order], return_index=True)
@@ -180,24 +180,27 @@ class SelectionLabeling:
     """The k chosen candidates of every image, one per label.
 
     ``index`` is an (n, k) integer array: ``index[i, l]`` is the candidate
-    of image i that carries label l, and ``sizes[i]`` is image i's
+    of image i that carries label l, and ``layout`` holds every image's
     candidate count p_i.  A valid labeling has k distinct candidates in
     [0, p_i) on every row.  The stacked binary matrix, the label arrays
     and the per-image assignment matrices are derived from ``index``.
     """
 
     index: np.ndarray
-    sizes: tuple[int, ...]
+    layout: BlockLayout
 
     def __post_init__(self):
         self.index = np.asarray(self.index, dtype=np.intp)
-        self.sizes = tuple(int(p) for p in self.sizes)
-        if self.index.ndim != 2 or self.index.shape[0] != len(self.sizes):
-            raise DimensionMismatch(f"index must be {len(self.sizes)} x k, got {self.index.shape}")
+        if self.index.ndim != 2 or self.index.shape[0] != self.n:
+            raise DimensionMismatch(f"index must be {self.n} x k, got {self.index.shape}")
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return self.layout.sizes
 
     @property
     def n(self) -> int:
-        return len(self.sizes)
+        return self.layout.n
 
     @property
     def k(self) -> int:
@@ -225,29 +228,24 @@ class SelectionLabeling:
 
     def stacked_rows(self) -> np.ndarray:
         """Row of each chosen candidate in the stacked (m, k) layout, as an (n, k) array."""
-        ends = np.cumsum(self.sizes, dtype=np.intp)
-        return (ends - self.sizes)[:, None] + self.index
-
-    def _split(self, stacked: np.ndarray) -> list[np.ndarray]:
-        """Per-image row blocks of an (m, ...) array (an image with k = 0 may have p = 0)."""
-        return [stacked[e - p : e] for p, e in zip(self.sizes, itertools.accumulate(self.sizes))]
+        return np.asarray(self.layout.offsets, dtype=np.intp)[:, None] + self.index
 
     def stacked(self) -> np.ndarray:
         """The (m, k) float matrix with a one at each chosen (candidate, label)."""
-        out = np.zeros((sum(self.sizes), self.k))
+        out = np.zeros((self.layout.m, self.k))
         out[self.stacked_rows(), np.arange(self.k)] = 1.0
         return out
 
     @property
     def assignments(self) -> list[np.ndarray]:
         """Per-image p_i x k binary int matrices, rebuilt on each access."""
-        return self._split(self.stacked().astype(int))
+        return self.layout.split(self.stacked().astype(int))
 
     def labels(self) -> list[np.ndarray]:
         """Per-image candidate labels; -1 marks unselected candidates."""
-        out = np.full(sum(self.sizes), -1, dtype=int)
+        out = np.full(self.layout.m, -1, dtype=int)
         out[self.stacked_rows()] = np.arange(self.k)
-        return self._split(out)
+        return self.layout.split(out)
 
     @classmethod
     def from_labels(cls, labels: list[np.ndarray], k: int) -> "SelectionLabeling":
@@ -257,25 +255,23 @@ class SelectionLabeling:
         in [0, k) exactly once.
         """
         k = int(k)
-        sizes = tuple(map(len, labels))
+        layout = BlockLayout(tuple(map(len, labels)))
         # the leading empty array keeps an empty list of images readable
         flat = np.concatenate([np.empty(0, dtype=int), *labels]).astype(int, copy=False)
-        starts = np.cumsum(sizes, dtype=np.intp) - sizes
         chosen = np.flatnonzero(flat >= 0)
-        image = np.repeat(np.arange(len(sizes)), sizes)[chosen]
-        label = flat[chosen]
-        faulty = np.bincount(image, minlength=len(sizes)) != k
+        (image, candidate), label = layout.locate(chosen), flat[chosen]
+        faulty = np.bincount(image, minlength=layout.n) != k
         faulty[image[label >= k]] = True
         # one row per image left, each with k labels below k (so at most m
         # entries in all): a label used twice leaves another one unused
         ok = ~faulty
         index = np.full((np.count_nonzero(ok), k), -1, dtype=np.intp)
         take = ok[image]
-        index[(np.cumsum(ok) - 1)[image[take]], label[take]] = (chosen - starts[image])[take]
+        index[(np.cumsum(ok) - 1)[image[take]], label[take]] = candidate[take]
         faulty[ok] = (index < 0).any(axis=1)
         if faulty.any():
             raise MatchingError(f"image {np.argmax(faulty)}: every label in [0, {k}) must be used exactly once")
-        return cls(index, sizes)
+        return cls(index, layout)
 
 
 @dataclass
@@ -340,11 +336,11 @@ class ProblemInstance:
 
     @property
     def m(self) -> int:
-        return sum(f.p for f in self.features)
+        return self.layout.m
 
     @property
     def layout(self) -> BlockLayout:
-        return BlockLayout(tuple(f.p for f in self.features))
+        return self.scores.layout
 
     @property
     def coordinates(self) -> list[np.ndarray]:
@@ -378,12 +374,12 @@ def validate_instance(
         raise InfeasibleK(
             f"k={config.k} exceeds the smallest candidate count {min(sizes)}"
         )
-    if tuple(scores.sizes) != sizes:
+    if scores.sizes != sizes:
         raise DimensionMismatch(
             f"score sizes {scores.sizes} disagree with feature counts {sizes}"
         )
 
-    layout = BlockLayout(sizes)
+    layout = scores.layout
     n, m = layout.n, layout.m
     image = layout.candidate_images()
     raw = scores.matrix.tocoo()
@@ -408,7 +404,7 @@ def validate_instance(
     np.clip(merged.data, 0.0, 1.0, out=merged.data)
     merged.eliminate_zeros()
     return ProblemInstance(
-        list(features), PairwiseScores(merged + sp.identity(m, format="csr"), sizes)
+        list(features), PairwiseScores(merged + sp.identity(m, format="csr"), layout)
     )
 
 

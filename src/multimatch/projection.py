@@ -135,10 +135,11 @@ def _ascend(v: np.ndarray) -> tuple[np.ndarray, int]:
     return out, live.size
 
 
-def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
+def project_onto_C(y: np.ndarray, layout: BlockLayout) -> np.ndarray:
     """Project an m x k matrix onto the constraint set described above.
 
-    ``sizes`` gives the per-image block heights in row order.  Feasible
+    ``layout`` gives the per-image row blocks, each of at least one row
+    (:class:`DimensionMismatch` otherwise).  Feasible
     inputs are returned unchanged after the first round.  If some images
     still fail the KKT stop rule after ``PROJECTION_MAX_ITER`` rounds, a
     :class:`ProjectionWarning` counts them and their current iterates are
@@ -146,9 +147,10 @@ def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
     in the row caps.
     """
     v = np.asarray(y, dtype=float)
-    layout = BlockLayout(sizes)
     if v.ndim != 2 or v.shape[0] != layout.m:
         raise DimensionMismatch(f"expected {layout.m} rows, got shape {v.shape}")
+    if min(layout.sizes, default=0) < 1:
+        raise DimensionMismatch("every image must contribute at least one candidate")
     if min(layout.sizes) < v.shape[1]:
         raise InfeasibleK("block column sums cannot reach 1 when k exceeds a block height")
     k = v.shape[1]
@@ -168,12 +170,12 @@ def project_onto_C(y: np.ndarray, sizes) -> np.ndarray:
     return out
 
 
-def feasibility_gap(y: np.ndarray, sizes) -> float:
-    """Largest violation of the constraint set; zero for feasible points."""
+def feasibility_gap(y: np.ndarray, layout: BlockLayout) -> float:
+    """Largest violation of the constraint set over ``layout``'s blocks; zero for feasible points."""
     y = np.asarray(y, dtype=float)
     gap = max(float(-y.min(initial=0.0)), float((y - 1.0).max(initial=0.0)))
     gap = max(gap, float((y.sum(axis=1) - 1.0).max(initial=0.0)))
-    for p, _, rows in BlockLayout(sizes).groups():
-        col_sums = y[rows].reshape(-1, p, y.shape[1]).sum(axis=1)
+    for p, images, rows in layout.groups():
+        col_sums = y[rows].reshape(images.size, p, y.shape[1]).sum(axis=1)
         gap = max(gap, float(np.abs(col_sums - 1.0).max(initial=0.0)))
     return gap

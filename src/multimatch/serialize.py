@@ -14,8 +14,8 @@ one writer: per image, its id, ``p`` and the (candidate index, label)
 pairs of its labeled candidates; an unlisted candidate is an outlier.
 Every reader runs in one frame, :func:`_document`, which decodes the
 file, checks its version and raises :class:`ParseError` on a malformed
-document, including one that repeats a top-level member among those it
-reads (JSON decoders differ on which copy wins). Image ids (and pairwise
+document, including one that repeats a member of an object among those
+it reads (JSON decoders differ on which copy wins). Image ids (and pairwise
 ``i``, ``j``) must be JSON strings and every value read as a number a
 JSON number; nothing is converted.
 Objective traces are CSV, one line per recorded sweep.
@@ -59,7 +59,7 @@ def problem_document(
         images.append(rec)
     ids = [f.image_id for f in features]
     w = scores.matrix.tocoo()
-    layout = BlockLayout(scores.sizes)
+    layout = scores.layout
     (bi, rows), (bj, cols) = layout.locate(w.row), layout.locate(w.col)
     keep = np.flatnonzero((bi != bj) & (w.data != 0))  # identity diagonals are implicit
     keep = keep[np.lexsort((cols[keep], rows[keep], bj[keep], bi[keep]))]
@@ -115,7 +115,7 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
         features = _features(doc)
         index = {f.image_id: i for i, f in enumerate(features)}
         layout = BlockLayout(tuple(f.p for f in features))
-        scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout.sizes)
+        scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout)
         defaults = doc.get("solver_defaults", {})
         if not isinstance(defaults, dict):
             raise ParseError(f"solver_defaults must be a JSON object, got {json.dumps(defaults)}")
@@ -243,13 +243,12 @@ def save_truth(path, labels, ids, universe_size: int) -> None:
 
 def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
     with _document(path, "ground-truth") as doc:
-        ids, labels = _read_pairs(doc)
+        ids, layout, flat = _read_pairs(doc)
         universe = _json_int(doc["universe_size"], "universe_size")
-        flat = np.concatenate(labels)
         used = np.flatnonzero(flat >= 0)
-        image = np.repeat(np.arange(len(labels)), list(map(len, labels)))[used]
+        image = layout.candidate_images()[used]
         label = flat[used]
-        faulty = np.zeros(len(labels), dtype=bool)
+        faulty = np.zeros(layout.n, dtype=bool)
         faulty[image[label >= universe]] = True
         order = np.lexsort((label, image))  # a label repeated in an image lands beside itself
         image, label = image[order], label[order]
@@ -257,7 +256,7 @@ def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
         if faulty.any():
             image_id = ids[np.argmax(faulty)]
             raise ParseError(f"image {image_id}: labels must be -1 or distinct values in [0, {universe})")
-        return ids, labels, universe
+        return ids, layout.split(flat), universe
 
 
 def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
@@ -267,8 +266,8 @@ def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
 
 def load_labeling(path) -> tuple[list[str], SelectionLabeling]:
     with _document(path, "labeling") as doc:
-        ids, labels = _read_pairs(doc)
-        labeling = SelectionLabeling.from_labels(labels, _json_int(doc["k"], "k"))
+        ids, layout, flat = _read_pairs(doc)
+        labeling = SelectionLabeling.from_labels(layout.split(flat), _json_int(doc["k"], "k"))
         labeling.validate()
         return ids, labeling
 
@@ -323,10 +322,11 @@ def _leading_members(text: str, wanted: set[str]) -> dict:
     The text after the last wanted member is not looked at; with nothing
     wanted the whole object is read and trailing data raises.  Malformed
     text up to the last member read, or a top level that is not an object,
-    raises :class:`json.JSONDecodeError`; a key read a second time raises
-    :class:`ParseError`, where ``json.loads`` would keep the last value.
+    raises :class:`json.JSONDecodeError`; a key read a second time in the
+    top level or in any object inside it raises :class:`ParseError`, where
+    ``json.loads`` would keep the last value.
     """
-    decoder = json.JSONDecoder()
+    decoder = json.JSONDecoder(object_pairs_hook=_distinct_members)
     pos = _WHITESPACE.match(text).end()
     if not text.startswith("{", pos):
         raise json.JSONDecodeError("Expecting a JSON object at top level", text, pos)
@@ -354,6 +354,18 @@ def _leading_members(text: str, wanted: set[str]) -> dict:
     if _WHITESPACE.match(text, pos + 1).end() < len(text):
         raise json.JSONDecodeError("Extra data", text, pos + 1)
     return doc
+
+
+def _distinct_members(pairs: list[tuple[str, object]]) -> dict:
+    """The object of the decoded (key, value) ``pairs``; a repeated key raises :class:`ParseError`."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # some key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"member {json.dumps(key)} is listed twice")
+            seen.add(key)
+    return obj
 
 
 _JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
@@ -396,8 +408,8 @@ def _image_ids(records) -> list[str]:
     return ids
 
 
-def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
-    """Per-image labels from (candidate, label) pairs; -1 marks unlisted candidates.
+def _read_pairs(doc: dict) -> tuple[list[str], BlockLayout, np.ndarray]:
+    """Candidate labels from per-image (candidate, label) pairs; -1 marks unlisted candidates.
 
     The pairs of all images are read as one [candidate, label] table and
     checked in whole-array passes; a fault names the first image holding
@@ -405,8 +417,8 @@ def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
     nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
     pairs of JSON numbers, candidates distinct integers in [0, p) and labels
     integers from -1 up to below 2**63; anything else raises
-    :class:`ParseError`.  The returned arrays are consecutive views of one
-    array.
+    :class:`ParseError`.  Returns the ids, the layout of the images' ``p``
+    and one array of the labels of every candidate, image after image.
     """
     records = doc["images"]
     ids = _image_ids(records)
@@ -433,12 +445,12 @@ def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
     integral = (np.isfinite(table) & (table == np.trunc(table))).all(axis=1)
     if not integral.all():
         raise ParseError(f"image {ids[owner[np.argmax(~integral)]]}: candidates and labels must be integers")
-    labels = np.full(sum(sizes), -1, dtype=int)
-    ends = np.cumsum(sizes)
+    layout = BlockLayout(sizes)
+    labels = np.full(layout.m, -1, dtype=int)
     candidate, label = table.T
     misplaced = (candidate < 0) | (candidate >= np.take(sizes, owner))
     if not misplaced.any():  # every candidate inside its image: a repeat shows in the count per slot
-        slot = (ends - sizes)[owner] + candidate.astype(np.int64)
+        slot = np.asarray(layout.offsets, dtype=np.int64)[owner] + candidate.astype(np.int64)
         misplaced = np.bincount(slot, minlength=labels.size)[slot] > 1
     if misplaced.any():
         i = owner[np.argmax(misplaced)]
@@ -448,4 +460,4 @@ def _read_pairs(doc: dict) -> tuple[list[str], list[np.ndarray]]:
         image_id = ids[owner[np.argmax(wrong)]]
         raise ParseError(f"image {image_id}: labels must be -1 or nonnegative integers below 2**63")
     labels[slot] = label
-    return ids, np.split(labels, ends[:-1])
+    return ids, layout, labels

@@ -21,12 +21,14 @@ the input frame on the final state.
 The cycle term 0.25 ||W - Y Y^T||_F^2 has one owner, :class:`Contraction`:
 its value, its gradient (Y Y^T - W) Y and the curvature bound behind
 the step sizes all contract through W Y and the k x k Gram matrix Y^T Y,
-kept for the last iterate evaluated.  Every function that takes the
-score matrix ``w`` also takes its contraction; a solve builds one and
-passes it everywhere, so W is contracted once per iterate.  The
-geometric term has one owner too: :func:`update_Z` returns it with the
-fit it makes.  The trace and :func:`selection_objective` both sum the
-terms through :func:`objective_components`.
+kept for the last iterate evaluated.  The functions of the term take a
+contraction (any object with ``w``, ``value``, ``gradient`` and
+``step_bound``), not W; a solve builds one and passes it everywhere, so
+W is contracted once per iterate, and passes the instance's block
+layout the same way.  The geometric term has one owner too:
+:func:`update_Z` returns it with the fit it makes.  The trace and
+:func:`selection_objective` both sum the terms through
+:func:`objective_components`.
 
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
 top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
@@ -149,11 +151,6 @@ class Contraction:
         self._w_inf = None
         self._y = self._wy = self._gram = None
 
-    @classmethod
-    def of(cls, w) -> Contraction:
-        """w itself when it is a contraction, else a new contraction of the matrix w."""
-        return w if isinstance(w, cls) else cls(w)
-
     def _contract(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if y is not self._y:
             self._y, self._wy, self._gram = y, self.w @ y, y.T @ y
@@ -183,26 +180,16 @@ def _coupling(y: np.ndarray, xs: np.ndarray, rho: float) -> float:
     return 0.5 * rho * float((diff * diff).sum())
 
 
-def objective_cycle(w, y: np.ndarray) -> float:
-    """Quarter squared Frobenius mismatch between the scores and y y^T.
-
-    ``w`` is the score matrix or its :class:`Contraction`.  Evaluated
-    without forming the m x m product: the cross term contracts through
-    w @ y and the quartic term through the k x k Gram matrix.
-    """
-    return Contraction.of(w).value(np.asarray(y, dtype=float))
-
-
-def objective_components(w, y, xs, geo: float, lam: float, rho: float) -> tuple[float, float, float]:
+def objective_components(cycle, y, xs, geo: float, lam: float, rho: float) -> tuple[float, float, float]:
     """The (cycle, lam * geometric, coupling) terms of the full objective.
 
     Their sum is the objective the solver minimizes; a trace record stores
-    the three terms and that sum.  ``w`` is the score matrix or its
-    :class:`Contraction`, whose slot already holds y after an ``update_Y``
-    call that returned it; ``xs`` is the stacked binary selection and
-    ``geo`` the geometric term that :func:`update_Z` returned with its fit.
+    the three terms and that sum.  ``cycle`` is the contraction of the
+    score matrix, whose slot already holds y after an ``update_Y`` call
+    that returned it; ``xs`` is the stacked binary selection and ``geo``
+    the geometric term that :func:`update_Z` returned with its fit.
     """
-    return objective_cycle(w, y), lam * geo if lam else 0.0, _coupling(y, xs, rho)
+    return cycle.value(y), lam * geo if lam else 0.0, _coupling(y, xs, rho)
 
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
@@ -255,14 +242,14 @@ def spectral_step(s: np.ndarray, dg: np.ndarray, eta0: float) -> float:
     return cap if ss >= cap * sdg else max(ss / sdg, eta0)
 
 
-def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.ndarray, list[float], bool]:
+def update_Y(y: np.ndarray, x: np.ndarray, cycle, rho: float, layout: BlockLayout) -> tuple[np.ndarray, list[float], bool]:
     """Projected gradient descent on the relaxed subproblem at fixed x.
 
     Minimizes 0.25 ||w - y y^T||_F^2 + (rho / 2) ||y - x||_F^2 over the
-    constraint set.  ``w`` is the score matrix or its :class:`Contraction`,
-    which supplies the first term's value, gradient and step bound; one
-    carried from call to call reuses its evaluation of y when it holds one,
-    and ends holding the returned y's unless the line search stalled.
+    constraint set of ``layout``'s blocks.  ``cycle`` is the contraction
+    of w, which supplies the first term's value, gradient and step bound;
+    one carried from call to call reuses its evaluation of y when it holds
+    one, and ends holding the returned y's unless the line search stalled.
     Steps follow y <- proj(y - eta * grad) with Armijo backtracking along
     the projection arc, so every accepted step lowers the objective.  The
     bound step eta0 = 1 / (step bound + rho) at the starting y is the first
@@ -278,7 +265,6 @@ def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.nda
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    cycle = Contraction.of(w)
 
     def value(yc: np.ndarray) -> float:
         return cycle.value(yc) + _coupling(yc, x, rho)
@@ -295,7 +281,7 @@ def update_Y(y: np.ndarray, x: np.ndarray, w, rho: float, sizes) -> tuple[np.nda
         eta = eta0 if y_prev is None else spectral_step(y - y_prev, grad - grad_prev, eta0)
         accepted = False
         while eta >= STALL_ETA:
-            y_new = project_onto_C(y - eta * grad, sizes)
+            y_new = project_onto_C(y - eta * grad, layout)
             f_new = value(y_new)
             decrease = float(np.vdot(grad, y - y_new))
             if f_new <= f_cur - ARMIJO * decrease:
@@ -351,7 +337,7 @@ def update_X(
         else:
             cost = -2.0 * rho * yg
         index[images] = solve_lap(cost).column_to_row
-    return SelectionLabeling(index, layout.sizes)
+    return SelectionLabeling(index, layout)
 
 
 def update_Z(x: SelectionLabeling, coords: list[np.ndarray], r: int) -> tuple[np.ndarray, float]:
@@ -392,8 +378,8 @@ def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
     return np.linalg.eigh(dense)[1][:, m - k :]
 
 
-def spectral_start(w, k: int, seed: int, sizes) -> np.ndarray:
-    """Feasible start point from the top-k eigenspace of w.
+def spectral_start(w, k: int, seed: int, layout: BlockLayout) -> np.ndarray:
+    """Feasible start point from the top-k eigenspace of w, over ``layout``'s blocks.
 
     Pivoted QR of U^T picks k anchor rows S; ``U U_S^{-1}`` maps them to
     the k unit labels and spreads every other row over the labels in
@@ -404,36 +390,27 @@ def spectral_start(w, k: int, seed: int, sizes) -> np.ndarray:
     u = top_eigenvectors(w, k, seed)
     anchors = scipy.linalg.qr(u.T, mode="r", pivoting=True)[1][:k]
     y0 = np.linalg.solve(u[anchors].T, u.T).T
-    return project_onto_C(np.maximum(y0, 0.0), sizes)
+    return project_onto_C(np.maximum(y0, 0.0), layout)
 
 
-def initialize(
-    w, config: SolverConfig, sizes, *, warnings_out: list[str] | None = None
-) -> tuple[np.ndarray, SelectionLabeling, list[float]]:
+def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.ndarray, SelectionLabeling, list[float], bool]:
     """Solve the score-only relaxation from the spectral start.
 
-    ``w`` is the score matrix or its :class:`Contraction`.  The start point
-    is :func:`spectral_start` with its eigensolver seeded by
+    ``cycle`` is the contraction of the score matrix ``cycle.w``.  The
+    start point is :func:`spectral_start` with its eigensolver seeded by
     ``config.seed``; projected gradient descent on the cycle term alone
-    refines it, and the blocks are discretized into the initial selection,
-    blocks of equal height as one stack.  A line search that stalls, or a
-    descent that uses all ``MAX_INNER`` steps, is reported as a
-    message appended to ``warnings_out`` when one is given.  Returns
-    (y, selection, objective history).
+    refines it, and ``layout``'s blocks are discretized into the initial
+    selection, blocks of equal height as one stack.  Returns (y,
+    selection, objective history, stalled flag) as :func:`update_Y`
+    reports them; a history longer than ``MAX_INNER`` means the descent
+    used every step.
     """
-    layout = BlockLayout(sizes)
-    cycle = Contraction.of(w)
-    y0 = spectral_start(cycle.w, config.k, config.seed, layout.sizes)
-    y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, layout.sizes)
-    if warnings_out is not None:
-        if stalled:
-            warnings_out.append("line search stalled at init")
-        if len(history) > MAX_INNER:  # every step used: history holds the start too
-            warnings_out.append(f"max inner steps ({MAX_INNER}) reached at init")
+    y0 = spectral_start(cycle.w, config.k, config.seed, layout)
+    y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, layout)
     index = np.empty((layout.n, config.k), dtype=np.intp)
     for p, images, rows in layout.groups():
         index[images] = discretize(y[rows].reshape(-1, p, config.k))
-    return y, SelectionLabeling(index, layout.sizes), history
+    return y, SelectionLabeling(index, layout), history, stalled
 
 
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
@@ -468,16 +445,20 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
 
 def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
-    sizes = instance.layout.sizes
-    if config.k > min(sizes):
-        raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(sizes)}")
+    layout = instance.layout
+    if config.k > min(layout.sizes):
+        raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(layout.sizes)}")
     # y enters the trace as update_Y last evaluated it
-    w = Contraction(assemble_block(instance.scores))
+    cycle = Contraction(assemble_block(instance.scores))
     coords, transforms = normalize_coordinates(instance.coordinates)
 
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
-    y, x, init_history = initialize(w, config, sizes, warnings_out=warnings_list)
+    y, x, init_history, stalled = initialize(cycle, config, layout)
+    if stalled:
+        warnings_list.append("line search stalled at init")
+    if len(init_history) > MAX_INNER:  # every step used: the history holds the start too
+        warnings_list.append(f"max inner steps ({MAX_INNER}) reached at init")
     trace.extend(
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
@@ -486,18 +467,18 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
-        parts = objective_components(w, y, xs, geo, config.lam, rho)
+        parts = objective_components(cycle, y, xs, geo, config.lam, rho)
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
         stalls = capped = 0
         for sweep in range(1, MAX_SWEEPS + 1):
-            y, history, stalled = update_Y(y, xs, w, rho, sizes)
+            y, history, stalled = update_Y(y, xs, cycle, rho, layout)
             stalls += stalled
             capped += len(history) > MAX_INNER
             x = update_X(y, z, coords, config.lam, rho)
             xs = x.stacked()
             z, geo = update_Z(x, coords, config.r)
-            parts = objective_components(w, y, xs, geo, config.lam, rho)
+            parts = objective_components(cycle, y, xs, geo, config.lam, rho)
             trace.append(TraceRecord(stage, sweep, *parts, sum(parts)))
             prev, total = trace[-2].total, trace[-1].total
             if prev - total <= OUTER_TOL * max(1.0, abs(prev)):
@@ -521,12 +502,12 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     )
 
 
-def selection_objective(w, labeling: SelectionLabeling, coords: list[np.ndarray], lam: float, r: int) -> float:
+def selection_objective(cycle, labeling: SelectionLabeling, coords: list[np.ndarray], lam: float, r: int) -> float:
     """Objective of a binary labeling with the geometric fit optimized out.
 
     The total a trace records at y = x = the labeling and z its rank-r
-    fit.  ``w`` is the score matrix or its :class:`Contraction`; a caller
-    that scores many labelings passes one, so ||w||_F^2 is computed once.
+    fit.  ``cycle`` is the contraction of the score matrix; a caller that
+    scores many labelings passes the same one, so ||w||_F^2 is computed once.
     """
     xs = labeling.stacked()
-    return sum(objective_components(w, xs, xs, update_Z(labeling, coords, r)[1], lam, 0.0))
+    return sum(objective_components(cycle, xs, xs, update_Z(labeling, coords, r)[1], lam, 0.0))

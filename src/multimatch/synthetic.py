@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from .errors import InstanceTooLarge, MatchingError
 from .model import (
+    BlockLayout,
     FeatureSet,
     PairwiseScores,
     ProblemInstance,
@@ -152,7 +153,7 @@ def generate(
 
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     matrix = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * p, n * p))
-    scores = PairwiseScores(matrix, tuple(p for _ in range(n)))
+    scores = PairwiseScores(matrix, BlockLayout((p,) * n))
     instance = validate_instance(features, scores, SolverConfig(k=u))
     ground_truth = SelectionLabeling.from_labels(labels, u)
     return PlantedInstance(instance, ground_truth, scene, cameras)
@@ -169,24 +170,24 @@ def brute_force_solve(
     in the solver's normalized coordinate frame.  Refuses instances whose
     labeling count exceeds ``BRUTE_FORCE_BUDGET``.
     """
-    sizes = [f.p for f in instance.features]
+    layout = instance.layout
     k = config.k
     count = 1
-    for p in sizes:
+    for p in layout.sizes:
         count *= math.perm(p, k)
         if count > BRUTE_FORCE_BUDGET:
             raise InstanceTooLarge(
                 f"{count}+ labelings exceed the enumeration budget {BRUTE_FORCE_BUDGET}"
             )
-    w = Contraction(assemble_block(instance.scores).toarray())  # ||w||_F^2 once for all labelings
+    cycle = Contraction(assemble_block(instance.scores).toarray())  # ||w||_F^2 once for all labelings
     coords, _ = normalize_coordinates(instance.coordinates)
 
     best_obj = np.inf
     best: SelectionLabeling | None = None
-    per_image = [list(itertools.permutations(range(p), k)) for p in sizes]
+    per_image = [list(itertools.permutations(range(p), k)) for p in layout.sizes]
     for combo in itertools.product(*per_image):
-        labeling = SelectionLabeling(combo, sizes)
-        obj = selection_objective(w, labeling, coords, config.lam, config.r)
+        labeling = SelectionLabeling(combo, layout)
+        obj = selection_objective(cycle, labeling, coords, config.lam, config.r)
         if obj < best_obj:
             best_obj = obj
             best = labeling

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from multimatch import (
+    BlockLayout,
     FeatureSet,
     PairwiseScores,
     SelectionLabeling,
@@ -70,7 +71,7 @@ def pair_matrix(labeling, i, j):
 
 def random_labeling(rng, sizes, k):
     """Uniformly random valid selection labeling."""
-    return SelectionLabeling([rng.permutation(p)[:k] for p in sizes], sizes)
+    return SelectionLabeling([rng.permutation(p)[:k] for p in sizes], BlockLayout(sizes))
 
 
 def random_feasible_y(rng, sizes, k):
@@ -78,7 +79,7 @@ def random_feasible_y(rng, sizes, k):
     from multimatch import project_onto_C
 
     m = sum(sizes)
-    return project_onto_C(rng.random((m, k)), sizes)
+    return project_onto_C(rng.random((m, k)), BlockLayout(sizes))
 
 
 def kkt_residual(v, y, sizes):
@@ -150,7 +151,7 @@ def scores_from_blocks(blocks, sizes):
         vals.append(np.asarray(block, dtype=float).ravel())
     m = int(offsets[-1])
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    return PairwiseScores(sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr(), tuple(sizes))
+    return PairwiseScores(sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr(), BlockLayout(sizes))
 
 
 def dense_merge_oracle(blocks, sizes):

@@ -12,6 +12,7 @@ from scipy.stats import binomtest
 
 import multimatch as mm
 from multimatch import (
+    BlockLayout,
     SolverConfig,
     assemble_block,
     assemble_measurements,
@@ -20,7 +21,6 @@ from multimatch import (
     feasibility_gap,
     generate,
     normalize_coordinates,
-    objective_cycle,
     pair_stats,
     project_onto_C,
     scores_pair_stats,
@@ -148,7 +148,7 @@ def test_criterion_6_tiny_global_optimality():
         state = solve(planted.instance, config)
         w = assemble_block(planted.instance.scores).toarray()
         coords, _ = normalize_coordinates(planted.instance.coordinates)
-        achieved = selection_objective(w, state.labeling, coords, config.lam, config.r)
+        achieved = selection_objective(Contraction(w), state.labeling, coords, config.lam, config.r)
         _, optimum = brute_force_solve(planted.instance, config)
         hits += achieved - optimum <= 1e-6
     assert hits >= 90
@@ -163,9 +163,9 @@ def test_criterion_7_projection_correctness(rng):
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_img))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=1.5, size=(sum(sizes), k))
-        ours = project_onto_C(y, sizes)
+        ours = project_onto_C(y, BlockLayout(sizes))
         kkt = max(kkt, kkt_residual(y, ours, sizes))
-        gap = max(gap, feasibility_gap(ours, sizes))
+        gap = max(gap, feasibility_gap(ours, BlockLayout(sizes)))
         assert kkt <= 1e-6
         assert gap <= 1e-6
         oracle = qp_project(y, sizes)
@@ -177,8 +177,8 @@ def test_criterion_7_projection_correctness(rng):
         sizes = (int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=2.0, size=(sum(sizes), k))
-        once = project_onto_C(y, sizes)
-        twice = project_onto_C(once, sizes)
+        once = project_onto_C(y, BlockLayout(sizes))
+        twice = project_onto_C(once, BlockLayout(sizes))
         drift = max(drift, float(np.linalg.norm(twice - once)))
         assert drift <= 1e-5
     qp = f"{max(qp_gaps):.2e}" if qp_gaps else "not run without cvxpy"
@@ -215,7 +215,7 @@ def test_criterion_9_gradient_check(rng):
 
         def f(yc):
             diff = yc - x
-            return objective_cycle(w, yc) + 0.5 * rho * (diff * diff).sum()
+            return Contraction(w).value(yc) + 0.5 * rho * (diff * diff).sum()
 
         analytic = Contraction(w).gradient(y) + rho * (y - x)
         numeric = np.zeros_like(y)
@@ -254,14 +254,14 @@ def test_criterion_10_rank_facts(rng):
 def _median_y_update_seconds(n, u, k, outliers, trials=5, seed=0):
     planted = generate(n, u, outliers_per_image=outliers, match_corruption_rate=0.2, seed=seed)
     w = assemble_block(planted.instance.scores)
-    sizes = planted.instance.layout.sizes
+    layout = planted.instance.layout
     rng = np.random.default_rng(seed)
-    y0 = project_onto_C(rng.random((sum(sizes), k)), sizes)
+    y0 = project_onto_C(rng.random((layout.m, k)), layout)
     x = np.zeros_like(y0)
     samples = []
     for _ in range(trials + 1):
         t0 = time.perf_counter()
-        update_Y(y0, x, w, 1.0, sizes)
+        update_Y(y0, x, Contraction(w), 1.0, layout)
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples[1:]))  # first sample is warmup
 

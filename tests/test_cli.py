@@ -208,6 +208,54 @@ def test_eval_mismatched_ids_is_error(tmp_path, capsys):
     assert run(["eval", "--labeling", labeling, "--truth", truth2]) == 2
 
 
+def test_eval_refuses_a_truth_of_other_candidate_counts(solved, tmp_path, capsys):
+    problem, truth, labeling = solved
+    doc = json.loads(truth.read_text())
+    doc["images"][1]["p"] += 1
+    truth2 = tmp_path / "t2.json"
+    truth2.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--labeling", labeling, "--truth", truth2]) == 2
+    assert "prediction and truth must cover the same images and candidates" in capsys.readouterr().err
+
+
+def _repeat_member(src, out, records, key):
+    """Copy the document at ``src`` to ``out`` with its first ``records`` entry listing ``key`` twice."""
+    doc = json.loads(src.read_text())
+    record = json.dumps(doc[records][0])
+    text = json.dumps(doc)
+    assert text.count(record) == 1
+    out.write_text(text.replace(record, f"{record[:-1]}, {json.dumps(key)}: {json.dumps(doc[records][0][key])}}}"))
+    return out
+
+
+@pytest.mark.parametrize("command, records, key", [
+    ("solve", "images", "coordinates"),  # load_problem
+    ("solve", "pairwise", "entries"),  # load_problem
+    ("reconstruct", "images", "coordinates"),  # load_features
+    ("eval-labeling", "images", "pairs"),  # load_labeling
+    ("eval-truth", "images", "pairs"),  # load_truth
+])
+def test_a_member_repeated_inside_a_record_exits_2(solved, tmp_path, capsys, monkeypatch, command, records, key):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a rejected input reached the solver")
+
+    monkeypatch.setattr(multimatch.cli, "solve", no_solve)
+    problem, truth, labeling = solved
+    bad = tmp_path / "bad.json"
+    argv = {
+        "solve": lambda: ["solve", "--problem", _repeat_member(problem, bad, records, key), "--out", tmp_path / "l.json"],
+        "reconstruct": lambda: ["reconstruct", "--problem", _repeat_member(problem, bad, records, key),
+                                "--labeling", labeling, "--out", tmp_path / "cloud.txt"],
+        "eval-labeling": lambda: ["eval", "--labeling", _repeat_member(labeling, bad, records, key), "--truth", truth],
+        "eval-truth": lambda: ["eval", "--labeling", labeling, "--truth", _repeat_member(truth, bad, records, key)],
+    }[command]()
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f'member "{key}" is listed twice' in capsys.readouterr().err
+    assert not (tmp_path / "l.json").exists() and not (tmp_path / "cloud.txt").exists()
+
+
 def test_reconstruct_noiseless_run(tmp_path, capsys):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=4, n=6, universe=6, outliers=3))

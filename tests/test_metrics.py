@@ -129,7 +129,7 @@ def test_metrics_invariant_under_label_permutation(rng):
     truth = random_labeling(rng, sizes, 3).labels()
     base = pair_stats(lab, truth)
     perm = rng.permutation(3)
-    shuffled = SelectionLabeling(lab.index[:, perm], lab.sizes)
+    shuffled = SelectionLabeling(lab.index[:, perm], lab.layout)
     after = pair_stats(shuffled, truth)
     assert (base.recall, base.precision) == (after.recall, after.precision)
 

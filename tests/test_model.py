@@ -45,8 +45,8 @@ def test_validate_rejects_infeasible_k(rng):
 def test_validate_rejects_bad_block_shape(rng):
     features = toy_features([3, 3], rng)
     with pytest.raises(DimensionMismatch):
-        PairwiseScores(sp.csr_matrix(rng.random((6, 5))), (3, 3))
-    scores = PairwiseScores(sp.csr_matrix(rng.random((5, 5))), (3, 2))
+        PairwiseScores(sp.csr_matrix(rng.random((6, 5))), BlockLayout((3, 3)))
+    scores = PairwiseScores(sp.csr_matrix(rng.random((5, 5))), BlockLayout((3, 2)))
     with pytest.raises(DimensionMismatch):
         validate_instance(features, scores, SolverConfig(k=2))
 
@@ -90,7 +90,7 @@ def test_feature_set_checks_unit_descriptors():
 
 def test_assemble_single_image_is_identity():
     features = toy_features([2])
-    scores = PairwiseScores(sp.csr_matrix((2, 2)), (2,))
+    scores = PairwiseScores(sp.csr_matrix((2, 2)), BlockLayout((2,)))
     inst = validate_instance(features, scores, SolverConfig(k=1))
     w = assemble_block(inst.scores).toarray()
     assert np.array_equal(w, np.eye(2))
@@ -179,6 +179,13 @@ def test_layout_offsets_and_split():
     image, local = layout.locate(np.arange(9))
     assert image.tolist() == [0, 0, 0, 1, 1, 2, 2, 2, 2]
     assert local.tolist() == [0, 1, 2, 0, 1, 0, 1, 2, 3]
+    # any partition is a layout: no images, and images of no rows
+    empty = BlockLayout(())
+    assert (empty.n, empty.m, empty.offsets, empty.split(np.zeros((0, 2)))) == (0, 0, (), [])
+    layout = BlockLayout((0, 3, 0, 2))
+    assert layout.offsets == (0, 0, 3, 3) and layout.m == 5
+    assert [p.shape[0] for p in layout.split(np.arange(5))] == [0, 3, 0, 2]
+    assert layout.locate(np.arange(5))[0].tolist() == [1, 1, 1, 3, 3]
 
 
 def test_labeling_pair_products_are_partial_permutations(rng):
@@ -215,7 +222,7 @@ def test_labeling_labels_roundtrip(rng):
 
 def test_labeling_validate_rejects_bad_column_sums():
     # the all-zero 3 x 2 assignment: neither label has a candidate
-    bad = SelectionLabeling([[-1, -1]], (3,))
+    bad = SelectionLabeling([[-1, -1]], BlockLayout((3,)))
     with pytest.raises(MatchingError):
         bad.validate()
 
@@ -226,7 +233,7 @@ def labelings(draw, spare=0):
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(k + spare, k + spare + 3), min_size=n, max_size=n))
-    return SelectionLabeling([draw(st.permutations(range(p)))[:k] for p in sizes], sizes)
+    return SelectionLabeling([draw(st.permutations(range(p)))[:k] for p in sizes], BlockLayout(sizes))
 
 
 def _assignment_oracle(lab):
@@ -292,16 +299,16 @@ def test_validate_rejects_broken_rows(lab, data):
     outside = lab.index.copy()
     outside[i, l] = data.draw(st.sampled_from([-1, lab.sizes[i]]))
     with pytest.raises(MatchingError):
-        SelectionLabeling(outside, lab.sizes).validate()
+        SelectionLabeling(outside, lab.layout).validate()
     short = list(lab.sizes)
     short[i] = lab.k - 1
     with pytest.raises(InfeasibleK):
-        SelectionLabeling(lab.index, short).validate()
+        SelectionLabeling(lab.index, BlockLayout(short)).validate()
     if lab.k > 1:
         repeated = lab.index.copy()
         repeated[i, l] = repeated[i, (l + 1) % lab.k]
         with pytest.raises(MatchingError, match="multiple labels"):
-            SelectionLabeling(repeated, lab.sizes).validate()
+            SelectionLabeling(repeated, lab.layout).validate()
 
 
 def test_solver_config_validation():
@@ -391,13 +398,13 @@ def test_validate_names_the_faulty_block(rng):
 
 
 def test_labeling_checks_name_the_first_faulty_image():
-    sizes = (3, 3, 3)
+    layout = BlockLayout((3, 3, 3))
     with pytest.raises(MatchingError, match="image 1: some candidate carries multiple labels"):
-        SelectionLabeling([[0, 1], [2, 2], [5, 1]], sizes).validate()
+        SelectionLabeling([[0, 1], [2, 2], [5, 1]], layout).validate()
     with pytest.raises(MatchingError, match=r"image 1: a chosen candidate lies outside \[0, 3\)"):
-        SelectionLabeling([[0, 1], [0, 3], [1, 1]], sizes).validate()
+        SelectionLabeling([[0, 1], [0, 3], [1, 1]], layout).validate()
     with pytest.raises(InfeasibleK, match="image 1: k=2 exceeds p=1"):
-        SelectionLabeling([[0, 1], [0, 0], [5, 1]], (3, 1, 3)).validate()
+        SelectionLabeling([[0, 1], [0, 0], [5, 1]], BlockLayout((3, 1, 3))).validate()
     # a label used twice (image 1) is named before a label missing (image 2)
     labels = [[0, 1, -1], [0, 0, -1], [0, -1, -1]]
     with pytest.raises(MatchingError, match=r"image 1: every label in \[0, 2\) must be used exactly once"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multimatch import BlockLayout, InfeasibleK, feasibility_gap, project_onto_C, projection
+from multimatch import BlockLayout, DimensionMismatch, InfeasibleK, feasibility_gap, project_onto_C, projection
 from multimatch.projection import _threshold
 from multimatch.solver import assemble_block, spectral_start
 from conftest import descriptor_instance, kkt_residual, qp_project, random_feasible_y, random_labeling
@@ -12,21 +12,21 @@ ROUND_CAP = pytest.mark.filterwarnings("error::multimatch.projection.ProjectionW
 
 def test_project_c_returns_valid_labeling_unchanged():
     y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    out = project_onto_C(y, (3,))
+    out = project_onto_C(y, BlockLayout((3,)))
     assert np.array_equal(out, y)
 
 
 @ROUND_CAP
 def test_project_c_single_column_reduces_to_simplex(rng, monkeypatch):
     y = np.array([[0.8], [0.8]])
-    assert np.allclose(project_onto_C(y, (2,)), [[0.5], [0.5]])
+    assert np.allclose(project_onto_C(y, BlockLayout((2,))), [[0.5], [0.5]])
     # with k = 1 the column rule leaves every row within its cap: one round
     monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 1)
     sizes = (1, 4, 2, 4, 7)
     layout = BlockLayout(sizes)
     for scale in (0.1, 1.0, 10.0):
         v = rng.normal(scale=scale, size=(layout.m, 1))
-        out = project_onto_C(v, sizes)
+        out = project_onto_C(v, layout)
         for i in range(layout.n):
             rows = layout.block_slice(i)
             assert np.allclose(out[rows, 0], _simplex(v[rows, 0]), rtol=0.0, atol=1e-12)
@@ -34,7 +34,7 @@ def test_project_c_single_column_reduces_to_simplex(rng, monkeypatch):
 
 def test_project_c_symmetric_two_by_two():
     y = np.full((2, 2), 0.9)
-    out = project_onto_C(y, (2,))
+    out = project_onto_C(y, BlockLayout((2,)))
     assert np.allclose(out, 0.5 * np.ones((2, 2)), atol=1e-4)
 
 
@@ -44,9 +44,9 @@ def test_project_c_matches_qp_oracle(rng):
         sizes = tuple(int(rng.integers(2, 4)) for _ in range(n_img))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=1.0, size=(sum(sizes), k))
-        ours = project_onto_C(y, sizes)
+        ours = project_onto_C(y, BlockLayout(sizes))
         assert kkt_residual(y, ours, sizes) <= 1e-6
-        assert feasibility_gap(ours, sizes) <= 1e-6
+        assert feasibility_gap(ours, BlockLayout(sizes)) <= 1e-6
         oracle = qp_project(y, sizes)
         if oracle is not None:
             assert np.linalg.norm(ours - oracle) <= 1e-3
@@ -57,19 +57,19 @@ def test_project_c_idempotent(rng):
         sizes = (int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=2.0, size=(sum(sizes), k))
-        once = project_onto_C(y, sizes)
-        twice = project_onto_C(once, sizes)
+        once = project_onto_C(y, BlockLayout(sizes))
+        twice = project_onto_C(once, BlockLayout(sizes))
         assert np.linalg.norm(twice - once) <= 1e-5
 
 
 def test_project_c_non_expansive(rng):
-    sizes = (4, 3)
+    layout = BlockLayout((4, 3))
     for _ in range(30):
         k = 2
         y1 = rng.normal(size=(7, k))
         y2 = rng.normal(size=(7, k))
         d_in = np.linalg.norm(y1 - y2)
-        d_out = np.linalg.norm(project_onto_C(y1, sizes) - project_onto_C(y2, sizes))
+        d_out = np.linalg.norm(project_onto_C(y1, layout) - project_onto_C(y2, layout))
         assert d_out <= d_in + 1e-4
 
 
@@ -78,8 +78,8 @@ def test_project_c_output_feasible(rng):
         sizes = (int(rng.integers(2, 7)), int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         k = int(rng.integers(1, min(sizes) + 1))
         y = rng.normal(scale=3.0, size=(sum(sizes), k))
-        out = project_onto_C(y, sizes)
-        assert feasibility_gap(out, sizes) <= 1e-5
+        out = project_onto_C(y, BlockLayout(sizes))
+        assert feasibility_gap(out, BlockLayout(sizes)) <= 1e-5
 
 
 def _simplex(v):
@@ -115,16 +115,15 @@ def test_project_c_keeps_feasible_input(rng, monkeypatch):
         sizes = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 4))))
         k = int(rng.integers(1, min(sizes) + 1))
         labeling = random_labeling(rng, sizes, k).stacked().astype(float)
-        assert np.array_equal(project_onto_C(labeling, sizes), labeling)
+        assert np.array_equal(project_onto_C(labeling, BlockLayout(sizes)), labeling)
         interior = np.vstack([np.full((p, k), 1.0 / p) for p in sizes])
         # 1 / p need not sum to 1 exactly
-        assert np.abs(project_onto_C(interior, sizes) - interior).max() <= 1e-15
+        assert np.abs(project_onto_C(interior, BlockLayout(sizes)) - interior).max() <= 1e-15
 
 
-def _project_each(v, sizes):
+def _project_each(v, layout):
     """Every image projected alone, stacked."""
-    layout = BlockLayout(sizes)
-    return np.vstack([project_onto_C(v[layout.block_slice(i)], (p,)) for i, p in enumerate(layout.sizes)])
+    return np.vstack([project_onto_C(v[layout.block_slice(i)], BlockLayout((p,))) for i, p in enumerate(layout.sizes)])
 
 
 @ROUND_CAP
@@ -141,9 +140,9 @@ def test_project_c_separates_by_image(rng, monkeypatch):
         v = rng.normal(scale=2.0, size=(layout.m, k))
         if case % 2:
             v[layout.block_slice(2)] = random_labeling(rng, (5,), k).stacked()
-        out = project_onto_C(v, sizes)
-        assert np.array_equal(out, _project_each(v, sizes))
-        assert feasibility_gap(out, sizes) <= 1e-6
+        out = project_onto_C(v, layout)
+        assert np.array_equal(out, _project_each(v, layout))
+        assert feasibility_gap(out, layout) <= 1e-6
 
 
 @ROUND_CAP
@@ -155,8 +154,8 @@ def test_project_c_square_blocks_are_doubly_stochastic(rng, monkeypatch):
         k = int(rng.integers(2, 8))
         sizes = (k, k, k)
         v = rng.normal(scale=2.0, size=(3 * k, k))
-        out = project_onto_C(v, sizes)
-        assert feasibility_gap(out, sizes) <= 1e-6
+        out = project_onto_C(v, BlockLayout(sizes))
+        assert feasibility_gap(out, BlockLayout(sizes)) <= 1e-6
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-6
         # the residual's complementarity term is a row's gap times its nu,
         # which reaches a few units at this scale
@@ -166,15 +165,15 @@ def test_project_c_square_blocks_are_doubly_stochastic(rng, monkeypatch):
 def test_project_c_falls_back_when_newton_steps_fail(rng, monkeypatch):
     sizes, k = (4, 3, 5), 3
     cases = [rng.normal(size=(12, k)) for _ in range(10)]
-    newton = [project_onto_C(v, sizes) for v in cases]
+    newton = [project_onto_C(v, BlockLayout(sizes)) for v in cases]
     # phi is concave, so no step raises it by more than its slope predicts:
     # asking for 1.5 times that rejects every Newton step, and every round
     # after the first keeps nu(mu), a round of block coordinate ascent
     monkeypatch.setattr(projection, "ARMIJO", 1.5)
     for v, ref in zip(cases, newton):
-        out = project_onto_C(v, sizes)
+        out = project_onto_C(v, BlockLayout(sizes))
         assert kkt_residual(v, out, sizes) <= 1e-6
-        assert feasibility_gap(out, sizes) <= 1e-6
+        assert feasibility_gap(out, BlockLayout(sizes)) <= 1e-6
         assert np.abs(out - ref).max() <= 1e-5
 
 
@@ -193,10 +192,10 @@ def test_project_c_skips_newton_steps_below_rounding(seed, monkeypatch):
 
     monkeypatch.setattr(projection, "_row_step", counting)
     v = 3 * np.random.default_rng(seed).standard_normal((3, 3))
-    out = project_onto_C(v, (3,))
+    out = project_onto_C(v, BlockLayout((3,)))
     assert len(calls) == 4
     assert kkt_residual(v, out, (3,)) <= 1e-6
-    assert feasibility_gap(out, (3,)) <= 1e-6
+    assert feasibility_gap(out, BlockLayout((3,))) <= 1e-6
 
 
 @ROUND_CAP
@@ -205,22 +204,32 @@ def test_project_c_round_budget_on_descriptor_stack(monkeypatch):
     # instance (20 images of 13 candidates, k = 12): Newton's method settles
     # it in 4 rounds, the plain ascent from nu = 0 in 43
     instance, config = descriptor_instance(7)
-    sizes = instance.layout.sizes
+    layout = instance.layout
     w = assemble_block(instance.scores)
-    y = spectral_start(w, config.k, config.seed, sizes)
+    y = spectral_start(w, config.k, config.seed, layout)
     gram = y.T @ y
     eta = 4.0 / (np.linalg.eigvalsh(gram)[-1] + abs(w).sum(axis=1).max())
     v = y - eta * (y @ gram - w @ y)
     monkeypatch.setattr(projection, "PROJECTION_MAX_ITER", 6)
-    out = project_onto_C(v, sizes)
-    assert feasibility_gap(out, sizes) <= 1e-6
+    out = project_onto_C(v, layout)
+    assert feasibility_gap(out, layout) <= 1e-6
 
 
 def test_project_c_rejects_infeasible_k():
     with pytest.raises(InfeasibleK):
-        project_onto_C(np.zeros((2, 3)), (2,))
+        project_onto_C(np.zeros((2, 3)), BlockLayout((2,)))
+
+
+def test_project_c_rejects_an_image_without_candidates():
+    # a zero-size block cannot reach a column sum of 1, whatever k is
+    with pytest.raises(DimensionMismatch, match="every image must contribute at least one candidate"):
+        project_onto_C(np.ones((3, 1)), BlockLayout((3, 0)))
+
+
+def test_feasibility_gap_of_an_image_without_candidates_is_its_missing_column_sum():
+    assert feasibility_gap(np.array([[1.0], [0.0], [0.0]]), BlockLayout((3, 0))) == 1.0
 
 
 def test_random_feasible_points_are_feasible(rng):
     y = random_feasible_y(rng, (4, 5), 3)
-    assert feasibility_gap(y, (4, 5)) <= 1e-5
+    assert feasibility_gap(y, BlockLayout((4, 5))) <= 1e-5

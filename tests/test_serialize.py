@@ -466,6 +466,17 @@ def test_load_labeling_rejects_invalid_labeling(tmp_path):
     assert [l.tolist() for l in lab.labels()] == [[0, 1, -1], [0, -1, 1]]
 
 
+def test_load_labeling_reads_k_0_with_an_image_of_no_candidates(tmp_path):
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "k": 0, "images": [
+        {"id": "x", "p": 2, "pairs": []}, {"id": "y", "p": 0, "pairs": []}, {"id": "z", "p": 1, "pairs": []}]}))
+    ids, lab = load_labeling(path)
+    assert ids == ["x", "y", "z"]
+    assert lab.index.shape == (3, 0) and lab.sizes == (2, 0, 1)
+    assert [l.tolist() for l in lab.labels()] == [[-1, -1], [], [-1]]
+    assert [a.shape for a in lab.assignments] == [(2, 0), (0, 0), (1, 0)]
+
+
 def test_load_truth_rejects_invalid_labels(tmp_path):
     path = tmp_path / "truth.json"
     for bad in ([[0, 0], [1, 0]], [[0, 2]]):  # label repeated, label past the universe

@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import hypothesis
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 import multimatch.solver
 
 from multimatch import (
+    BlockLayout,
     SelectionLabeling,
     SolverConfig,
     assemble_block,
@@ -19,7 +21,6 @@ from multimatch import (
     initialize,
     normalize_coordinates,
     objective_components,
-    objective_cycle,
     project_onto_C,
     recall,
     generate,
@@ -51,13 +52,13 @@ from conftest import (
 def test_objective_cycle_zero_at_exact_factorization(rng):
     y = random_feasible_y(rng, (3, 3), 2)
     w = y @ y.T
-    assert objective_cycle(w, y) == pytest.approx(0.0, abs=1e-12)
+    assert Contraction(w).value(y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_cycle_identity_at_zero():
     w = np.eye(3)
     y = np.zeros((3, 2))
-    assert objective_cycle(w, y) == pytest.approx(0.75)
+    assert Contraction(w).value(y) == pytest.approx(0.75)
 
 
 def test_objective_cycle_matches_naive_loop(rng):
@@ -65,19 +66,17 @@ def test_objective_cycle_matches_naive_loop(rng):
         w = rng.random((4, 4))
         w = 0.5 * (w + w.T)
         y = rng.random((4, 2))
-        assert objective_cycle(w, y) == pytest.approx(
+        assert Contraction(w).value(y) == pytest.approx(
             naive_cycle_objective(w, y), rel=1e-9, abs=1e-12
         )
 
 
 def test_objective_cycle_accepts_sparse(rng):
-    import scipy.sparse as sp
-
     w = rng.random((5, 5))
     w = 0.5 * (w + w.T)
     y = rng.random((5, 2))
-    dense = objective_cycle(w, y)
-    sparse = objective_cycle(sp.csr_matrix(w), y)
+    dense = Contraction(w).value(y)
+    sparse = Contraction(sp.csr_matrix(w)).value(y)
     assert sparse == pytest.approx(dense, rel=1e-12)
 
 
@@ -102,14 +101,14 @@ def test_assemble_measurements_matches_per_image_slices(rng):
     lab = random_labeling(rng, sizes, 3)
     expected = np.vstack([c[:, index] for index, c in zip(lab.index, coords)])
     assert np.array_equal(assemble_measurements(lab, coords), expected)
-    one = SelectionLabeling(lab.index[:1], sizes[:1])
+    one = SelectionLabeling(lab.index[:1], BlockLayout(sizes[:1]))
     assert np.array_equal(assemble_measurements(one, coords[:1]), expected[:2])
 
 
 def test_update_z_geo_single_point_at_rank_zero():
     # the rank-0 fit is zero, so the term is half the point's squared norm
     coords = [np.array([[3.0], [4.0]])]
-    lab = SelectionLabeling([[0]], (1,))
+    lab = SelectionLabeling([[0]], BlockLayout((1,)))
     z, geo = update_Z(lab, coords, 0)
     assert np.array_equal(z, np.zeros((2, 1)))
     assert geo == pytest.approx(12.5)
@@ -129,7 +128,7 @@ def test_objective_total_zero_for_consistent_state(rng):
     w = xs @ xs.T
     coords = [rng.random((2, 3)), rng.random((2, 3))]
     geo = update_Z(lab, coords, 4)[1]  # 4 >= min(2n, k) = 2: an exact fit
-    parts = objective_components(w, xs, xs, geo, lam=1.0, rho=5.0)
+    parts = objective_components(Contraction(w), xs, xs, geo, lam=1.0, rho=5.0)
     assert sum(parts) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -142,12 +141,12 @@ def test_objective_total_decomposes(rng):
     z, fit = update_Z(lab, coords, 1)
     xs = lab.stacked()
     lam, rho = 0.7, 3.0
-    cycle, geo, coupling = objective_components(w, y, xs, fit, lam, rho)
+    cycle, geo, coupling = objective_components(Contraction(w), y, xs, fit, lam, rho)
     assert cycle == pytest.approx(naive_cycle_objective(w, y), rel=1e-9)
     assert geo == pytest.approx(lam * naive_geo_objective(lab.assignments, z, coords), rel=1e-9)
     assert coupling == pytest.approx(0.5 * rho * ((xs - y) ** 2).sum(), rel=1e-9)
-    assert objective_components(w, y, xs, fit, lam, 0.0) == (cycle, geo, 0.0)
-    assert objective_components(w, y, xs, fit, 0.0, rho) == (cycle, 0.0, coupling)
+    assert objective_components(Contraction(w), y, xs, fit, lam, 0.0) == (cycle, geo, 0.0)
+    assert objective_components(Contraction(w), y, xs, fit, 0.0, rho) == (cycle, 0.0, coupling)
 
 
 def gradient_fd(w, y, h=1e-5):
@@ -157,7 +156,7 @@ def gradient_fd(w, y, h=1e-5):
         for b in range(y.shape[1]):
             e = np.zeros_like(y)
             e[a, b] = h
-            g[a, b] = (objective_cycle(w, y + e) - objective_cycle(w, y - e)) / (2 * h)
+            g[a, b] = (Contraction(w).value(y + e) - Contraction(w).value(y - e)) / (2 * h)
     return g
 
 
@@ -185,7 +184,7 @@ def test_update_y_fixed_point_when_gradient_zero(rng):
     y = random_feasible_y(rng, (3, 3), 2)
     w = y @ y.T
     # gradient = y y^T y - w y = 0 exactly at this w
-    out, hist, stalled = update_Y(y, np.zeros_like(y), w, 0.0, (3, 3))
+    out, hist, stalled = update_Y(y, np.zeros_like(y), Contraction(w), 0.0, BlockLayout((3, 3)))
     assert np.allclose(out, y, atol=1e-9)
     assert not stalled
 
@@ -203,20 +202,20 @@ def test_update_y_small_step_is_plain_gradient_step(monkeypatch):
     assert abs(grad.sum()) < 1e-12 and np.abs(grad).max() > 1e-3
     eta = 1.0 / (s + np.abs(d).max())
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
-    out, _, _ = update_Y(y, np.zeros_like(y), w, 0.0, (3,))
+    out, _, _ = update_Y(y, np.zeros_like(y), Contraction(w), 0.0, BlockLayout((3,)))
     assert np.allclose(out, y - eta * grad, atol=1e-8)
 
 
 def test_update_y_matches_grid_search_on_tiny_instance(rng, monkeypatch):
     # two images, two candidates each, one label: C is a product of two
     # 1-simplices, so exhaustive grid search over (y1, y3) is an oracle
-    lab = SelectionLabeling([[0], [1]], (2, 2))
+    lab = SelectionLabeling([[0], [1]], BlockLayout((2, 2)))
     xs = lab.stacked()
     w = xs @ xs.T
-    y0 = project_onto_C(np.full((4, 1), 0.4), (2, 2))
+    y0 = project_onto_C(np.full((4, 1), 0.4), BlockLayout((2, 2)))
 
     def objective(yv):
-        return objective_cycle(w, yv.reshape(4, 1))
+        return Contraction(w).value(yv.reshape(4, 1))
 
     best, best_val = None, np.inf
     grid = np.linspace(0.0, 1.0, 101)
@@ -228,8 +227,8 @@ def test_update_y_matches_grid_search_on_tiny_instance(rng, monkeypatch):
                 best_val, best = val, yv
     monkeypatch.setattr(multimatch.solver, "INNER_TOL", 1e-12)
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 2000)
-    out, _, _ = update_Y(y0, np.zeros((4, 1)), w, 0.0, (2, 2))
-    assert objective_cycle(w, out) <= best_val + 1e-3
+    out, _, _ = update_Y(y0, np.zeros((4, 1)), Contraction(w), 0.0, BlockLayout((2, 2)))
+    assert Contraction(w).value(out) <= best_val + 1e-3
 
 
 def test_update_y_objective_history_monotone(rng):
@@ -238,7 +237,7 @@ def test_update_y_objective_history_monotone(rng):
     x = random_labeling(rng, sizes, 2).stacked()
     w = rng.random((12, 12))
     w = 0.5 * (w + w.T)
-    _, hist, _ = update_Y(y, x, w, 2.0, sizes)
+    _, hist, _ = update_Y(y, x, Contraction(w), 2.0, BlockLayout(sizes))
     diffs = np.diff(hist)
     assert (diffs <= 1e-9).all()
 
@@ -249,8 +248,8 @@ def test_update_y_stays_feasible(rng):
     x = random_labeling(rng, sizes, 2).stacked()
     w = rng.random((8, 8))
     w = 0.5 * (w + w.T)
-    out, _, _ = update_Y(y, x, w, 1.0, sizes)
-    assert feasibility_gap(out, sizes) <= 1e-5
+    out, _, _ = update_Y(y, x, Contraction(w), 1.0, BlockLayout(sizes))
+    assert feasibility_gap(out, BlockLayout(sizes)) <= 1e-5
 
 
 @pytest.mark.parametrize("rho", [0.0, 3.0])
@@ -266,15 +265,15 @@ def test_update_y_second_step_starts_from_spectral_step(monkeypatch, rho):
         return (y @ y.T - w) @ y + rho * (y - x)
 
     eta0 = 1.0 / (np.linalg.norm(y0, 2) ** 2 + np.abs(w).sum(axis=1).max() + rho)
-    y1 = project_onto_C(y0 - eta0 * grad(y0), sizes)
+    y1 = project_onto_C(y0 - eta0 * grad(y0), BlockLayout(sizes))
     s, dg = y1 - y0, grad(y1) - grad(y0)
     eta = (s * s).sum() / (s * dg).sum()
     assert eta0 < eta < 1e3 * eta0  # inside the clamp: the quotient itself is the trial
     monkeypatch.setattr(multimatch.solver, "INNER_TOL", 0.0)
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 2)
-    out, hist, stalled = update_Y(y0, x, w, rho, sizes)
+    out, hist, stalled = update_Y(y0, x, Contraction(w), rho, BlockLayout(sizes))
     assert len(hist) == 3 and not stalled
-    assert np.allclose(out, project_onto_C(y1 - eta * grad(y1), sizes), atol=1e-12)
+    assert np.allclose(out, project_onto_C(y1 - eta * grad(y1), BlockLayout(sizes)), atol=1e-12)
 
 
 def test_spectral_step_clamps_to_the_bound_step():
@@ -305,11 +304,11 @@ def test_initialize_on_a_sparse_image_graph_takes_spectral_steps(monkeypatch):
     keep = graph[image[full.row], image[full.col]]
     w = sp.csr_matrix((full.data[keep], (full.row[keep], full.col[keep])), shape=full.shape)
     config = SolverConfig(k=5, seed=0)
-    _, _, hist = initialize(w, config, sizes)
+    _, _, hist, _ = initialize(Contraction(w), config, BlockLayout(sizes))
     assert (np.diff(hist) <= 0.0).all()
     # a cap of 1 pins every first trial to the bound step
     monkeypatch.setattr(multimatch.solver, "SPECTRAL_CAP", 1.0)
-    _, _, bound_hist = initialize(w, config, sizes)
+    _, _, bound_hist, _ = initialize(Contraction(w), config, BlockLayout(sizes))
     assert len(hist) - 1 <= 10 < len(bound_hist) - 1
 
 
@@ -329,7 +328,7 @@ def test_update_y_history_never_increases_on_sparse_signed_scores(sizes, k, dens
     w = sp.csr_matrix(w + w.T)
     y = random_feasible_y(rng, sizes, k)
     x = random_labeling(rng, sizes, k).stacked()
-    _, hist, _ = update_Y(y, x, w, rho, sizes)
+    _, hist, _ = update_Y(y, x, Contraction(w), rho, BlockLayout(sizes))
     assert (np.diff(hist) <= 1e-12 * max(1.0, abs(hist[0]))).all()
 
 
@@ -354,40 +353,66 @@ def test_update_y_with_carried_contraction_matches_fresh(monkeypatch, rho):
     contraction = Contraction(w)
     with monkeypatch.context() as patch:
         patch.setattr(multimatch.solver, "MAX_INNER", 2)
-        y1, _, stalled = update_Y(y0, x, contraction, rho, sizes)
+        y1, _, stalled = update_Y(y0, x, contraction, rho, BlockLayout(sizes))
     assert not stalled
     start = ProductCounting.products
-    carried = update_Y(y1, x, contraction, rho, sizes)
+    carried = update_Y(y1, x, contraction, rho, BlockLayout(sizes))
     reused = ProductCounting.products - start
-    fresh = update_Y(y1, x, w, rho, sizes)
+    fresh = update_Y(y1, x, Contraction(w), rho, BlockLayout(sizes))
     # the carried call starts from the evaluation the previous call left
     assert reused == ProductCounting.products - start - reused - 1
     assert np.array_equal(carried[0], fresh[0])
     assert carried[1:] == fresh[1:]
-    assert contraction.value(carried[0]) == objective_cycle(w, carried[0])
+    assert contraction.value(carried[0]) == Contraction(w).value(carried[0])
+
+
+class CountingContraction:
+    """A contraction object of its own class: counts the calls of each method and passes them on."""
+
+    def __init__(self, inner):
+        self.w, self.inner, self.calls = inner.w, inner, collections.Counter()
+
+    def value(self, y):
+        self.calls["value"] += 1
+        return self.inner.value(y)
+
+    def gradient(self, y):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(y)
+
+    def step_bound(self, y):
+        self.calls["step_bound"] += 1
+        return self.inner.step_bound(y)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
-def test_functions_taking_w_accept_its_contraction(sparse):
+def test_any_contraction_object_drives_the_solver(sparse):
     planted = generate(4, 4, outliers_per_image=2, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=12)
     w = assemble_block(planted.instance.scores)
     w = w if sparse else w.toarray()
-    sizes = planted.instance.layout.sizes
+    layout = planted.instance.layout
     config = SolverConfig(k=4, seed=12)
     rng = np.random.default_rng(12)
-    y = random_feasible_y(rng, sizes, 4)
-    lab = random_labeling(rng, sizes, 4)
+    y = random_feasible_y(rng, layout.sizes, 4)
+    lab = random_labeling(rng, layout.sizes, 4)
     coords, _ = normalize_coordinates(planted.instance.coordinates)
     geo = update_Z(lab, coords, 2)[1]
-    a, b = update_Y(y, lab.stacked(), w, 3.0, sizes), update_Y(y, lab.stacked(), Contraction(w), 3.0, sizes)
+
+    def bare_and_wrapped(call, methods):
+        wrapped = CountingContraction(Contraction(w))
+        bare, through = call(Contraction(w)), call(wrapped)
+        assert set(wrapped.calls) == methods  # each method called at least once, no other
+        return bare, through
+
+    a, b = bare_and_wrapped(lambda c: update_Y(y, lab.stacked(), c, 3.0, layout), {"value", "gradient", "step_bound"})
     assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
-    a, b = initialize(w, config, sizes), initialize(Contraction(w), config, sizes)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1].index, b[1].index) and a[2] == b[2]
-    c = Contraction(w)
-    assert objective_cycle(c, y) == objective_cycle(w, y)
-    parts = objective_components(w, y, lab.stacked(), geo, 0.7, 3.0)
-    assert objective_components(c, y, lab.stacked(), geo, 0.7, 3.0) == parts
+    a, b = bare_and_wrapped(lambda c: initialize(c, config, layout), {"value", "gradient", "step_bound"})
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1].index, b[1].index) and a[2:] == b[2:]
+    a, b = bare_and_wrapped(lambda c: objective_components(c, y, lab.stacked(), geo, 0.7, 3.0), {"value"})
+    assert a == b
+    a, b = bare_and_wrapped(lambda c: selection_objective(c, lab, coords, 0.7, 2), {"value"})
+    assert a == b
 
 
 def test_update_x_reduces_to_discretize_without_geometry(rng):
@@ -472,7 +497,7 @@ def test_update_z_identity_when_rank_already_low(rng):
 
 
 def test_update_z_zero_matrix():
-    lab = SelectionLabeling([[0, 1]] * 2, (2, 2))
+    lab = SelectionLabeling([[0, 1]] * 2, BlockLayout((2, 2)))
     coords = [np.zeros((2, 2)), np.zeros((2, 2))]
     z, geo = update_Z(lab, coords, 1)
     assert np.array_equal(z, np.zeros((4, 2))) and geo == 0.0
@@ -483,7 +508,7 @@ def test_update_z_tail_energy_identity(rng):
     # cross-checked through the eigendecomposition of M^T M
     m = rng.normal(size=(8, 5))
     coords = [m[2 * i : 2 * i + 2] for i in range(4)]
-    z, geo = update_Z(SelectionLabeling([np.arange(5)] * 4, (5,) * 4), coords, r=4)
+    z, geo = update_Z(SelectionLabeling([np.arange(5)] * 4, BlockLayout((5,) * 4)), coords, r=4)
     eigvals = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
     expected_tail = eigvals[4:].sum()
     assert ((m - z) ** 2).sum() == pytest.approx(expected_tail, rel=1e-9, abs=1e-12)
@@ -511,7 +536,7 @@ def test_initialize_recovers_planted_labeling():
         planted = generate(6, 5, outliers_per_image=0, seed=seed)
         w = assemble_block(planted.instance.scores)
         cfg = SolverConfig(k=5, seed=seed)
-        _, x, hist = initialize(w, cfg, planted.instance.layout.sizes)
+        _, x, hist, _ = initialize(Contraction(w), cfg, planted.instance.layout)
         assert (np.diff(hist) <= 1e-9).all()
         hits += recall(x, planted.truth_labels) == 1.0
     assert hits == 20
@@ -521,10 +546,10 @@ def test_initialize_single_image_degenerate():
     from multimatch import FeatureSet, PairwiseScores, validate_instance
 
     feats = [FeatureSet("solo", np.random.default_rng(0).random((2, 4)))]
-    inst = validate_instance(feats, PairwiseScores(sp.csr_matrix((4, 4)), (4,)), SolverConfig(k=2))
+    inst = validate_instance(feats, PairwiseScores(sp.csr_matrix((4, 4)), BlockLayout((4,))), SolverConfig(k=2))
     w = assemble_block(inst.scores)
-    y, x, hist = initialize(w, SolverConfig(k=2), (4,))
-    assert feasibility_gap(y, (4,)) <= 1e-5
+    y, x, hist, _ = initialize(Contraction(w), SolverConfig(k=2), BlockLayout((4,)))
+    assert feasibility_gap(y, BlockLayout((4,))) <= 1e-5
     assert (np.diff(hist) <= 1e-9).all()
     x.validate()
 
@@ -536,9 +561,9 @@ def test_initialize_all_ones_blocks_monotone_and_feasible(rng):
     blocks = {(i, j): np.ones((3, 3)) for i in range(3) for j in range(i + 1, 3)}
     inst = validate_instance(feats, scores_from_blocks(blocks, (3, 3, 3)), SolverConfig(k=2))
     w = assemble_block(inst.scores)
-    y, x, hist = initialize(w, SolverConfig(k=2), (3, 3, 3))
+    y, x, hist, _ = initialize(Contraction(w), SolverConfig(k=2), BlockLayout((3, 3, 3)))
     assert (np.diff(hist) <= 1e-9).all()
-    assert feasibility_gap(y, (3, 3, 3)) <= 1e-5
+    assert feasibility_gap(y, BlockLayout((3, 3, 3))) <= 1e-5
     x.validate()
 
 
@@ -607,7 +632,7 @@ def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
     # column permutation
     planted = generate(12, 5, outliers_per_image=3, seed=4)
     w = assemble_block(planted.instance.scores)
-    y0 = spectral_start(w, 5, 0, planted.instance.layout.sizes)
+    y0 = spectral_start(w, 5, 0, planted.instance.layout)
     truth = planted.ground_truth.stacked()
     perm = np.argmax(truth.T @ y0, axis=0)
     assert np.allclose(y0, truth[:, perm], atol=1e-8)
@@ -707,14 +732,14 @@ def test_solve_trace_totals_are_component_sums():
     for rec in state.objective_trace:
         assert rec.total == rec.cycle + rec.geo + rec.coupling
     w = assemble_block(planted.instance.scores)
-    assert state.objective_trace[-1].cycle == objective_cycle(w, state.y)
+    assert state.objective_trace[-1].cycle == Contraction(w).value(state.y)
 
 
 def test_solve_with_huge_rho_matches_initialize_then_discretize():
     planted = generate(4, 4, outliers_per_image=2, seed=3)
     w = assemble_block(planted.instance.scores)
     cfg = SolverConfig(k=4, lam=0.0, rho_schedule=(1e6,), seed=3)
-    _, x_init, _ = initialize(w, cfg, planted.instance.layout.sizes)
+    _, x_init, _, _ = initialize(Contraction(w), cfg, planted.instance.layout)
     state = solve(planted.instance, cfg)
     for a, b in zip(state.labeling.assignments, x_init.assignments):
         assert np.array_equal(a, b)
@@ -746,7 +771,7 @@ def test_selection_objective_matches_naive_oracles(rng):
         blocks = lab.assignments
         expected = naive_cycle_objective(w, lab.stacked())
         expected += lam * naive_geo_objective(blocks, _rank_r_fit(blocks, coords, r), coords)
-        val = selection_objective(w, lab, coords, lam=lam, r=r)
+        val = selection_objective(Contraction(w), lab, coords, lam=lam, r=r)
         assert val == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 

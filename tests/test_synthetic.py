@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multimatch import (
+    BlockLayout,
     InstanceTooLarge,
     SolverConfig,
     assemble_block,
@@ -11,7 +12,7 @@ from multimatch import (
     normalize_coordinates,
     selection_objective,
 )
-from multimatch.solver import objective_cycle
+from multimatch.solver import Contraction
 from conftest import pair_matrix
 
 
@@ -147,8 +148,8 @@ def test_brute_force_matches_hand_enumeration():
     totals = {}
     for r0 in range(2):
         for r1 in range(2):
-            lab = SelectionLabeling([[r0], [r1]], (2, 2))
-            totals[(r0, r1)] = selection_objective(w, lab, coords, 1.0, 4)
+            lab = SelectionLabeling([[r0], [r1]], BlockLayout((2, 2)))
+            totals[(r0, r1)] = selection_objective(Contraction(w), lab, coords, 1.0, 4)
     hand_best = min(totals, key=totals.get)
     assert obj == pytest.approx(totals[hand_best], abs=1e-12)
     got = tuple(best.index[:, 0].tolist())
@@ -160,7 +161,7 @@ def test_brute_force_lambda_zero_depends_only_on_cycle_term():
     cfg = SolverConfig(k=2, lam=0.0)
     best, obj = brute_force_solve(planted.instance, cfg)
     w = assemble_block(planted.instance.scores).toarray()
-    assert obj == pytest.approx(objective_cycle(w, best.stacked()), rel=1e-12, abs=1e-12)
+    assert obj == pytest.approx(Contraction(w).value(best.stacked()), rel=1e-12, abs=1e-12)
 
 
 def test_brute_force_rejects_large_instances():
