@@ -137,17 +137,15 @@ def _cmd_eval(args) -> int:
     lab_ids, labeling = serialize.load_labeling(args.labeling)
     truth_ids, truth_labels, _ = serialize.load_truth(args.truth)
     truth = _align(truth_ids, truth_labels, lab_ids, "ground truth")
+    coords = None if args.problem is None else _labeled_coords(serialize.load_features(args.problem), lab_ids, labeling)
     instance_id = Path(args.labeling).stem
     stats = metrics.pair_stats(labeling, truth)
     print(f"recall {stats.recall!r} {instance_id}")
     print(f"precision {stats.precision!r} {instance_id}")
     if stats.vacuous:
         print(f"vacuous 1 {instance_id}")
-    if args.problem is not None:
-        features = serialize.load_features(args.problem)
-        coords = _aligned_coords(features, lab_ids)
-        m_tilde = assemble_measurements(labeling, coords)
-        diag = metrics.rank_diagnostic(m_tilde, args.rank)
+    if coords is not None:
+        diag = metrics.rank_diagnostic(assemble_measurements(labeling, coords), args.rank)
         print(f"rank_tail_ratio {diag.tail_energy_ratio!r} {instance_id}")
     return EXIT_OK
 
@@ -155,7 +153,7 @@ def _cmd_eval(args) -> int:
 def _cmd_reconstruct(args) -> int:
     features = serialize.load_features(args.problem)
     lab_ids, labeling = serialize.load_labeling(args.labeling)
-    coords = _aligned_coords(features, lab_ids)
+    coords = _labeled_coords(features, lab_ids, labeling)
     m_tilde = assemble_measurements(labeling, coords)
     result = affine_factorize(m_tilde)
     serialize.save_point_cloud(args.out, result.shape)
@@ -173,8 +171,13 @@ def _align(ids, values, wanted_ids, what):
     return [index[i] for i in wanted_ids]
 
 
-def _aligned_coords(features, wanted_ids):
-    return _align([f.image_id for f in features], [f.coordinates for f in features], wanted_ids, "problem")
+def _labeled_coords(features, lab_ids, labeling):
+    """The problem's coordinates of the labeled images, each image with the labeling's candidate count."""
+    coords = _align([f.image_id for f in features], [f.coordinates for f in features], lab_ids, "problem")
+    for image_id, c, p in zip(lab_ids, coords, labeling.sizes):
+        if c.shape[1] != p:
+            raise MatchingError(f"image {image_id}: the labeling has {p} candidates, the problem {c.shape[1]}")
+    return coords
 
 
 def _floats(text: str) -> tuple[float, ...]:

@@ -61,12 +61,15 @@ def pair_stats(predicted, truth) -> MatchStats:
     (-1 marks unlabeled candidates), with no label repeated in one image.
     A predicted pair is correct when both candidates carry the same
     non-negative truth label; a label shared by c images makes C(c, 2) pairs.
-    Raises :class:`MatchingError` unless both give the same candidate count
-    for every image.
+    Raises :class:`MatchingError`, naming the first image at fault by its
+    position, unless both give the same candidate count for every image.
     """
     pred, true = _as_labels(predicted), _as_labels(truth)
-    if [len(lab) for lab in pred] != [len(lab) for lab in true]:
-        raise MatchingError("prediction and truth must cover the same images and candidates")
+    if len(pred) != len(true):
+        raise MatchingError(f"the prediction covers {len(pred)} images, the truth {len(true)}")
+    for i, (a, b) in enumerate(zip(pred, true)):
+        if len(a) != len(b):
+            raise MatchingError(f"image {i}: the prediction has {len(a)} candidates, the truth {len(b)}")
     if not pred:
         return MatchStats(0, 0, 0)
     pred, true = np.concatenate(pred), np.concatenate(true)

@@ -15,9 +15,9 @@ pairs of its labeled candidates; an unlisted candidate is an outlier.
 Every reader runs in one frame, :func:`_document`, which decodes the
 file, checks its version and raises :class:`ParseError` on a malformed
 document, including one that repeats a member of an object among those
-it reads (JSON decoders differ on which copy wins). Image ids (and pairwise
-``i``, ``j``) must be JSON strings and every value read as a number a
-JSON number; nothing is converted.
+it reads (JSON decoders differ on which copy wins) or whose sizes need
+more memory than there is.  One gate, :func:`_expect`, checks the JSON
+type of every value read, and nothing is converted.
 Objective traces are CSV, one line per recorded sweep.
 """
 
@@ -106,10 +106,9 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
     """Parse a problem document into features, raw scores, and solver defaults.
 
     The solver defaults come back keyed by :class:`SolverConfig` field name.
-    An unknown key raises :class:`ParseError`, as does a ``k``, ``r`` or
-    ``seed`` that is not a JSON integer and a ``lambda`` or
-    ``rho_schedule`` that is not JSON numbers, or defaults that are not
-    a JSON object.
+    Defaults that are not a JSON object, an unknown key, a ``k``, ``r`` or
+    ``seed`` that is not a JSON integer, a ``lambda`` not a JSON number and
+    a ``rho_schedule`` not a JSON array of numbers raise :class:`ParseError`.
     """
     with _document(path, "problem") as doc:
         features = _features(doc)
@@ -117,18 +116,14 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
         layout = BlockLayout(tuple(f.p for f in features))
         scores = PairwiseScores(_score_matrix(doc.get("pairwise", []), index, layout), layout)
         defaults = doc.get("solver_defaults", {})
-        if not isinstance(defaults, dict):
-            raise ParseError(f"solver_defaults must be a JSON object, got {json.dumps(defaults)}")
+        _expect("object", [defaults], "solver_defaults")
         unknown = set(defaults) - set(_SETTINGS)
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
-        for key in ("k", "r", "seed"):
-            if key in defaults:
-                _json_int(defaults[key], f"solver default {key}")
-        if "lambda" in defaults:
-            _check_numbers([defaults["lambda"]], "solver default lambda")
-        if "rho_schedule" in defaults:
-            _check_numbers(defaults["rho_schedule"], "solver default rho_schedule")
+        kinds = {"k": "integer", "lambda": "number", "r": "integer", "rho_schedule": "array", "seed": "integer"}
+        for key, value in defaults.items():
+            _expect(kinds[key], [value], f"solver default {key}")
+        _expect("number", defaults.get("rho_schedule", []), lambda t: f"solver default rho_schedule[{t}]")
         return features, scores, {_SETTINGS[key]: value for key, value in defaults.items()}
 
 
@@ -147,22 +142,21 @@ def load_features(path) -> list[FeatureSet]:
 def _features(doc: dict) -> list[FeatureSet]:
     """The feature sets of a problem document's image records.
 
-    Coordinates and descriptors must be rows of JSON numbers.
+    Coordinates and descriptors must be JSON arrays of rows of JSON numbers;
+    each check runs once over all images, naming the first at fault.
     """
-    features = []
-    for image_id, rec in zip(_image_ids(doc["images"]), doc["images"]):
-        coords, desc = rec["coordinates"], rec.get("descriptors")
-        _check_numbers(itertools.chain.from_iterable(coords), f"coordinates of image {image_id}")
-        if desc is not None:
-            _check_numbers(itertools.chain.from_iterable(desc), f"descriptors of image {image_id}")
-        features.append(
-            FeatureSet(
-                image_id,
-                np.asarray(coords, dtype=float),
-                None if desc is None else np.asarray(desc, dtype=float),
-            )
-        )
-    return features
+    records = doc["images"]
+    ids = _image_ids(records)
+    coords, descs = [rec["coordinates"] for rec in records], [rec.get("descriptors") for rec in records]
+    for field, per_image in (("coordinates", coords), ("descriptors", [[] if d is None else d for d in descs])):
+        image = f"{field} of image {{}}".format
+        _expect("array", per_image, lambda t: image(ids[t]))
+        _expect("array", per_image, lambda at: image(ids[_run_of(list(map(len, per_image)), at)]), depth=1)
+        _expect("number", per_image, lambda at: image(ids[_run_of([sum(map(len, v)) for v in per_image], at)]), depth=2)
+    return [
+        FeatureSet(image_id, np.asarray(c, dtype=float), None if d is None else np.asarray(d, dtype=float))
+        for image_id, c, d in zip(ids, coords, descs)
+    ]
 
 
 def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr_matrix:
@@ -181,10 +175,8 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     else raises :class:`ParseError`.
     """
     firsts, seconds = [rec["i"] for rec in records], [rec["j"] for rec in records]
-    if not set(map(type, firsts)) | set(map(type, seconds)) <= {str}:
-        for i, j in zip(firsts, seconds):
-            _json_str(i, "pairwise i")
-            _json_str(j, "pairwise j")
+    _expect("string", firsts, "pairwise i")
+    _expect("string", seconds, "pairwise j")
     first = np.fromiter(map(index.__getitem__, firsts), np.int64, len(firsts))
     second = np.fromiter(map(index.__getitem__, seconds), np.int64, len(seconds))
     if (first == second).any():
@@ -193,36 +185,36 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     if (pairs[1:] == pairs[:-1]).any():
         raise ParseError("an image pair is listed twice")
     runs = [rec["entries"] for rec in records]
-    if not set(map(type, runs)) <= {list}:
-        t = next(t for t, run in enumerate(runs) if not isinstance(run, list))
-        raise ParseError(f"pair ({firsts[t]}, {seconds[t]}): entries must be a JSON array, got {json.dumps(runs[t])}")
+    _expect("array", runs, lambda t: f"pair ({firsts[t]}, {seconds[t]}): entries")
     counts, partial = np.divmod(np.fromiter(map(len, runs), np.int64, len(runs)), 3)
     if partial.any():
         raise ParseError("a pairwise entry is not a [row, col, value] triple")
-    _check_numbers(itertools.chain.from_iterable(runs), "pairwise entries")
+
+    def pair(entry: int) -> str:  # the record holding the entry
+        t = _run_of(counts, entry)
+        return f"pair ({firsts[t]}, {seconds[t]})"
+
+    parts = ("row", "column", "value")
+    _expect("number", runs, lambda at: f"{pair(at // 3)}: an entry {parts[at % 3]}", depth=1)
     table = np.fromiter(itertools.chain.from_iterable(runs), float, 3 * counts.sum()).reshape(-1, 3)
-
-    def reject(entry: int, what: str):
-        t = np.searchsorted(np.cumsum(counts), entry, side="right")  # the record holding the entry
-        raise ParseError(f"pair ({firsts[t]}, {seconds[t]}): {what}")
-
     position = table[:, :2]
     integral = np.isfinite(position) & (position == np.trunc(position))
     if not integral.all():
-        reject(np.argmax(~integral.all(axis=1)), "an entry index is not an integer")
+        raise ParseError(f"{pair(np.argmax(~integral.all(axis=1)))}: an entry index is not an integer")
     sizes, offsets = np.asarray(layout.sizes), np.asarray(layout.offsets)
     row, col = table[:, 0], table[:, 1]
     outside = (row < 0) | (row >= np.repeat(sizes[first], counts))
     outside |= (col < 0) | (col >= np.repeat(sizes[second], counts))
     if outside.any():
-        reject(np.argmax(outside), "an entry index lies outside the block")
+        raise ParseError(f"{pair(np.argmax(outside))}: an entry index lies outside the block")
     rows = np.repeat(offsets[first], counts) + row.astype(np.int64)
     cols = np.repeat(offsets[second], counts) + col.astype(np.int64)
     matrix = sp.csr_matrix((table[:, 2], (rows, cols)), shape=(layout.m, layout.m))
     if matrix.nnz < len(table):  # the CSR build added up a repeated (row, col)
         flat = rows * layout.m + cols
         order = np.argsort(flat, kind="stable")
-        reject(order[1:][flat[order[1:]] == flat[order[:-1]]][0], "an entry (row, col) is listed twice")
+        repeat = order[1:][flat[order[1:]] == flat[order[:-1]]][0]
+        raise ParseError(f"{pair(repeat)}: an entry (row, col) is listed twice")
     return matrix
 
 
@@ -243,20 +235,8 @@ def save_truth(path, labels, ids, universe_size: int) -> None:
 
 def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
     with _document(path, "ground-truth") as doc:
-        ids, layout, flat = _read_pairs(doc)
-        universe = _json_int(doc["universe_size"], "universe_size")
-        used = np.flatnonzero(flat >= 0)
-        image = layout.candidate_images()[used]
-        label = flat[used]
-        faulty = np.zeros(layout.n, dtype=bool)
-        faulty[image[label >= universe]] = True
-        order = np.lexsort((label, image))  # a label repeated in an image lands beside itself
-        image, label = image[order], label[order]
-        faulty[image[1:][(image[1:] == image[:-1]) & (label[1:] == label[:-1])]] = True
-        if faulty.any():
-            image_id = ids[np.argmax(faulty)]
-            raise ParseError(f"image {image_id}: labels must be -1 or distinct values in [0, {universe})")
-        return ids, layout.split(flat), universe
+        ids, layout, flat = _read_pairs(doc, "universe_size")
+        return ids, layout.split(flat), doc["universe_size"]
 
 
 def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
@@ -266,10 +246,8 @@ def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
 
 def load_labeling(path) -> tuple[list[str], SelectionLabeling]:
     with _document(path, "labeling") as doc:
-        ids, layout, flat = _read_pairs(doc)
-        labeling = SelectionLabeling.from_labels(layout.split(flat), _json_int(doc["k"], "k"))
-        labeling.validate()
-        return ids, labeling
+        ids, layout, flat = _read_pairs(doc, "k")
+        return ids, SelectionLabeling.from_labels(layout.split(flat), doc["k"])
 
 
 def save_trace(path, trace: list[TraceRecord]) -> None:
@@ -300,7 +278,8 @@ def _document(path, kind: str, members: tuple[str, ...] = ()):
     The object is decoded whole, or up to the last of ``members``, and must
     carry ``format_version`` 2.  An unreadable file, and a ``KeyError``,
     ``TypeError``, ``ValueError`` or ``IndexError`` raised in decoding, the
-    version check or the body, raise :class:`ParseError` naming ``path``.
+    version check or the body, raise :class:`ParseError` naming ``path``,
+    as does a ``MemoryError``: a size in the document that is too large.
     """
     try:
         text = Path(path).read_text()
@@ -310,10 +289,12 @@ def _document(path, kind: str, members: tuple[str, ...] = ()):
         doc = _leading_members(text, set(members))
         del text  # not kept alive while the body runs
         if doc.get("format_version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version {doc.get('format_version')!r}")
+            raise ParseError(f"unsupported format version {json.dumps(doc.get('format_version'))}")
         yield doc
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed {kind} document ({exc})") from exc
+    except MemoryError as exc:  # a size in the document asks for more than the machine has
+        raise ParseError(f"{path}: {kind} document needs more memory than is available ({exc})") from exc
 
 
 def _leading_members(text: str, wanted: set[str]) -> dict:
@@ -368,39 +349,42 @@ def _distinct_members(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-_JSON_NAMES = {str: "string", bool: "boolean", type(None): "null", list: "array", dict: "object"}
+_KINDS = {"number": {int, float}, "integer": {int}, "string": {str}, "array": {list}, "object": {dict}}
 
 
-def _check_numbers(values, what: str) -> None:
-    """Raise :class:`ParseError` unless every item of ``values`` is a JSON number.
+def _expect(kind: str, values, where, depth: int = 0) -> None:
+    """Raise :class:`ParseError` unless every value decoded from a JSON ``kind``.
 
-    JSON numbers decode to ``int`` or ``float``.  A string, boolean, null,
-    list or object raises, where converting to float would read ``"1"`` as
-    1, ``true`` as 1 and ``null`` as NaN.
+    The kinds are number, integer, string, array and object; ``true`` and
+    ``false`` decode to ``bool``, which is neither a number nor an integer,
+    and nothing is converted (``"1"`` is not read as 1, nor ``null`` as
+    NaN).  The values are the items of the collection ``values``, or those
+    ``depth`` levels down, streamed run after run: their types are tested
+    in one pass, and only on a fault are they streamed again to find the
+    first value at fault.  ``where`` names the member, or is a function of
+    that value's position; the message reads ``<where> must be a JSON
+    <kind>, got <the value as JSON>``.
     """
-    others = set(map(type, values)) - {int, float}
-    if others:
-        names = sorted(_JSON_NAMES.get(t, t.__name__) for t in others)
-        raise ParseError(f"{what}: expected JSON numbers, found {', '.join(names)}")
+    def stream(levels: int = depth):  # the items ``levels`` deep in ``values``, run after run
+        return values if levels == 0 else itertools.chain.from_iterable(stream(levels - 1))
+
+    allowed = _KINDS[kind]
+    if set(map(type, stream())) <= allowed:
+        return
+    at, value = next((at, v) for at, v in enumerate(stream()) if type(v) not in allowed)
+    where = where if isinstance(where, str) else where(at)
+    raise ParseError(f"{where} must be a JSON {kind}, got {json.dumps(value)}")
 
 
-def _json_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; a float, string or boolean raises :class:`ParseError`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_str(value, what: str) -> str:
-    """``value`` if it is a JSON string; anything else raises :class:`ParseError`."""
-    if not isinstance(value, str):
-        raise ParseError(f"{what} must be a JSON string, got {json.dumps(value)}")
-    return value
+def _run_of(lengths, at: int) -> int:
+    """The run holding item ``at`` of runs of the given ``lengths``, laid end to end."""
+    return int(np.searchsorted(np.cumsum(lengths), at, side="right"))
 
 
 def _image_ids(records) -> list[str]:
     """The ids of a document's image records: JSON strings, at least one, none listed twice."""
-    ids = [_json_str(rec["id"], "image id") for rec in records]
+    ids = [rec["id"] for rec in records]
+    _expect("string", ids, "image id")
     if not ids:
         raise ParseError("document lists no images")
     if len(set(ids)) < len(ids):
@@ -408,39 +392,37 @@ def _image_ids(records) -> list[str]:
     return ids
 
 
-def _read_pairs(doc: dict) -> tuple[list[str], BlockLayout, np.ndarray]:
+def _read_pairs(doc: dict, size_key: str) -> tuple[list[str], BlockLayout, np.ndarray]:
     """Candidate labels from per-image (candidate, label) pairs; -1 marks unlisted candidates.
 
     The pairs of all images are read as one [candidate, label] table and
     checked in whole-array passes; a fault names the first image holding
     one.  Image ids must be distinct JSON strings, every ``p`` a
     nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
-    pairs of JSON numbers, candidates distinct integers in [0, p) and labels
-    integers from -1 up to below 2**63; anything else raises
-    :class:`ParseError`.  Returns the ids, the layout of the images' ``p``
-    and one array of the labels of every candidate, image after image.
+    pairs of JSON numbers, candidates distinct integers in [0, p), and each
+    image's labels distinct values below the JSON integer ``doc[size_key]``,
+    all of them used if that is a labeling's ``"k"``; else :class:`ParseError`.
+    Returns the ids, the layout of the images' ``p`` and the labels of
+    every candidate, image after image.
     """
     records = doc["images"]
     ids = _image_ids(records)
     sizes, runs = [rec["p"] for rec in records], [rec["pairs"] for rec in records]
-    if not set(map(type, sizes)) <= {int}:
-        for image_id, p in zip(ids, sizes):
-            _json_int(p, f"image {image_id}: p")
+    _expect("integer", sizes, lambda t: f"image {ids[t]}: p")
     if min(sizes) < 0:
         t = next(t for t, p in enumerate(sizes) if p < 0)
         raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
-    if not set(map(type, runs)) <= {list}:
-        t = next(t for t, run in enumerate(runs) if not isinstance(run, list))
-        raise ParseError(f"image {ids[t]}: pairs must be a JSON array, got {json.dumps(runs[t])}")
+    _expect("array", runs, lambda t: f"image {ids[t]}: pairs")
     counts = np.fromiter(map(len, runs), np.int64, len(runs))
     owner = np.repeat(np.arange(len(runs)), counts)  # the image of every pair
     pairs = list(itertools.chain.from_iterable(runs))
     if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
         t = next(t for t, pair in enumerate(pairs) if not (isinstance(pair, list) and len(pair) == 2))
         raise ParseError(f"image {ids[owner[t]]}: a pair must be [candidate, label], got {json.dumps(pairs[t])}")
-    if not set(map(type, itertools.chain.from_iterable(pairs))) <= {int, float}:
-        t = next(t for t, pair in enumerate(pairs) if not set(map(type, pair)) <= {int, float})
-        _check_numbers(pairs[t], f"pairs of image {ids[owner[t]]}")
+    parts = ("candidate", "label")
+    _expect("number", pairs, lambda at: f"image {ids[owner[at // 2]]}: a {parts[at % 2]}", depth=1)
+    bound = doc[size_key]
+    _expect("integer", [bound], size_key)
     table = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
     integral = (np.isfinite(table) & (table == np.trunc(table))).all(axis=1)
     if not integral.all():
@@ -457,7 +439,17 @@ def _read_pairs(doc: dict) -> tuple[list[str], BlockLayout, np.ndarray]:
         raise ParseError(f"image {ids[i]}: candidates must be distinct indices in [0, {sizes[i]})")
     wrong = (label < -1) | (label >= 2.0**63)  # 2**63 and up would not cast to an integer label
     if wrong.any():
-        image_id = ids[owner[np.argmax(wrong)]]
-        raise ParseError(f"image {image_id}: labels must be -1 or nonnegative integers below 2**63")
+        raise ParseError(f"image {ids[owner[np.argmax(wrong)]]}: labels must be -1 or nonnegative integers below 2**63")
     labels[slot] = label
+    used = label >= 0
+    image, label = owner[used], labels[slot[used]]
+    faulty = np.bincount(image[label >= bound], minlength=layout.n) > 0
+    order = np.lexsort((label, image))  # a label repeated in an image lands beside itself
+    image, label = image[order], label[order]
+    faulty[image[1:][(image[1:] == image[:-1]) & (label[1:] == label[:-1])]] = True
+    if size_key == "k":  # with no label repeated or past k, k labels in an image are every label once
+        faulty |= np.bincount(image, minlength=layout.n) != bound
+    if faulty.any():
+        rule = f"the values in [0, {bound}), each once" if size_key == "k" else f"distinct values in [0, {bound})"
+        raise ParseError(f"image {ids[np.argmax(faulty)]}: labels must be -1 or {rule}")
     return ids, layout, labels

@@ -216,7 +216,70 @@ def test_eval_refuses_a_truth_of_other_candidate_counts(solved, tmp_path, capsys
     truth2.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["eval", "--labeling", labeling, "--truth", truth2]) == 2
-    assert "prediction and truth must cover the same images and candidates" in capsys.readouterr().err
+    p = doc["images"][1]["p"]
+    assert f"image 1: the prediction has {p - 1} candidates, the truth {p}" in capsys.readouterr().err
+
+
+def _recounted(labeling, out, counts):
+    """Copy ``labeling`` to ``out`` with the images' candidate counts changed by ``counts``.
+
+    An image whose count goes down gets candidates 0, 1, ... for its labels,
+    so the labeling stays valid on its own.
+    """
+    doc = json.loads(labeling.read_text())
+    for rec, change in zip(doc["images"], counts):
+        rec["p"] += change
+        if change < 0:
+            rec["pairs"] = [[c, label] for c, (_, label) in enumerate(rec["pairs"])]
+    out.write_text(json.dumps(doc))
+    return doc
+
+
+@pytest.mark.parametrize("counts", [(2,), (1, -1)], ids=["one image", "shifted columns"])
+@pytest.mark.parametrize("command", ["eval", "reconstruct"])
+def test_a_labeling_of_other_candidate_counts_than_the_problem_exits_2(solved, tmp_path, capsys, command, counts):
+    problem, truth, labeling = solved
+    bad = tmp_path / "bad.json"
+    doc = _recounted(labeling, bad, counts)
+    argv = {
+        "eval": ["eval", "--labeling", bad, "--truth", truth, "--problem", problem],
+        "reconstruct": ["reconstruct", "--problem", problem, "--labeling", bad, "--out", tmp_path / "cloud.txt"],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    first = doc["images"][0]
+    message = f"image {first['id']}: the labeling has {first['p']} candidates, the problem {first['p'] - counts[0]}"
+    assert message in captured.err
+    assert captured.out == "" and not (tmp_path / "cloud.txt").exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="address-space limits are enforced on Linux")
+@pytest.mark.parametrize("command", ["eval", "reconstruct"])
+def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
+    import resource
+
+    problem, truth, labeling = solved
+    doc = json.loads(labeling.read_text())
+    doc["images"][0]["p"] = 35184372088832  # 2**45 candidates: 256 TiB of labels
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "eval": ["eval", "--labeling", bad, "--truth", truth],
+        "reconstruct": ["reconstruct", "--problem", problem, "--labeling", bad, "--out", tmp_path / "cloud.txt"],
+    }[command]
+
+    def limit_address_space():  # in the child only: 4 GiB
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = str(Path(multimatch.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "multimatch.cli", *map(str, argv)], capture_output=True, text=True,
+                          env=env, preexec_fn=limit_address_space, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{bad}: labeling document needs more memory than is available" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _repeat_member(src, out, records, key):

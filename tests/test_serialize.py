@@ -200,10 +200,12 @@ MALFORMED_PAIRWISE = [
     ([{"i": "a", "j": "b", "entries": [0, 1, 1, 1, 0.9]}], NOT_TRIPLES),
     ([{"i": "a", "j": "b", "entries": [[0, 1, 0.3]]}], NOT_TRIPLES),  # a triple of the old nested form
     ([{"i": "a", "j": "b", "entries": [[0, 1, 0.3], [1, 1, 0.9], [2, 0, 1.0]]}],
-     "pairwise entries: expected JSON numbers, found array"),  # three nested triples
-    ([{"i": "a", "j": "b", "entries": ["0", 1, 0.3]}], "pairwise entries: expected JSON numbers, found string"),
-    ([{"i": "a", "j": "b", "entries": [0, 1, True]}], "pairwise entries: expected JSON numbers, found boolean"),
-    ([{"i": "a", "j": "b", "entries": [0, 1, None]}], "pairwise entries: expected JSON numbers, found null"),
+     r"pair \(a, b\): an entry row must be a JSON number, got \[0, 1, 0.3\]"),  # three nested triples
+    ([{"i": "a", "j": "b", "entries": ["0", 1, 0.3]}], r'pair \(a, b\): an entry row must be a JSON number, got "0"'),
+    ([{"i": "a", "j": "b", "entries": [0, 1, True]}], r"pair \(a, b\): an entry value must be a JSON number, got true"),
+    ([{"i": "a", "j": "b", "entries": [0, 1.5, 0.3, 0, False, 1]}],
+     r"pair \(a, b\): an entry column must be a JSON number, got false"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, None]}], r"pair \(a, b\): an entry value must be a JSON number, got null"),
     ([{"i": "a", "j": "a", "entries": [0, 1, 0.5]}], "a record pairs an image with itself"),
 ]
 
@@ -279,21 +281,39 @@ def test_load_problem_rejects_a_version_1_document(tmp_path):
     ("descriptors", {"coordinates": [[0, 1], [0, 1]], "descriptors": [[1, 0], [False, 1]]}),
 ])
 def test_loaders_reject_image_values_that_are_not_numbers(tmp_path, field, image):
+    spelled = json.dumps(next(v for row in image[field] for v in row if type(v) not in (int, float)))
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "images": [{"id": "a", **image}]}))
+    good = {"id": "a", "coordinates": [[0, 1], [0, 1]], "descriptors": [[1, 0], [0, 1]]}
+    # the faulty image is the second: the one pass over all images names it
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "images": [good, {"id": "b", **image}]}))
     for load in (load_problem, load_features):
-        with pytest.raises(ParseError, match=f"{field} of image a: expected JSON numbers"):
+        with pytest.raises(ParseError, match=f"{field} of image b must be a JSON number, got {spelled}"):
+            load(path)
+
+
+@pytest.mark.parametrize("field", ["coordinates", "descriptors"])
+@pytest.mark.parametrize("value, spelled", [(5, "5"), (True, "true"), ([[0, 1], 5], "5"), ([[0, 1], "01"], '"01"')])
+def test_loaders_reject_image_values_that_are_not_arrays_of_rows(tmp_path, field, value, spelled):
+    path = tmp_path / "p.json"
+    good = {"id": "a", "coordinates": [[0, 1], [0, 1]], "descriptors": [[1, 0], [0, 1]]}
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "images": [good, {**good, "id": "b", field: value}]}))
+    for load in (load_problem, load_features):
+        with pytest.raises(ParseError, match=f"{field} of image b must be a JSON array, got {spelled}"):
             load(path)
 
 
 @pytest.mark.parametrize("defaults, message", [
-    ({"k": 4.7}, "solver default k must be an integer"),
-    ({"k": "4"}, "solver default k must be an integer"),
-    ({"r": True}, "solver default r must be an integer"),
-    ({"seed": 1.0}, "solver default seed must be an integer"),
-    ({"lambda": "0.5"}, "solver default lambda: expected JSON numbers, found string"),
-    ({"rho_schedule": ["1", 10]}, "solver default rho_schedule: expected JSON numbers, found string"),
+    ({"k": 4.7}, "solver default k must be a JSON integer, got 4.7"),
+    ({"k": "4"}, 'solver default k must be a JSON integer, got "4"'),
+    ({"r": True}, "solver default r must be a JSON integer, got true"),
+    ({"seed": 1.0}, "solver default seed must be a JSON integer, got 1.0"),
+    ({"lambda": "0.5"}, 'solver default lambda must be a JSON number, got "0.5"'),
+    ({"rho_schedule": ["1", 10]}, r'solver default rho_schedule\[0\] must be a JSON number, got "1"'),
     ([["k", 2]], r'solver_defaults must be a JSON object, got \[\["k", 2\]\]'),
+    ({"rho_schedule": 5}, "solver default rho_schedule must be a JSON array, got 5"),
+    ({"rho_schedule": "1,10"}, 'solver default rho_schedule must be a JSON array, got "1,10"'),
+    ({"rho_schedule": [1, 10, "100"]}, r'solver default rho_schedule\[2\] must be a JSON number, got "100"'),
+    ({"rho_schedule": [1, False]}, r"solver default rho_schedule\[1\] must be a JSON number, got false"),
 ])
 def test_load_problem_rejects_solver_defaults_of_the_wrong_type(tmp_path, defaults, message):
     path = tmp_path / "p.json"
@@ -528,6 +548,8 @@ def _sidecar(y_pairs, **size):
 
 
 CANDIDATES = r"image y: candidates must be distinct indices in \[0, 3\)"
+LABELING_LABELS = r"image y: labels must be -1 or the values in \[0, 2\), each once"
+TRUTH_LABELS = r"image y: labels must be -1 or distinct values in \[0, 2\)"
 
 # one fault each, in image y's pairs: (pairs, the ParseError text of load_labeling, of load_truth)
 SINGLE_FAULT_SIDECARS = {
@@ -537,12 +559,11 @@ SINGLE_FAULT_SIDECARS = {
     "label below -1": ([[2, -2], [0, 0]], *["image y: labels must be -1 or nonnegative"] * 2),
     "fractional candidate": ([[2.5, 1], [0, 0]], *["image y: candidates and labels must be integers"] * 2),
     "fractional label": ([[2, 0.5], [0, 0]], *["image y: candidates and labels must be integers"] * 2),
-    "string candidate": ([["2", 1], [0, 0]], *["pairs of image y: expected JSON numbers, found string"] * 2),
-    "label past the size": ([[2, 2], [0, 0]], r"image 1: every label in \[0, 2\) must be used exactly once",
-                            r"image y: labels must be -1 or distinct values in \[0, 2\)"),
-    "label repeated": ([[2, 0], [0, 0]], r"image 1: every label in \[0, 2\) must be used exactly once",
-                       r"image y: labels must be -1 or distinct values in \[0, 2\)"),
-    "label missing": ([[0, 0]], r"image 1: every label in \[0, 2\) must be used exactly once", None),
+    "string candidate": ([["2", 1], [0, 0]], *['image y: a candidate must be a JSON number, got "2"'] * 2),
+    "boolean label": ([[2, 1], [0, True]], *["image y: a label must be a JSON number, got true"] * 2),
+    "label past the size": ([[2, 2], [0, 0]], LABELING_LABELS, TRUTH_LABELS),
+    "label repeated": ([[2, 0], [0, 0]], LABELING_LABELS, TRUTH_LABELS),
+    "label missing": ([[0, 0]], LABELING_LABELS, None),
 }
 
 

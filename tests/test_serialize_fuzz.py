@@ -6,6 +6,7 @@ and the decoder every loader shares against the json module.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,6 +22,12 @@ st = pytest.importorskip("hypothesis.strategies")
 
 IDS = ("a", "b", "c")
 NOT_STRINGS = (None, True, 7)
+
+
+def assert_values_spelled_as_json(refusal):
+    """A refusal's message spells values as JSON: no Python ``True``, ``False``, ``None`` or quoted repr."""
+    message = str(refusal.value)
+    assert not re.search(r"\b(True|False|None)\b|'[^']*'", message), message
 
 
 @st.composite
@@ -116,8 +123,9 @@ def test_load_problem_matches_entry_oracle(case):
         path = Path(tmp) / "problem.json"
         path.write_text(json.dumps(doc))
         if expected is None:
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError) as refusal:
                 load_problem(path)
+            assert_values_spelled_as_json(refusal)
             return
         features, scores, _ = load_problem(path)
     dense, blocks = expected
@@ -246,8 +254,9 @@ def test_sidecar_loaders_match_pair_oracle(case):
         path = Path(tmp) / "sidecar.json"
         path.write_text(json.dumps(doc))
         if expected is None:
-            with pytest.raises(ParseError):
+            with pytest.raises(ParseError) as refusal:
                 load(path)
+            assert_values_spelled_as_json(refusal)
             return
         loaded = load(path)
     ids, labels, size = expected
