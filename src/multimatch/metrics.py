@@ -54,6 +54,18 @@ def _pair_count(labels: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
+def _aligned_labels(predicted, truth) -> tuple[np.ndarray, np.ndarray]:
+    """Both labelings' labels laid image after image, once their images' candidate counts agree."""
+    pred, true = _as_labels(predicted), _as_labels(truth)
+    if len(pred) != len(true):
+        raise MatchingError(f"the prediction covers {len(pred)} images, the truth {len(true)}")
+    for i, (a, b) in enumerate(zip(pred, true)):
+        if len(a) != len(b):
+            raise MatchingError(f"image {i}: the prediction has {len(a)} candidates, the truth {len(b)}")
+    empty = np.empty(0, dtype=int)  # keeps a labeling of no images readable
+    return np.concatenate([empty, *pred]), np.concatenate([empty, *true])
+
+
 def pair_stats(predicted, truth) -> MatchStats:
     """Count induced pairs over all image pairs (i < j) against the truth.
 
@@ -64,17 +76,9 @@ def pair_stats(predicted, truth) -> MatchStats:
     Raises :class:`MatchingError`, naming the first image at fault by its
     position, unless both give the same candidate count for every image.
     """
-    pred, true = _as_labels(predicted), _as_labels(truth)
-    if len(pred) != len(true):
-        raise MatchingError(f"the prediction covers {len(pred)} images, the truth {len(true)}")
-    for i, (a, b) in enumerate(zip(pred, true)):
-        if len(a) != len(b):
-            raise MatchingError(f"image {i}: the prediction has {len(a)} candidates, the truth {len(b)}")
-    if not pred:
-        return MatchStats(0, 0, 0)
-    pred, true = np.concatenate(pred), np.concatenate(true)
+    pred, true = _aligned_labels(predicted, truth)
     joint = (pred >= 0) & (true >= 0)
-    joint_codes = pred[joint] * (true.max() + 1) + true[joint]
+    joint_codes = pred[joint] * (true.max(initial=0) + 1) + true[joint]
     return MatchStats(
         _pair_count(true[true >= 0]), _pair_count(pred[pred >= 0]), _pair_count(joint_codes)
     )
@@ -109,13 +113,10 @@ def scores_pair_stats(scores: PairwiseScores, truth) -> MatchStats:
 
 
 def selected_inlier_fraction(predicted, truth) -> float:
-    """Fraction of selected candidates that the truth marks as inliers."""
-    selected = inlier = 0
-    for lp, lt in zip(_as_labels(predicted), _as_labels(truth)):
-        sel = lp >= 0
-        selected += int(sel.sum())
-        inlier += int((lt[sel] >= 0).sum())
-    return 1.0 if selected == 0 else inlier / selected
+    """Fraction of selected candidates that the truth marks as inliers; raises as :func:`pair_stats` does."""
+    pred, true = _aligned_labels(predicted, truth)
+    sel = pred >= 0
+    return 1.0 if not sel.any() else np.count_nonzero(true[sel] >= 0) / np.count_nonzero(sel)
 
 
 def pck(

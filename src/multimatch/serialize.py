@@ -177,8 +177,12 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     firsts, seconds = [rec["i"] for rec in records], [rec["j"] for rec in records]
     _expect("string", firsts, "pairwise i")
     _expect("string", seconds, "pairwise j")
-    first = np.fromiter(map(index.__getitem__, firsts), np.int64, len(firsts))
-    second = np.fromiter(map(index.__getitem__, seconds), np.int64, len(seconds))
+    first = np.fromiter(map(index.get, firsts, itertools.repeat(-1)), np.int64, len(firsts))
+    second = np.fromiter(map(index.get, seconds, itertools.repeat(-1)), np.int64, len(seconds))
+    unlisted = np.flatnonzero((first < 0) | (second < 0))
+    if unlisted.size:
+        t = unlisted[0]
+        raise ParseError(f"pair ({firsts[t]}, {seconds[t]}): {'i' if first[t] < 0 else 'j'} is not a listed image id")
     if (first == second).any():
         raise ParseError("a record pairs an image with itself")
     pairs = np.sort(first * layout.n + second)
@@ -276,10 +280,10 @@ def _document(path, kind: str, members: tuple[str, ...] = ()):
     """Every reader's frame: the JSON object in the file at ``path``, for the ``with`` body to read.
 
     The object is decoded whole, or up to the last of ``members``, and must
-    carry ``format_version`` 2.  An unreadable file, and a ``KeyError``,
-    ``TypeError``, ``ValueError`` or ``IndexError`` raised in decoding, the
-    version check or the body, raise :class:`ParseError` naming ``path``,
-    as does a ``MemoryError``: a size in the document that is too large.
+    carry ``format_version`` 2, a JSON integer.  An unreadable file, and a
+    ``KeyError``, ``TypeError``, ``ValueError`` or ``IndexError`` raised in
+    decoding, the version check or the body, raise :class:`ParseError` naming
+    ``path``, as does a ``MemoryError``: a size in the document that is too large.
     """
     try:
         text = Path(path).read_text()
@@ -288,8 +292,10 @@ def _document(path, kind: str, members: tuple[str, ...] = ()):
     try:
         doc = _leading_members(text, set(members))
         del text  # not kept alive while the body runs
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version {json.dumps(doc.get('format_version'))}")
+        version = doc.get("format_version")
+        _expect("integer", [version], "format_version")
+        if version != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version {version}")
         yield doc
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed {kind} document ({exc})") from exc

@@ -13,10 +13,11 @@ increasing continuation schedule:
   features, refreshed exactly by truncated SVD.
 
 Every update is exact or monotone, so the combined objective never
-increases within a fixed-rho stage.  Coordinates are preconditioned to a
-per-image centered frame of mean norm sqrt(2) so that the geometric weight
-acts on the same scale as the score residual; the fit is mapped back to
-the input frame on the final state.
+increases within a fixed-rho stage.  A solve stacks the coordinates once,
+into one (2, m) array whose columns follow the rows of Y, and
+preconditions them to a per-image centered frame of mean norm sqrt(2) so
+that the geometric weight acts on the same scale as the score residual;
+the fit is mapped back to the input frame on the final state.
 
 The cycle term 0.25 ||W - Y Y^T||_F^2 has one owner, :class:`Contraction`:
 its value, its gradient (Y Y^T - W) Y and the curvature bound behind
@@ -25,9 +26,9 @@ kept for the last iterate evaluated.  The functions of the term take a
 contraction (any object with ``w``, ``value``, ``gradient`` and
 ``step_bound``), not W; a solve builds one and passes it everywhere, so
 W is contracted once per iterate, and passes the instance's block
-layout the same way.  The geometric term has one owner too:
-:func:`update_Z` returns it with the fit it makes.  The trace and
-:func:`selection_objective` both sum the terms through
+layout and the stacked coordinates the same way.  The geometric term
+has one owner too: :func:`update_Z` returns it with the fit it makes.
+The trace and :func:`selection_objective` both sum the terms through
 :func:`objective_components`.
 
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
@@ -189,41 +190,41 @@ def objective_components(cycle, y, xs, geo: float, lam: float, rho: float) -> tu
     that returned it; ``xs`` is the stacked binary selection and ``geo``
     the geometric term that :func:`update_Z` returned with its fit.
     """
-    return cycle.value(y), lam * geo if lam else 0.0, _coupling(y, xs, rho)
+    return cycle.value(y), lam * geo, _coupling(y, xs, rho)
 
 
 def assemble_measurements(x: SelectionLabeling, coords: list[np.ndarray]) -> np.ndarray:
-    """Stack the coordinates of the selected features into a 2n x k matrix."""
+    """Stack the coordinates of the selected features into a 2n x k matrix.
+
+    ``coords`` is a list of (2, p) arrays, per image or one (2, m) array,
+    whose columns laid end to end follow ``x``'s layout order.
+    """
     chosen = np.hstack(coords)[:, x.stacked_rows()]  # (2, n, k)
     return np.ascontiguousarray(chosen.transpose(1, 0, 2)).reshape(2 * x.n, x.k)
 
 
-def normalize_coordinates(
-    coords: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[tuple[float, np.ndarray]]]:
+def normalize_coordinates(points: np.ndarray, layout: BlockLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-image similarity normalization: centroid to origin, mean norm sqrt(2).
 
-    Returns the normalized coordinate list and the (scale, center) pairs
-    needed to undo the transform.
+    ``points`` is the (2, m) array of every candidate's coordinates in
+    ``layout`` order.  Returns the normalized (2, m) array, the (n,)
+    scales and the (2, n) centers that :func:`denormalize_fit` undoes the
+    transform with.  The scales and centers of images of equal height are
+    computed as one stack.
     """
-    out, transforms = [], []
-    for c in coords:
-        center = c.mean(axis=1, keepdims=True)
-        centered = c - center
-        scale = float(np.linalg.norm(centered, axis=0).mean()) / math.sqrt(2.0)
-        if scale < 1e-12:
-            scale = 1.0
-        out.append(centered / scale)
-        transforms.append((scale, center))
-    return out, transforms
+    scale, center = np.empty(layout.n), np.empty((2, layout.n))
+    for p, images, rows in layout.groups():
+        block = points[:, rows].reshape(2, -1, p)
+        center[:, images] = block.mean(axis=2)
+        scale[images] = np.linalg.norm(block - center[:, images, None], axis=0).mean(axis=1) / math.sqrt(2.0)
+    scale[scale < 1e-12] = 1.0
+    image = layout.candidate_images()
+    return (points - center[:, image]) / scale[image], scale, center
 
 
-def denormalize_fit(z: np.ndarray, transforms: list[tuple[float, np.ndarray]]) -> np.ndarray:
-    """Map a fit from the normalized frame back to input coordinates."""
-    out = np.empty_like(z)
-    for i, (scale, center) in enumerate(transforms):
-        out[2 * i : 2 * i + 2] = scale * z[2 * i : 2 * i + 2] + center
-    return out
+def denormalize_fit(z: np.ndarray, scale: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Map a (2n, k) fit from the normalized frame back to input coordinates."""
+    return np.repeat(scale, 2)[:, None] * z + center.T.reshape(-1, 1)
 
 
 def spectral_step(s: np.ndarray, dg: np.ndarray, eta0: float) -> float:
@@ -310,43 +311,33 @@ def _squared_distances(ci: np.ndarray, zi: np.ndarray) -> np.ndarray:
     return np.maximum(c2 + z2 - 2.0 * (ci.transpose(0, 2, 1) @ zi), 0.0)
 
 
-def update_X(
-    y: np.ndarray,
-    z: np.ndarray,
-    coords: list[np.ndarray],
-    lam: float,
-    rho: float,
-) -> SelectionLabeling:
+def update_X(y: np.ndarray, z: np.ndarray, points: np.ndarray, lam: float, rho: float, layout: BlockLayout) -> SelectionLabeling:
     """Exact per-image refresh of the binary selection at fixed y and z.
 
     Image i solves a k-column assignment with cost
-    lam * D(coords_i, z_i) - 2 rho y_i, where D holds squared distances
-    from candidates to fit columns; this minimizes the full objective over
-    the image's selection with everything else held fixed.  Images of
-    equal candidate count are solved as one stack.
+    lam * D(points_i, z_i) - 2 rho y_i, where D holds squared distances
+    from its candidates to its fit columns; this minimizes the full
+    objective over the image's selection with everything else held fixed.
+    ``points`` is the (2, m) coordinate array in ``layout`` order, and
+    images of equal candidate count are solved as one stack.
     """
-    layout = BlockLayout(tuple(c.shape[1] for c in coords))
     k = y.shape[1]
     index = np.empty((layout.n, k), dtype=np.intp)
     for p, images, rows in layout.groups():
-        yg = y[rows].reshape(-1, p, k)
-        if lam:
-            ci = np.stack([coords[i] for i in images])
-            cost = lam * _squared_distances(ci, z.reshape(-1, 2, k)[images])
-            cost -= 2.0 * rho * yg
-        else:
-            cost = -2.0 * rho * yg
+        ci = points[:, rows].reshape(2, -1, p).transpose(1, 0, 2)  # (images, 2, p)
+        cost = lam * _squared_distances(ci, z.reshape(-1, 2, k)[images]) - 2.0 * rho * y[rows].reshape(-1, p, k)
         index[images] = solve_lap(cost).column_to_row
     return SelectionLabeling(index, layout)
 
 
-def update_Z(x: SelectionLabeling, coords: list[np.ndarray], r: int) -> tuple[np.ndarray, float]:
-    """Best rank-r fit z of the stacked selected coordinates, and the geometric term at z.
+def update_Z(x: SelectionLabeling, points: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+    """Best rank-r fit z of the selected coordinates, and the geometric term at z.
 
+    ``points`` is the (2, m) coordinate array in ``x``'s layout order.
     The term is half the squared residual, summed per image and then in
     sequence over the images, an order independent of numpy's blocking.
     """
-    m_tilde = assemble_measurements(x, coords)
+    m_tilde = assemble_measurements(x, [points])
     if r >= min(m_tilde.shape):
         return m_tilde.copy(), 0.0
     u, s, vt = np.linalg.svd(m_tilde, full_matrices=False)
@@ -450,7 +441,8 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(layout.sizes)}")
     # y enters the trace as update_Y last evaluated it
     cycle = Contraction(assemble_block(instance.scores))
-    coords, transforms = normalize_coordinates(instance.coordinates)
+    raw = np.hstack(instance.coordinates)
+    points, scale, center = normalize_coordinates(raw, layout)
 
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
@@ -463,7 +455,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
     )
     xs = x.stacked()
-    z, geo = update_Z(x, coords, config.r)
+    z, geo = update_Z(x, points, config.r)
 
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
@@ -475,9 +467,9 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
             y, history, stalled = update_Y(y, xs, cycle, rho, layout)
             stalls += stalled
             capped += len(history) > MAX_INNER
-            x = update_X(y, z, coords, config.lam, rho)
+            x = update_X(y, z, points, config.lam, rho, layout)
             xs = x.stacked()
-            z, geo = update_Z(x, coords, config.r)
+            z, geo = update_Z(x, points, config.r)
             parts = objective_components(cycle, y, xs, geo, config.lam, rho)
             trace.append(TraceRecord(stage, sweep, *parts, sum(parts)))
             prev, total = trace[-2].total, trace[-1].total
@@ -494,20 +486,20 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     return SolverState(
         y=y,
         labeling=x,
-        measurement=MeasurementEstimate(
-            assemble_measurements(x, instance.coordinates), denormalize_fit(z, transforms)
-        ),
+        measurement=MeasurementEstimate(assemble_measurements(x, [raw]), denormalize_fit(z, scale, center)),
         objective_trace=trace,
         warnings=warnings_list,
     )
 
 
-def selection_objective(cycle, labeling: SelectionLabeling, coords: list[np.ndarray], lam: float, r: int) -> float:
+def selection_objective(cycle, labeling: SelectionLabeling, points: np.ndarray, lam: float, r: int) -> float:
     """Objective of a binary labeling with the geometric fit optimized out.
 
     The total a trace records at y = x = the labeling and z its rank-r
-    fit.  ``cycle`` is the contraction of the score matrix; a caller that
-    scores many labelings passes the same one, so ||w||_F^2 is computed once.
+    fit to ``points``, the (2, m) coordinate array in the labeling's
+    layout order.  ``cycle`` is the contraction of the score matrix; a
+    caller that scores many labelings passes the same one, so ||w||_F^2
+    is computed once.
     """
     xs = labeling.stacked()
-    return sum(objective_components(cycle, xs, xs, update_Z(labeling, coords, r)[1], lam, 0.0))
+    return sum(objective_components(cycle, xs, xs, update_Z(labeling, points, r)[1], lam, 0.0))

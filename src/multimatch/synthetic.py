@@ -180,14 +180,14 @@ def brute_force_solve(
                 f"{count}+ labelings exceed the enumeration budget {BRUTE_FORCE_BUDGET}"
             )
     cycle = Contraction(assemble_block(instance.scores).toarray())  # ||w||_F^2 once for all labelings
-    coords, _ = normalize_coordinates(instance.coordinates)
+    points = normalize_coordinates(np.hstack(instance.coordinates), layout)[0]
 
     best_obj = np.inf
     best: SelectionLabeling | None = None
     per_image = [list(itertools.permutations(range(p), k)) for p in layout.sizes]
     for combo in itertools.product(*per_image):
         labeling = SelectionLabeling(combo, layout)
-        obj = selection_objective(cycle, labeling, coords, config.lam, config.r)
+        obj = selection_objective(cycle, labeling, points, config.lam, config.r)
         if obj < best_obj:
             best_obj = obj
             best = labeling

@@ -147,8 +147,8 @@ def test_criterion_6_tiny_global_optimality():
         config = SolverConfig(k=2, seed=seed)
         state = solve(planted.instance, config)
         w = assemble_block(planted.instance.scores).toarray()
-        coords, _ = normalize_coordinates(planted.instance.coordinates)
-        achieved = selection_objective(Contraction(w), state.labeling, coords, config.lam, config.r)
+        points = normalize_coordinates(np.hstack(planted.instance.coordinates), planted.instance.layout)[0]
+        achieved = selection_objective(Contraction(w), state.labeling, points, config.lam, config.r)
         _, optimum = brute_force_solve(planted.instance, config)
         hits += achieved - optimum <= 1e-6
     assert hits >= 90
@@ -243,7 +243,7 @@ def test_criterion_10_rank_facts(rng):
         lab = random_labeling(rng, sizes, k)
         coords = [rng.normal(size=(2, p)) for p in sizes]
         r = int(rng.integers(1, 5))
-        z, _ = update_Z(lab, coords, r)
+        z, _ = update_Z(lab, np.hstack(coords), r)
         s = np.linalg.svd(z, compute_uv=False)
         if r < s.size and s[0] > 0:
             worst = max(worst, s[r] / s[0])

@@ -149,6 +149,16 @@ def test_selected_inlier_fraction():
     assert selected_inlier_fraction(pred, truth) == pytest.approx(3 / 4)
 
 
+def test_selected_inlier_fraction_refuses_mismatched_images():
+    truth = [np.array([0, -1, 1]), np.array([-1, 0, 1])]
+    # a third predicted image that the truth lacks
+    with pytest.raises(MatchingError, match="the prediction covers 3 images, the truth 2"):
+        selected_inlier_fraction([*truth, np.array([0, 1])], truth)
+    # a truth image shorter than the prediction's, whose selected candidate lies past its end
+    with pytest.raises(MatchingError, match="image 1: the prediction has 4 candidates, the truth 3"):
+        selected_inlier_fraction([truth[0], np.array([-1, 0, -1, 1])], truth)
+
+
 def test_pck_perfect_and_boundary():
     pts = np.array([[0.0, 3.0], [0.0, 4.0]])
     assert pck(pts, pts, h=10, w=20, alpha=0.5) == 1.0

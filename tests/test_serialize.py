@@ -273,6 +273,18 @@ def test_load_problem_rejects_a_version_1_document(tmp_path):
         load_problem(path)
 
 
+@pytest.mark.parametrize("version", [2.0, "2", True, None])
+def test_readers_refuse_a_format_version_that_is_not_a_json_integer(tmp_path, version):
+    # 2.0 == 2 and True == 1 in Python: only the JSON type tells them apart
+    path = tmp_path / "doc.json"
+    got = json.dumps(version)
+    for reader, doc in [(load_problem, _two_image_problem([])), (load_features, _two_image_problem([])),
+                        (load_labeling, json.loads(_pairs_doc([[[0, 0], [1, 1]], [[0, 0], [1, 1]]], k=2)))]:
+        path.write_text(json.dumps({**doc, "format_version": version}))
+        with pytest.raises(ParseError, match=rf"\(format_version must be a JSON integer, got {got}\)"):
+            reader(path)
+
+
 @pytest.mark.parametrize("field, image", [
     ("coordinates", {"coordinates": [["0", 1], [0, 1]]}),
     ("coordinates", {"coordinates": [[0, True], [0, 1]]}),
@@ -518,7 +530,8 @@ SINGLE_FAULT_PROBLEMS = {
     "self pair": ([_AB, {"i": "c", "j": "c", "entries": [0, 1, 0.5]}], "a record pairs an image with itself"),
     "repeated pair": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5]}, {"i": "b", "j": "c", "entries": []}],
                       "an image pair is listed twice"),
-    "unknown id": ([_AB, {"i": "b", "j": "zz", "entries": [0, 1, 0.5]}], "'zz'"),
+    "unknown id": ([_AB, {"i": "b", "j": "zz", "entries": [0, 1, 0.5]}], r"pair \(b, zz\): j is not a listed image id"),
+    "unknown first id": ([_AB, {"i": "zz", "j": "zz", "entries": [0, 1, 0.5]}], r"pair \(zz, zz\): i is not a listed image id"),
     "fractional index": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5, 1.5, 0, 0.2]}],
                          r"pair \(b, c\): an entry index is not an integer"),
     "infinite index": ([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5, 1, float("inf"), 0.2]}],

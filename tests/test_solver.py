@@ -83,7 +83,7 @@ def test_objective_cycle_accepts_sparse(rng):
 def test_update_z_geo_zero_at_exact_fit(rng):
     coords = [rng.random((2, 4)), rng.random((2, 5))]
     lab = random_labeling(rng, [4, 5], 3)
-    z, geo = update_Z(lab, coords, 3)  # 3 >= min(2n, k): the fit is the measurements
+    z, geo = update_Z(lab, np.hstack(coords), 3)  # 3 >= min(2n, k): the fit is the measurements
     assert np.array_equal(z, assemble_measurements(lab, coords)) and geo == 0.0
     # rank-1 measurements a_i v^T, fitted by SVD at r = 1 < min(2n, k)
     v = rng.random(3)
@@ -92,7 +92,7 @@ def test_update_z_geo_zero_at_exact_fit(rng):
         t = rng.random(p)
         t[index] = v
         coords.append(np.outer(a, t))
-    assert update_Z(lab, coords, 1)[1] == pytest.approx(0.0, abs=1e-20)
+    assert update_Z(lab, np.hstack(coords), 1)[1] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_assemble_measurements_matches_per_image_slices(rng):
@@ -107,9 +107,8 @@ def test_assemble_measurements_matches_per_image_slices(rng):
 
 def test_update_z_geo_single_point_at_rank_zero():
     # the rank-0 fit is zero, so the term is half the point's squared norm
-    coords = [np.array([[3.0], [4.0]])]
     lab = SelectionLabeling([[0]], BlockLayout((1,)))
-    z, geo = update_Z(lab, coords, 0)
+    z, geo = update_Z(lab, np.array([[3.0], [4.0]]), 0)
     assert np.array_equal(z, np.zeros((2, 1)))
     assert geo == pytest.approx(12.5)
 
@@ -118,7 +117,7 @@ def test_update_z_geo_matches_naive_loop(rng):
     for sizes, k, r in [((4, 3), 2, 1), ((5, 3, 6, 4), 3, 2), ((6,) * 5, 4, 3)]:
         coords = [rng.random((2, p)) for p in sizes]
         lab = random_labeling(rng, sizes, k)
-        z, geo = update_Z(lab, coords, r)
+        z, geo = update_Z(lab, np.hstack(coords), r)
         assert geo == pytest.approx(naive_geo_objective(lab.assignments, z, coords), rel=1e-12)
 
 
@@ -127,7 +126,7 @@ def test_objective_total_zero_for_consistent_state(rng):
     xs = lab.stacked()
     w = xs @ xs.T
     coords = [rng.random((2, 3)), rng.random((2, 3))]
-    geo = update_Z(lab, coords, 4)[1]  # 4 >= min(2n, k) = 2: an exact fit
+    geo = update_Z(lab, np.hstack(coords), 4)[1]  # 4 >= min(2n, k) = 2: an exact fit
     parts = objective_components(Contraction(w), xs, xs, geo, lam=1.0, rho=5.0)
     assert sum(parts) == pytest.approx(0.0, abs=1e-12)
 
@@ -138,7 +137,7 @@ def test_objective_total_decomposes(rng):
     w = rng.random((8, 8))
     w = 0.5 * (w + w.T)
     coords = [rng.random((2, 4)), rng.random((2, 4))]
-    z, fit = update_Z(lab, coords, 1)
+    z, fit = update_Z(lab, np.hstack(coords), 1)
     xs = lab.stacked()
     lam, rho = 0.7, 3.0
     cycle, geo, coupling = objective_components(Contraction(w), y, xs, fit, lam, rho)
@@ -396,8 +395,8 @@ def test_any_contraction_object_drives_the_solver(sparse):
     rng = np.random.default_rng(12)
     y = random_feasible_y(rng, layout.sizes, 4)
     lab = random_labeling(rng, layout.sizes, 4)
-    coords, _ = normalize_coordinates(planted.instance.coordinates)
-    geo = update_Z(lab, coords, 2)[1]
+    points = normalize_coordinates(np.hstack(planted.instance.coordinates), layout)[0]
+    geo = update_Z(lab, points, 2)[1]
 
     def bare_and_wrapped(call, methods):
         wrapped = CountingContraction(Contraction(w))
@@ -411,7 +410,7 @@ def test_any_contraction_object_drives_the_solver(sparse):
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1].index, b[1].index) and a[2:] == b[2:]
     a, b = bare_and_wrapped(lambda c: objective_components(c, y, lab.stacked(), geo, 0.7, 3.0), {"value"})
     assert a == b
-    a, b = bare_and_wrapped(lambda c: selection_objective(c, lab, coords, 0.7, 2), {"value"})
+    a, b = bare_and_wrapped(lambda c: selection_objective(c, lab, points, 0.7, 2), {"value"})
     assert a == b
 
 
@@ -420,7 +419,7 @@ def test_update_x_reduces_to_discretize_without_geometry(rng):
     y = random_feasible_y(rng, sizes, 2)
     coords = [rng.random((2, 4)), rng.random((2, 3))]
     z = rng.random((4, 2))
-    lab = update_X(y, z, coords, lam=0.0, rho=1.0)
+    lab = update_X(y, z, np.hstack(coords), lam=0.0, rho=1.0, layout=BlockLayout(sizes))
     blocks = [y[:4], y[4:]]
     for got, yb in zip(lab.index, blocks):
         assert np.array_equal(got, discretize(yb))
@@ -430,7 +429,7 @@ def test_update_x_zero_distance_optimum(rng):
     coords = [rng.random((2, 5))]
     pick = [3, 0]
     z = coords[0][:, pick]
-    lab = update_X(np.zeros((5, 2)), z, coords, lam=1.0, rho=0.0)
+    lab = update_X(np.zeros((5, 2)), z, coords[0], lam=1.0, rho=0.0, layout=BlockLayout((5,)))
     assert lab.assignments[0][pick, [0, 1]].tolist() == [1, 1]
     assert naive_geo_objective(lab.assignments, z, coords) == pytest.approx(0.0, abs=1e-16)
 
@@ -441,7 +440,7 @@ def test_update_x_matches_enumeration(rng):
         z = rng.random((2, 2))
         y = random_feasible_y(rng, (3,), 2)
         lam, rho = 1.0, 1.0
-        lab = update_X(y, z, coords, lam, rho)
+        lab = update_X(y, z, coords[0], lam, rho, BlockLayout((3,)))
         c2 = (coords[0] ** 2).sum(axis=0)[:, None]
         z2 = (z**2).sum(axis=0)[None, :]
         d = c2 + z2 - 2 * coords[0].T @ z
@@ -457,7 +456,7 @@ def test_update_x_with_unequal_heights_matches_a_per_image_loop(rng, lam):
     y = random_feasible_y(rng, sizes, k)
     coords = [rng.random((2, p)) for p in sizes]
     z = rng.random((2 * len(sizes), k))
-    lab = update_X(y, z, coords, lam, rho)
+    lab = update_X(y, z, np.hstack(coords), lam, rho, BlockLayout(sizes))
     assert lab.sizes == sizes
     off = 0
     for i, p in enumerate(sizes):
@@ -475,7 +474,7 @@ def test_update_x_optimal_against_single_image_swaps(rng):
     y = random_feasible_y(rng, sizes, 2)
     coords = [rng.random((2, 4)), rng.random((2, 4))]
     z = rng.random((4, 2))
-    lab = update_X(y, z, coords, 1.0, 1.5)
+    lab = update_X(y, z, np.hstack(coords), 1.0, 1.5, BlockLayout(sizes))
     off = 0
     for i, p in enumerate(sizes):
         yi = y[off : off + p]
@@ -492,14 +491,13 @@ def test_update_x_optimal_against_single_image_swaps(rng):
 def test_update_z_identity_when_rank_already_low(rng):
     lab = random_labeling(rng, [5, 5], 3)
     coords = [rng.random((2, 5)), rng.random((2, 5))]
-    z, _ = update_Z(lab, coords, r=4)  # 4 >= min(2n, k) = 3
+    z, _ = update_Z(lab, np.hstack(coords), r=4)  # 4 >= min(2n, k) = 3
     assert np.allclose(z, assemble_measurements(lab, coords), atol=1e-9)
 
 
 def test_update_z_zero_matrix():
     lab = SelectionLabeling([[0, 1]] * 2, BlockLayout((2, 2)))
-    coords = [np.zeros((2, 2)), np.zeros((2, 2))]
-    z, geo = update_Z(lab, coords, 1)
+    z, geo = update_Z(lab, np.zeros((2, 4)), 1)
     assert np.array_equal(z, np.zeros((4, 2))) and geo == 0.0
 
 
@@ -507,8 +505,8 @@ def test_update_z_tail_energy_identity(rng):
     # residual energy equals the sum of squared discarded singular values,
     # cross-checked through the eigendecomposition of M^T M
     m = rng.normal(size=(8, 5))
-    coords = [m[2 * i : 2 * i + 2] for i in range(4)]
-    z, geo = update_Z(SelectionLabeling([np.arange(5)] * 4, BlockLayout((5,) * 4)), coords, r=4)
+    points = np.hstack([m[2 * i : 2 * i + 2] for i in range(4)])
+    z, geo = update_Z(SelectionLabeling([np.arange(5)] * 4, BlockLayout((5,) * 4)), points, r=4)
     eigvals = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
     expected_tail = eigvals[4:].sum()
     assert ((m - z) ** 2).sum() == pytest.approx(expected_tail, rel=1e-9, abs=1e-12)
@@ -519,15 +517,42 @@ def test_update_z_tail_energy_identity(rng):
 
 def test_normalize_coordinates_roundtrip(rng):
     coords = [rng.uniform(-40, 90, size=(2, 6)) for _ in range(3)]
-    normed, transforms = normalize_coordinates(coords)
-    for c in normed:
+    normed, scale, center = normalize_coordinates(np.hstack(coords), BlockLayout((6,) * 3))
+    for c in np.split(normed, 3, axis=1):
         assert np.allclose(c.mean(axis=1), 0.0, atol=1e-12)
         assert np.linalg.norm(c, axis=0).mean() == pytest.approx(np.sqrt(2.0))
     # de-normalizing the normalized block stack recovers the originals
-    stacked = np.vstack([c[:, :4] for c in normed])
-    back = denormalize_fit(stacked, transforms)
+    stacked = np.vstack([c[:, :4] for c in np.split(normed, 3, axis=1)])
+    back = denormalize_fit(stacked, scale, center)
     for i, c in enumerate(coords):
         assert np.allclose(back[2 * i : 2 * i + 2], c[:, :4])
+
+
+def test_normalize_coordinates_with_mixed_heights_matches_a_per_image_oracle(rng):
+    # heights interleave, and two images are degenerate: one candidate, and
+    # candidates all at one point, both of which keep the scale 1
+    sizes = (5, 3, 6, 1, 3, 5, 4)
+    coords = [rng.uniform(-40, 90, size=(2, p)) for p in sizes]
+    coords[4] = np.full((2, 3), 7.5)
+    layout = BlockLayout(sizes)
+    normed, scale, center = normalize_coordinates(np.hstack(coords), layout)
+    assert normed.shape == (2, layout.m) and scale.shape == (7,) and center.shape == (2, 7)
+    for i, c in enumerate(coords):
+        mid = c.mean(axis=1)
+        norm = np.linalg.norm(c - mid[:, None], axis=0).mean() / np.sqrt(2.0)
+        s = norm if norm >= 1e-12 else 1.0
+        got = normed[:, layout.block_slice(i)]
+        assert np.allclose(got, (c - mid[:, None]) / s, rtol=0, atol=1e-12)
+        assert np.allclose(center[:, i], mid) and scale[i] == pytest.approx(s, rel=1e-12)
+        assert np.allclose(got.mean(axis=1), 0.0, atol=1e-12)
+        if i in (3, 4):
+            assert scale[i] == 1.0 and not got.any()
+        else:
+            assert np.linalg.norm(got, axis=0).mean() == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    # the normalized measurements of a labeling map back to the input ones
+    lab = random_labeling(rng, sizes, 1)
+    back = denormalize_fit(assemble_measurements(lab, [normed]), scale, center)
+    assert np.allclose(back, assemble_measurements(lab, coords), rtol=0, atol=1e-12)
 
 
 def test_initialize_recovers_planted_labeling():
@@ -657,6 +682,25 @@ def test_solve_same_seed_same_result():
     assert a.objective_trace == b.objective_trace
 
 
+def test_solver_seed_changes_the_eigensolver_start_but_not_the_labeling(dense_calls):
+    # on the lobpcg path (m >= 5k) each seed draws another start block and
+    # gets another basis of the top eigenspace, yet every seed selects the
+    # same candidates with the same induced matches: the labelings agree up
+    # to a renaming of the labels
+    planted = generate(12, 6, outliers_per_image=3, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=21)
+    w = assemble_block(planted.instance.scores)
+    assert w.shape[0] >= 5 * 6
+    bases = [top_eigenvectors(w, 6, seed) for seed in range(4)]
+    assert not dense_calls
+    assert not any(np.allclose(bases[0], b) for b in bases[1:])
+    indexes = [solve(planted.instance, SolverConfig(k=6, seed=seed)).labeling.index for seed in range(4)]
+    assert not dense_calls
+    canonical = [index[:, np.argsort(index[0])] for index in indexes]  # labels renamed by image 0's candidates
+    for index in canonical[1:]:
+        assert np.array_equal(index, canonical[0])
+
+
 def test_solve_reports_init_step_cap(monkeypatch):
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
     planted = generate(6, 5, outliers_per_image=2, coord_noise_sigma=0.02,
@@ -764,14 +808,15 @@ def _rank_r_fit(blocks, coords, r):
 def test_selection_objective_matches_naive_oracles(rng):
     planted = generate(3, 3, outliers_per_image=1, seed=5)
     w = assemble_block(planted.instance.scores).toarray()
-    coords, _ = normalize_coordinates(planted.instance.coordinates)
-    sizes = [f.p for f in planted.instance.features]
+    layout = planted.instance.layout
+    points = normalize_coordinates(np.hstack(planted.instance.coordinates), layout)[0]
+    coords = np.split(points, layout.offsets[1:], axis=1)
     for lam, r in [(1.0, 2), (0.3, 1), (0.0, 1)]:
-        lab = random_labeling(rng, sizes, 3)
+        lab = random_labeling(rng, layout.sizes, 3)
         blocks = lab.assignments
         expected = naive_cycle_objective(w, lab.stacked())
         expected += lam * naive_geo_objective(blocks, _rank_r_fit(blocks, coords, r), coords)
-        val = selection_objective(Contraction(w), lab, coords, lam=lam, r=r)
+        val = selection_objective(Contraction(w), lab, points, lam=lam, r=r)
         assert val == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
@@ -781,10 +826,12 @@ def test_last_trace_record_matches_naive_oracles_at_the_final_state():
     config = SolverConfig(k=4, r=2, lam=0.5, seed=8)
     state = solve(planted.instance, config)
     w = assemble_block(planted.instance.scores).toarray()
-    coords, transforms = normalize_coordinates(planted.instance.coordinates)
+    layout = planted.instance.layout
+    points, scale, center = normalize_coordinates(np.hstack(planted.instance.coordinates), layout)
+    coords = np.split(points, layout.offsets[1:], axis=1)
     blocks = state.labeling.assignments
     z = _rank_r_fit(blocks, coords, config.r)
-    assert np.allclose(denormalize_fit(z, transforms), state.measurement.z, atol=1e-9)
+    assert np.allclose(denormalize_fit(z, scale, center), state.measurement.z, atol=1e-9)
     last = state.objective_trace[-1]
     assert last.stage == f"rho={config.rho_schedule[-1]:g}"
     diff = state.y - state.labeling.stacked()

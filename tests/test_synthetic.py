@@ -63,8 +63,8 @@ def test_noiseless_instance_measurement_is_rank_four():
     m = assemble_measurements(planted.ground_truth, planted.instance.coordinates)
     s = np.linalg.svd(m, compute_uv=False)
     assert s[4] / s[0] < 1e-10
-    normed, _ = normalize_coordinates(planted.instance.coordinates)
-    s = np.linalg.svd(assemble_measurements(planted.ground_truth, normed), compute_uv=False)
+    normed = normalize_coordinates(np.hstack(planted.instance.coordinates), planted.instance.layout)[0]
+    s = np.linalg.svd(assemble_measurements(planted.ground_truth, [normed]), compute_uv=False)
     assert s[4] / s[0] < 1e-10
 
 
@@ -140,7 +140,7 @@ def test_brute_force_matches_hand_enumeration():
     planted = generate(2, 1, outliers_per_image=1, seed=2)
     cfg = SolverConfig(k=1, lam=1.0, r=4)
     w = assemble_block(planted.instance.scores).toarray()
-    coords, _ = normalize_coordinates(planted.instance.coordinates)
+    points = normalize_coordinates(np.hstack(planted.instance.coordinates), planted.instance.layout)[0]
     best, obj = brute_force_solve(planted.instance, cfg)
     # by hand: evaluate all four (row_0, row_1) choices
     from multimatch import SelectionLabeling
@@ -149,7 +149,7 @@ def test_brute_force_matches_hand_enumeration():
     for r0 in range(2):
         for r1 in range(2):
             lab = SelectionLabeling([[r0], [r1]], BlockLayout((2, 2)))
-            totals[(r0, r1)] = selection_objective(Contraction(w), lab, coords, 1.0, 4)
+            totals[(r0, r1)] = selection_objective(Contraction(w), lab, points, 1.0, 4)
     hand_best = min(totals, key=totals.get)
     assert obj == pytest.approx(totals[hand_best], abs=1e-12)
     got = tuple(best.index[:, 0].tolist())
