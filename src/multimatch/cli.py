@@ -134,10 +134,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    lab_ids, labeling = serialize.load_labeling(args.labeling)
+    features = None if args.problem is None else serialize.load_features(args.problem)
+    lab_ids, labeling = _load_labeling(args.labeling, features)
     truth_ids, truth_labels, _ = serialize.load_truth(args.truth)
     truth = _align(truth_ids, truth_labels, lab_ids, "ground truth")
-    coords = None if args.problem is None else _labeled_coords(serialize.load_features(args.problem), lab_ids, labeling)
+    coords = None if features is None else _labeled_coords(features, lab_ids)
     instance_id = Path(args.labeling).stem
     stats = metrics.pair_stats(labeling, truth)
     print(f"recall {stats.recall!r} {instance_id}")
@@ -152,8 +153,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     features = serialize.load_features(args.problem)
-    lab_ids, labeling = serialize.load_labeling(args.labeling)
-    coords = _labeled_coords(features, lab_ids, labeling)
+    lab_ids, labeling = _load_labeling(args.labeling, features)
+    coords = _labeled_coords(features, lab_ids)
     m_tilde = assemble_measurements(labeling, coords)
     result = affine_factorize(m_tilde)
     serialize.save_point_cloud(args.out, result.shape)
@@ -171,13 +172,14 @@ def _align(ids, values, wanted_ids, what):
     return [index[i] for i in wanted_ids]
 
 
-def _labeled_coords(features, lab_ids, labeling):
-    """The problem's coordinates of the labeled images, each image with the labeling's candidate count."""
-    coords = _align([f.image_id for f in features], [f.coordinates for f in features], lab_ids, "problem")
-    for image_id, c, p in zip(lab_ids, coords, labeling.sizes):
-        if c.shape[1] != p:
-            raise MatchingError(f"image {image_id}: the labeling has {p} candidates, the problem {c.shape[1]}")
-    return coords
+def _labeled_coords(features, lab_ids):
+    """The problem's coordinates of the labeled images, in the labeling's order."""
+    return _align([f.image_id for f in features], [f.coordinates for f in features], lab_ids, "problem")
+
+
+def _load_labeling(path, features):
+    """The labeling at ``path``; with the problem's ``features``, only over its images and candidate counts."""
+    return serialize.load_labeling(path, None if features is None else {f.image_id: f.p for f in features})
 
 
 def _floats(text: str) -> tuple[float, ...]:

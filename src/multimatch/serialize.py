@@ -145,9 +145,10 @@ def _features(doc: dict) -> list[FeatureSet]:
     Coordinates and descriptors must be JSON arrays of rows of JSON numbers;
     each check runs once over all images, naming the first at fault.
     """
-    records = doc["images"]
+    records = _member(doc, "images")
     ids = _image_ids(records)
-    coords, descs = [rec["coordinates"] for rec in records], [rec.get("descriptors") for rec in records]
+    coords = _members(records, "coordinates", lambda t: f"image {ids[t]}")
+    descs = [rec.get("descriptors") for rec in records]
     for field, per_image in (("coordinates", coords), ("descriptors", [[] if d is None else d for d in descs])):
         image = f"{field} of image {{}}".format
         _expect("array", per_image, lambda t: image(ids[t]))
@@ -174,7 +175,7 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     the document, and no record may pair an image with itself; anything
     else raises :class:`ParseError`.
     """
-    firsts, seconds = [rec["i"] for rec in records], [rec["j"] for rec in records]
+    firsts, seconds = (_members(records, key, lambda t: f"pairwise[{t}]") for key in ("i", "j"))
     _expect("string", firsts, "pairwise i")
     _expect("string", seconds, "pairwise j")
     first = np.fromiter(map(index.get, firsts, itertools.repeat(-1)), np.int64, len(firsts))
@@ -188,7 +189,7 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     pairs = np.sort(first * layout.n + second)
     if (pairs[1:] == pairs[:-1]).any():
         raise ParseError("an image pair is listed twice")
-    runs = [rec["entries"] for rec in records]
+    runs = _members(records, "entries", lambda t: f"pair ({firsts[t]}, {seconds[t]})")
     _expect("array", runs, lambda t: f"pair ({firsts[t]}, {seconds[t]}): entries")
     counts, partial = np.divmod(np.fromiter(map(len, runs), np.int64, len(runs)), 3)
     if partial.any():
@@ -248,9 +249,16 @@ def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
     _save_pairs(path, ids, labeling.labels(), "k", labeling.k)
 
 
-def load_labeling(path) -> tuple[list[str], SelectionLabeling]:
+def load_labeling(path, problem_counts: dict[str, int] | None = None) -> tuple[list[str], SelectionLabeling]:
+    """The image ids and the labeling of a labeling document.
+
+    ``problem_counts``, when given, maps the problem's image ids to their
+    candidate counts: an image the problem lacks, or whose ``p`` differs
+    from its count, raises :class:`ParseError` before any array of ``p``
+    entries is allocated.
+    """
     with _document(path, "labeling") as doc:
-        ids, layout, flat = _read_pairs(doc, "k")
+        ids, layout, flat = _read_pairs(doc, "k", problem_counts)
         return ids, SelectionLabeling.from_labels(layout.split(flat), doc["k"])
 
 
@@ -387,9 +395,26 @@ def _run_of(lengths, at: int) -> int:
     return int(np.searchsorted(np.cumsum(lengths), at, side="right"))
 
 
+def _members(records, name: str, where) -> list:
+    """The ``name`` member of every record; :class:`ParseError` names the first record without one.
+
+    ``where(t)`` names record ``t``; the message reads ``<record>: <name> is missing``.
+    """
+    try:
+        return [rec[name] for rec in records]
+    except KeyError:  # records that are not JSON objects raise TypeError first
+        t = next(t for t, rec in enumerate(records) if name not in rec)
+        raise ParseError(f"{where(t)}: {name} is missing") from None
+
+
+def _member(doc: dict, name: str):
+    """The top-level member ``name`` of ``doc``, named ``top level`` when it is missing."""
+    return _members([doc], name, lambda t: "top level")[0]
+
+
 def _image_ids(records) -> list[str]:
     """The ids of a document's image records: JSON strings, at least one, none listed twice."""
-    ids = [rec["id"] for rec in records]
+    ids = _members(records, "id", lambda t: f"images[{t}]")
     _expect("string", ids, "image id")
     if not ids:
         raise ParseError("document lists no images")
@@ -398,7 +423,7 @@ def _image_ids(records) -> list[str]:
     return ids
 
 
-def _read_pairs(doc: dict, size_key: str) -> tuple[list[str], BlockLayout, np.ndarray]:
+def _read_pairs(doc: dict, size_key: str, problem_counts: dict[str, int] | None = None) -> tuple[list[str], BlockLayout, np.ndarray]:
     """Candidate labels from per-image (candidate, label) pairs; -1 marks unlisted candidates.
 
     The pairs of all images are read as one [candidate, label] table and
@@ -407,17 +432,26 @@ def _read_pairs(doc: dict, size_key: str) -> tuple[list[str], BlockLayout, np.nd
     nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
     pairs of JSON numbers, candidates distinct integers in [0, p), and each
     image's labels distinct values below the JSON integer ``doc[size_key]``,
-    all of them used if that is a labeling's ``"k"``; else :class:`ParseError`.
+    all of them used if that is a labeling's ``"k"``, and with
+    ``problem_counts`` every id one of its keys and every ``p`` its count;
+    else :class:`ParseError`.
     Returns the ids, the layout of the images' ``p`` and the labels of
     every candidate, image after image.
     """
-    records = doc["images"]
+    records = _member(doc, "images")
     ids = _image_ids(records)
-    sizes, runs = [rec["p"] for rec in records], [rec["pairs"] for rec in records]
+    sizes, runs = (_members(records, key, lambda t: f"image {ids[t]}") for key in ("p", "pairs"))
     _expect("integer", sizes, lambda t: f"image {ids[t]}: p")
     if min(sizes) < 0:
         t = next(t for t, p in enumerate(sizes) if p < 0)
         raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
+    if problem_counts is not None:  # checked before any array of p entries is allocated
+        missing = [i for i in ids if i not in problem_counts]
+        if missing:
+            raise ParseError(f"problem lacks images {missing}")
+        t = next((t for t, (i, p) in enumerate(zip(ids, sizes)) if p != problem_counts[i]), None)
+        if t is not None:
+            raise ParseError(f"image {ids[t]}: the labeling has {sizes[t]} candidates, the problem {problem_counts[ids[t]]}")
     _expect("array", runs, lambda t: f"image {ids[t]}: pairs")
     counts = np.fromiter(map(len, runs), np.int64, len(runs))
     owner = np.repeat(np.arange(len(runs)), counts)  # the image of every pair
@@ -427,7 +461,7 @@ def _read_pairs(doc: dict, size_key: str) -> tuple[list[str], BlockLayout, np.nd
         raise ParseError(f"image {ids[owner[t]]}: a pair must be [candidate, label], got {json.dumps(pairs[t])}")
     parts = ("candidate", "label")
     _expect("number", pairs, lambda at: f"image {ids[owner[at // 2]]}: a {parts[at % 2]}", depth=1)
-    bound = doc[size_key]
+    bound = _member(doc, size_key)
     _expect("integer", [bound], size_key)
     table = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
     integral = (np.isfinite(table) & (table == np.trunc(table))).all(axis=1)

@@ -1,7 +1,8 @@
 """Block coordinate descent for joint feature selection and labeling.
 
 Three variables are updated in turn at each coupling weight rho of an
-increasing continuation schedule:
+increasing continuation schedule, which ends early after the first stage
+that leaves the selection X where it found it:
 
 * ``Y``: the m x k relaxed labeling, confined to the convex set handled by
   the projection module, updated by projected gradient descent with Armijo
@@ -405,19 +406,23 @@ def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.nda
 
 
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
-    """Run initialization plus the full continuation schedule.
+    """Run initialization plus the continuation schedule, up to its first stage that keeps X.
 
     Each rho stage sweeps (Y to convergence, X, Z) until the combined
-    objective stops decreasing relative to ``OUTER_TOL``.  Hitting
+    objective stops decreasing relative to ``OUTER_TOL``.  The schedule
+    is an upper limit: the continuation ends after the first stage whose
+    last selection equals the one it started from, since the output is
+    the selection and the later stages only pull Y closer to it.  The
+    rule is a heuristic; a later stage could still have changed X.  Hitting
     ``MAX_SWEEPS`` first, Y updates whose line search stalled and Y updates
     that use all ``MAX_INNER`` steps (the initial descent's, and per stage
     one message of each kind with the count of its sweeps), and
     projections that reach their round cap (one message with their count,
     in place of the :class:`ProjectionWarning` each one raises) are
-    recorded as warnings on the state; other Python warnings
-    raised during the solve are shown once it returns.  The trace carries
-    the initialization objective per accepted step and one record per
-    sweep and stage thereafter.
+    recorded as warnings on the state, for the stages that ran; other
+    Python warnings raised during the solve are shown once it returns.
+    The trace carries the initialization objective per accepted step and
+    one record per sweep of each stage that ran.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ProjectionWarning)
@@ -459,6 +464,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     for rho in config.rho_schedule:
         stage = f"rho={rho:g}"
+        start = x.index
         parts = objective_components(cycle, y, xs, geo, config.lam, rho)
         trace.append(TraceRecord(stage, 0, *parts, sum(parts)))
         converged = False
@@ -482,6 +488,8 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
             warnings_list.append(f"max inner steps ({MAX_INNER}) reached in {capped} sweeps at {stage}")
         if not converged:
             warnings_list.append(f"max sweeps ({MAX_SWEEPS}) reached at {stage}")
+        if np.array_equal(x.index, start):  # X is the output: a stage that kept it ends the continuation
+            break
 
     return SolverState(
         y=y,

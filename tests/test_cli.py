@@ -157,13 +157,19 @@ def test_solve_init_step_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
-    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 3
+    trace = tmp_path / "trace.csv"
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json", "--trace", trace]) == 3
     err = capsys.readouterr().err
     assert "warning: max inner steps (1) reached at init\n" in err
     capped = [line for line in err.splitlines() if line.startswith("warning: max inner steps")]
-    assert len(capped) == 4  # init, then one line per rho stage
-    assert capped[1].startswith("warning: max inner steps (1) reached in ")
-    assert capped[1].endswith(" sweeps at rho=1")
+    # the stages that ran, in order: init, then a leading run of the rho schedule
+    stages = list(dict.fromkeys(row.split(",")[0] for row in trace.read_text().splitlines()[1:]))
+    assert stages[0] == "init" and stages[1:] == ["rho=1", "rho=10", "rho=100"][: len(stages) - 1]
+    assert len(stages) > 1
+    assert len(capped) == len(stages)  # init, then one line per rho stage that ran
+    for line, stage in zip(capped[1:], stages[1:]):
+        assert line.startswith("warning: max inner steps (1) reached in ")
+        assert line.endswith(f" sweeps at {stage}")
 
 
 def test_solve_projection_round_cap_exit_code(tmp_path, capsys, monkeypatch):
@@ -261,7 +267,8 @@ def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
 
     problem, truth, labeling = solved
     doc = json.loads(labeling.read_text())
-    doc["images"][0]["p"] = 35184372088832  # 2**45 candidates: 256 TiB of labels
+    image = doc["images"][0]
+    p, image["p"] = image["p"], 35184372088832  # 2**45 candidates: 256 TiB of labels
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
     argv = {
@@ -278,8 +285,38 @@ def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "multimatch.cli", *map(str, argv)], capture_output=True, text=True,
                           env=env, preexec_fn=limit_address_space, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    assert f"{bad}: labeling document needs more memory than is available" in proc.stderr
+    message = {
+        "eval": f"{bad}: labeling document needs more memory than is available",
+        # with the problem's counts read first, the count is refused before any allocation
+        "reconstruct": f"image {image['id']}: the labeling has {image['p']} candidates, the problem {p}",
+    }[command]
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "reconstruct"])
+def test_a_sidecar_p_that_fits_is_refused_before_it_is_allocated(solved, tmp_path, capsys, command):
+    import tracemalloc
+
+    problem, truth, labeling = solved
+    doc = json.loads(labeling.read_text())
+    image = doc["images"][0]
+    p, image["p"] = image["p"], 10**8  # 800 MB per array of labels
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "eval": ["eval", "--labeling", bad, "--truth", truth, "--problem", problem],
+        "reconstruct": ["reconstruct", "--problem", problem, "--labeling", bad, "--out", tmp_path / "cloud.txt"],
+    }[command]
+    capsys.readouterr()
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
+    assert f"image {image['id']}: the labeling has {10**8} candidates, the problem {p}" in capsys.readouterr().err
 
 
 def _repeat_member(src, out, records, key):

@@ -619,3 +619,53 @@ def test_load_problem_explains_entries_that_are_not_an_array(tmp_path, entries, 
     path.write_text(json.dumps(_three_image_problem([_AB, {"i": "b", "j": "c", "entries": entries}])))
     with pytest.raises(ParseError, match=rf"pair \(b, c\): entries must be a JSON array, got {spelled}"):
         load_problem(path)
+
+
+def _without(doc, path):
+    """``doc`` with the member at ``path`` (keys and list indices) removed."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
+@pytest.mark.parametrize("path, message", [
+    (("pairwise", 1, "entries"), r"pair \(b, c\): entries is missing"),
+    (("pairwise", 1, "j"), r"pairwise\[1\]: j is missing"),
+    (("images", 1, "coordinates"), "image b: coordinates is missing"),
+    (("images", 2, "id"), r"images\[2\]: id is missing"),
+    (("images",), "top level: images is missing"),
+])
+def test_load_problem_names_the_record_missing_a_member(tmp_path, path, message):
+    doc = _three_image_problem([_AB, {"i": "b", "j": "c", "entries": [0, 1, 0.5]}])
+    _without(doc, path)
+    file = tmp_path / "p.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"^{file}: malformed problem document \({message}\)$"):
+        load_problem(file)
+
+
+@pytest.mark.parametrize("path, message", [
+    (("images", 1, "p"), "image y: p is missing"),
+    (("images", 1, "pairs"), "image y: pairs is missing"),
+    (("images", 0, "id"), r"images\[0\]: id is missing"),
+    (("k",), "top level: k is missing"),
+])
+def test_load_labeling_names_the_record_missing_a_member(tmp_path, path, message):
+    doc = json.loads(_sidecar([[0, 0], [1, 1]], k=2))
+    _without(doc, path)
+    file = tmp_path / "lab.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"^{file}: malformed labeling document \({message}\)$"):
+        load_labeling(file)
+
+
+def test_load_labeling_checks_the_problem_counts_first(tmp_path):
+    file = tmp_path / "lab.json"
+    file.write_text(_sidecar([[0, 0], [1, 1]], k=2))
+    ids, lab = load_labeling(file, {"x": 3, "y": 3, "z": 2, "w": 5})  # an image the labeling leaves out is fine
+    assert ids == ["x", "y", "z"] and lab.sizes == (3, 3, 2)
+    with pytest.raises(ParseError, match=r"image y: the labeling has 3 candidates, the problem 4"):
+        load_labeling(file, {"x": 3, "y": 4, "z": 2})
+    with pytest.raises(ParseError, match=r"problem lacks images \['z'\]"):
+        load_labeling(file, {"x": 3, "y": 3})
