@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 parse or validation error,
 3 solved with warnings (a continuation stage hit its sweep limit, a line
 search stalled, a Y update used all its inner steps, or a projection
 stopped at its round cap).
-All commands are deterministic given identical inputs and seeds.
+All commands are deterministic given identical inputs; ``synth`` also
+given its seed.  ``solve --seed`` is accepted and checked, and has no
+effect.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--lambda", dest="lam", type=float, help="geometric weight")
     slv.add_argument("--r", type=int, help="rank bound of the geometric fit")
     slv.add_argument("--rho", dest="rho_schedule", type=_floats, help="comma-separated coupling schedule")
-    slv.add_argument("--seed", type=int)
+    slv.add_argument("--seed", type=int, help="accepted and checked; has no effect")
     slv.set_defaults(func=_cmd_solve)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")
@@ -136,7 +138,11 @@ def _cmd_solve(args) -> int:
 def _cmd_eval(args) -> int:
     features = None if args.problem is None else serialize.load_features(args.problem)
     lab_ids, labeling = _load_labeling(args.labeling, features)
-    truth_ids, truth_labels, _ = serialize.load_truth(args.truth)
+    if features is None:
+        counts, counted_by = dict(zip(lab_ids, labeling.layout.sizes)), "labeling"
+    else:
+        counts, counted_by = {f.image_id: f.p for f in features}, "problem"
+    truth_ids, truth_labels, _ = serialize.load_truth(args.truth, counts, counted_by)
     truth = _align(truth_ids, truth_labels, lab_ids, "ground truth")
     coords = None if features is None else _labeled_coords(features, lab_ids)
     instance_id = Path(args.labeling).stem

@@ -238,9 +238,15 @@ def save_truth(path, labels, ids, universe_size: int) -> None:
     _save_pairs(path, ids, labels, "universe_size", universe_size)
 
 
-def load_truth(path) -> tuple[list[str], list[np.ndarray], int]:
+def load_truth(path, counts: dict[str, int] | None = None, counted_by: str = "problem") -> tuple[list[str], list[np.ndarray], int]:
+    """The image ids, per-image labels and universe size of a ground-truth document.
+
+    ``counts``, when given, maps the image ids of the ``counted_by``
+    document (the problem or the labeling) to their candidate counts, and
+    is checked as :func:`load_labeling` checks its ``problem_counts``.
+    """
     with _document(path, "ground-truth") as doc:
-        ids, layout, flat = _read_pairs(doc, "universe_size")
+        ids, layout, flat = _read_pairs(doc, "universe_size", counts, ("ground truth", counted_by))
         return ids, layout.split(flat), doc["universe_size"]
 
 
@@ -423,7 +429,9 @@ def _image_ids(records) -> list[str]:
     return ids
 
 
-def _read_pairs(doc: dict, size_key: str, problem_counts: dict[str, int] | None = None) -> tuple[list[str], BlockLayout, np.ndarray]:
+def _read_pairs(
+    doc: dict, size_key: str, image_counts: dict[str, int] | None = None, names: tuple[str, str] = ("labeling", "problem")
+) -> tuple[list[str], BlockLayout, np.ndarray]:
     """Candidate labels from per-image (candidate, label) pairs; -1 marks unlisted candidates.
 
     The pairs of all images are read as one [candidate, label] table and
@@ -432,9 +440,10 @@ def _read_pairs(doc: dict, size_key: str, problem_counts: dict[str, int] | None 
     nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
     pairs of JSON numbers, candidates distinct integers in [0, p), and each
     image's labels distinct values below the JSON integer ``doc[size_key]``,
-    all of them used if that is a labeling's ``"k"``, and with
-    ``problem_counts`` every id one of its keys and every ``p`` its count;
-    else :class:`ParseError`.
+    all of them used if that is a labeling's ``"k"``, and with ``image_counts``
+    every id one of its keys and every ``p`` its count; else
+    :class:`ParseError`, whose count faults call this document and the one
+    ``image_counts`` come from by ``names``.
     Returns the ids, the layout of the images' ``p`` and the labels of
     every candidate, image after image.
     """
@@ -445,13 +454,13 @@ def _read_pairs(doc: dict, size_key: str, problem_counts: dict[str, int] | None 
     if min(sizes) < 0:
         t = next(t for t, p in enumerate(sizes) if p < 0)
         raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
-    if problem_counts is not None:  # checked before any array of p entries is allocated
-        missing = [i for i in ids if i not in problem_counts]
+    if image_counts is not None:  # checked before any array of p entries is allocated
+        missing = [i for i in ids if i not in image_counts]
         if missing:
-            raise ParseError(f"problem lacks images {missing}")
-        t = next((t for t, (i, p) in enumerate(zip(ids, sizes)) if p != problem_counts[i]), None)
+            raise ParseError(f"{names[1]} lacks images {missing}")
+        t = next((t for t, (i, p) in enumerate(zip(ids, sizes)) if p != image_counts[i]), None)
         if t is not None:
-            raise ParseError(f"image {ids[t]}: the labeling has {sizes[t]} candidates, the problem {problem_counts[ids[t]]}")
+            raise ParseError(f"image {ids[t]}: the {names[0]} has {sizes[t]} candidates, the {names[1]} {image_counts[ids[t]]}")
     _expect("array", runs, lambda t: f"image {ids[t]}: pairs")
     counts = np.fromiter(map(len, runs), np.int64, len(runs))
     owner = np.repeat(np.arange(len(runs)), counts)  # the image of every pair

@@ -24,8 +24,8 @@ The cycle term 0.25 ||W - Y Y^T||_F^2 has one owner, :class:`Contraction`:
 its value, its gradient (Y Y^T - W) Y and the curvature bound behind
 the step sizes all contract through W Y and the k x k Gram matrix Y^T Y,
 kept for the last iterate evaluated.  The functions of the term take a
-contraction (any object with ``w``, ``value``, ``gradient`` and
-``step_bound``), not W; a solve builds one and passes it everywhere, so
+contraction (any object with ``w``, ``row_sums``, ``value``, ``gradient``
+and ``step_bound``), not W; a solve builds one and passes it everywhere, so
 W is contracted once per iterate, and passes the instance's block
 layout and the stacked coordinates the same way.  The geometric term
 has one owner too: :func:`update_Z` returns it with the fit it makes.
@@ -38,9 +38,18 @@ pivoted QR of U^T, turn that basis into the start point U U_S^{-1}, which
 is clipped at zero, projected, and refined by projected gradient descent
 on the score term alone.  The eigenvectors come from a block eigensolver
 (the top eigenvalue of consistent scores is repeated k times, which a
-single-vector Lanczos method cannot resolve) started from a Gaussian
-block seeded by ``config.seed``; a dense eigensolver takes over on small
-problems and whenever the block solver misses its tolerance.
+single-vector Lanczos method cannot resolve) started from k columns of W
+itself: for consistent scores those columns lie in the top-k eigenspace.
+They are the columns of the image with the largest absolute row sums,
+whose identity diagonal block gives them rank k, ranked by pivoted QR;
+the image with the most evidence keeps the block off the eigenvalue-1
+subspace of an image that matches nothing.  The solver stops at a
+residual of ``EIGEN_TOL`` times ||W||_inf, the precision the descent that
+follows needs, and the start involves no random draw.  A dense
+eigensolver takes over on small problems and whenever the block solver
+misses its tolerance.  When the solve ends, its labels are put in the
+order of image 0's chosen candidates, so that two solves that select the
+same candidates write the same bytes.
 
 Each line search of the Y update backtracks along the projection arc
 until the Armijo condition holds, so every accepted step lowers the
@@ -91,6 +100,7 @@ OUTER_TOL = 1e-7  # relative objective drop that ends a rho stage
 MAX_INNER = 500  # accepted projected-gradient steps per update_Y call
 MAX_SWEEPS = 100  # (Y, X, Z) sweeps per rho stage
 EIGEN_MAXITER = 80  # lobpcg iterations before the dense fallback takes over
+EIGEN_TOL = 1e-4  # lobpcg's residual tolerance, as a multiple of ||W||_inf
 
 
 @dataclass(frozen=True)
@@ -143,15 +153,22 @@ class Contraction:
     ``update_Y`` call and the next call's starting point evaluate the y
     that call returned, which it has evaluated already.  The slot is keyed
     on the array's identity, so an evaluated iterate must not be modified
-    in place.  ||w||_F^2 is computed on construction and ||w||_inf on the
-    first step bound.
+    in place.  ||w||_F^2 is computed on construction, and the absolute row
+    sums ``row_sums`` = |w| 1, whose largest is ||w||_inf, on first use:
+    the spectral start reads them too, so a solve passes over w once.
     """
 
     def __init__(self, w):
         self.w = w
         self.wsq = float((w.data**2).sum()) if sp.issparse(w) else float((np.asarray(w) ** 2).sum())
-        self._w_inf = None
+        self._row_sums = None
         self._y = self._wy = self._gram = None
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        if self._row_sums is None:
+            self._row_sums = np.asarray(abs(self.w).sum(axis=1)).ravel()
+        return self._row_sums
 
     def _contract(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if y is not self._y:
@@ -169,10 +186,8 @@ class Contraction:
 
     def step_bound(self, y: np.ndarray) -> float:
         """||y||_2^2 + ||w||_inf, the curvature scale that sets the bound step of a line search."""
-        if self._w_inf is None:
-            self._w_inf = float(abs(self.w).sum(axis=1).max())  # maximum absolute row sum
         gram = self._contract(y)[1]
-        return (float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0) + self._w_inf
+        return (float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0) + float(self.row_sums.max())
 
 
 def _coupling(y: np.ndarray, xs: np.ndarray, rho: float) -> float:
@@ -347,39 +362,51 @@ def update_Z(x: SelectionLabeling, points: np.ndarray, r: int) -> tuple[np.ndarr
     return z, 0.5 * float(np.cumsum(per_image)[-1])
 
 
-def top_eigenvectors(w, k: int, seed: int) -> np.ndarray:
-    """Orthonormal basis of the top-k eigenspace of the symmetric matrix w.
+def top_eigenvectors(w, k: int, layout: BlockLayout, row_sums: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal basis of the top-k eigenspace of the symmetric score matrix w.
 
-    ``lobpcg`` iterates on a Gaussian (m, k) start block drawn from
-    ``seed`` for at most ``EIGEN_MAXITER`` iterations.  Below m = 5k,
+    ``lobpcg`` starts from k columns of w: those of the image of
+    ``layout`` whose rows have the largest summed absolute row sums
+    (``row_sums``, |w| 1, computed here when not given), the k of its
+    columns that pivoted QR ranks first.  The image's identity diagonal
+    block gives them rank k.  ``lobpcg`` runs for at most ``EIGEN_MAXITER``
+    iterations to a residual of ``EIGEN_TOL * ||w||_inf``.  Below m = 5k,
     where ``lobpcg`` would itself switch to a dense solver, and whenever
-    some returned pair's residual ||w u - lambda u|| exceeds the block
-    solver's tolerance, the basis comes from ``np.linalg.eigh`` on the
-    dense matrix instead.
+    some returned pair's residual ||w u - lambda u||, as ``lobpcg``
+    reports it from the products it has already made, exceeds that
+    tolerance, the basis comes from ``np.linalg.eigh`` on the dense matrix
+    instead.  The result is a function of w and the layout alone.
     """
     m = w.shape[0]
     if m >= 5 * k:
-        tol = m * math.sqrt(np.finfo(float).eps)  # lobpcg's own default
-        x0 = np.random.default_rng(seed).standard_normal((m, k))
+        if row_sums is None:
+            row_sums = np.asarray(abs(w).sum(axis=1)).ravel()
+        tol = EIGEN_TOL * float(row_sums.max())
+        image = int(np.argmax(np.bincount(layout.candidate_images(), weights=row_sums, minlength=layout.n)))
+        rows = w[layout.block_slice(image)]  # by symmetry, the transpose of the image's columns
+        block = (rows.toarray() if sp.issparse(rows) else np.array(rows, dtype=float)).T
+        x0 = block[:, scipy.linalg.qr(block, mode="r", pivoting=True)[1][:k]]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # convergence is checked below
-            vals, vecs = lobpcg(w, x0, tol=tol, maxiter=EIGEN_MAXITER, largest=True)
-        if (np.linalg.norm(w @ vecs - vecs * vals, axis=0) <= tol).all():
+            vecs, residuals = lobpcg(w, x0, tol=tol, maxiter=EIGEN_MAXITER, largest=True, retResidualNormsHistory=True)[1:]
+        if (residuals[-1] <= tol).all():  # the last entry holds the returned pairs' residuals
             return vecs
     dense = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
     return np.linalg.eigh(dense)[1][:, m - k :]
 
 
-def spectral_start(w, k: int, seed: int, layout: BlockLayout) -> np.ndarray:
+def spectral_start(w, k: int, layout: BlockLayout, row_sums: np.ndarray | None = None) -> np.ndarray:
     """Feasible start point from the top-k eigenspace of w, over ``layout``'s blocks.
 
-    Pivoted QR of U^T picks k anchor rows S; ``U U_S^{-1}`` maps them to
-    the k unit labels and spreads every other row over the labels in
-    proportion to its eigenspace coordinates.  The result does not depend
-    on the basis chosen for the eigenspace.  Negative entries are clipped
-    before the projection onto the constraint set.
+    The eigenspace comes from :func:`top_eigenvectors`, which takes
+    ``row_sums`` as well.  Pivoted QR of U^T picks k anchor rows S;
+    ``U U_S^{-1}`` maps them to the k unit labels and spreads every other
+    row over the labels in proportion to its eigenspace coordinates.  The
+    result does not depend on the basis chosen for the eigenspace.
+    Negative entries are clipped before the projection onto the constraint
+    set.
     """
-    u = top_eigenvectors(w, k, seed)
+    u = top_eigenvectors(w, k, layout, row_sums)
     anchors = scipy.linalg.qr(u.T, mode="r", pivoting=True)[1][:k]
     y0 = np.linalg.solve(u[anchors].T, u.T).T
     return project_onto_C(np.maximum(y0, 0.0), layout)
@@ -389,15 +416,15 @@ def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.nda
     """Solve the score-only relaxation from the spectral start.
 
     ``cycle`` is the contraction of the score matrix ``cycle.w``.  The
-    start point is :func:`spectral_start` with its eigensolver seeded by
-    ``config.seed``; projected gradient descent on the cycle term alone
+    start point is :func:`spectral_start`, which reads the contraction's
+    ``row_sums``; projected gradient descent on the cycle term alone
     refines it, and ``layout``'s blocks are discretized into the initial
     selection, blocks of equal height as one stack.  Returns (y,
     selection, objective history, stalled flag) as :func:`update_Y`
     reports them; a history longer than ``MAX_INNER`` means the descent
     used every step.
     """
-    y0 = spectral_start(cycle.w, config.k, config.seed, layout)
+    y0 = spectral_start(cycle.w, config.k, layout, cycle.row_sums)
     y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, layout)
     index = np.empty((layout.n, config.k), dtype=np.intp)
     for p, images, rows in layout.groups():
@@ -422,7 +449,9 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     recorded as warnings on the state, for the stages that ran; other
     Python warnings raised during the solve are shown once it returns.
     The trace carries the initialization objective per accepted step and
-    one record per sweep of each stage that ran.
+    one record per sweep of each stage that ran.  The returned labels are
+    ordered by image 0's chosen candidate, and y and the fit follow that
+    order; the trace does not depend on it.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ProjectionWarning)
@@ -491,6 +520,9 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
         if np.array_equal(x.index, start):  # X is the output: a stage that kept it ends the continuation
             break
 
+    # canonical label order: by image 0's chosen candidate, the same permutation for every variable
+    order = np.argsort(x.index[0])
+    x, y, z = SelectionLabeling(x.index[:, order], layout), y[:, order], z[:, order]
     return SolverState(
         y=y,
         labeling=x,

@@ -222,8 +222,9 @@ def test_eval_refuses_a_truth_of_other_candidate_counts(solved, tmp_path, capsys
     truth2.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["eval", "--labeling", labeling, "--truth", truth2]) == 2
-    p = doc["images"][1]["p"]
-    assert f"image 1: the prediction has {p - 1} candidates, the truth {p}" in capsys.readouterr().err
+    image = doc["images"][1]
+    # the labeling's counts are read first, and the truth is checked against them as it loads
+    assert f"image {image['id']}: the ground truth has {image['p']} candidates, the labeling {image['p'] - 1}" in capsys.readouterr().err
 
 
 def _recounted(labeling, out, counts):
@@ -317,6 +318,29 @@ def test_a_sidecar_p_that_fits_is_refused_before_it_is_allocated(solved, tmp_pat
         tracemalloc.stop()
     assert peak < 50 << 20
     assert f"image {image['id']}: the labeling has {10**8} candidates, the problem {p}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem_given", [True, False])
+def test_a_truth_p_is_refused_before_it_is_allocated(solved, tmp_path, capsys, problem_given):
+    import tracemalloc
+
+    problem, truth, labeling = solved
+    doc = json.loads(truth.read_text())
+    image = doc["images"][0]
+    p, image["p"] = image["p"], 10**8  # 800 MB per array of labels
+    bad = tmp_path / "big.truth.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["eval", "--labeling", labeling, "--truth", bad, *(["--problem", problem] if problem_given else [])]
+    capsys.readouterr()
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
+    counted_by = "problem" if problem_given else "labeling"
+    assert f"image {image['id']}: the ground truth has {10**8} candidates, the {counted_by} {p}" in capsys.readouterr().err
 
 
 def _repeat_member(src, out, records, key):

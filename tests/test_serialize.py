@@ -669,3 +669,14 @@ def test_load_labeling_checks_the_problem_counts_first(tmp_path):
         load_labeling(file, {"x": 3, "y": 4, "z": 2})
     with pytest.raises(ParseError, match=r"problem lacks images \['z'\]"):
         load_labeling(file, {"x": 3, "y": 3})
+
+
+def test_load_truth_checks_the_given_counts_first(tmp_path):
+    file = tmp_path / "truth.json"
+    file.write_text(_sidecar([[0, 0], [1, 1]], universe_size=2))
+    ids, labels, universe = load_truth(file, {"x": 3, "y": 3, "z": 2, "w": 5})
+    assert ids == ["x", "y", "z"] and [lab.size for lab in labels] == [3, 3, 2] and universe == 2
+    with pytest.raises(ParseError, match=r"image y: the ground truth has 3 candidates, the labeling 4"):
+        load_truth(file, {"x": 3, "y": 4, "z": 2}, "labeling")
+    with pytest.raises(ParseError, match=r"problem lacks images \['z'\]"):
+        load_truth(file, {"x": 3, "y": 3})

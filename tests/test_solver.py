@@ -1,4 +1,5 @@
 import collections
+import math
 import warnings
 
 import hypothesis
@@ -12,6 +13,8 @@ import multimatch.solver
 
 from multimatch import (
     BlockLayout,
+    PairwiseScores,
+    ProblemInstance,
     SelectionLabeling,
     SolverConfig,
     assemble_block,
@@ -369,7 +372,7 @@ class CountingContraction:
     """A contraction object of its own class: counts the calls of each method and passes them on."""
 
     def __init__(self, inner):
-        self.w, self.inner, self.calls = inner.w, inner, collections.Counter()
+        self.w, self.row_sums, self.inner, self.calls = inner.w, inner.row_sums, inner, collections.Counter()
 
     def value(self, y):
         self.calls["value"] += 1
@@ -597,6 +600,10 @@ def _top_projector(w, k):
     return vecs @ vecs.T
 
 
+def _dense_eigh(w):
+    return scipy.linalg.eigh(w.toarray())
+
+
 @pytest.fixture
 def dense_calls(monkeypatch):
     """Shapes passed to np.linalg.eigh, the spectral start's dense path."""
@@ -607,34 +614,75 @@ def dense_calls(monkeypatch):
 
 
 def test_top_eigenvectors_block_solver_matches_dense_subspace(dense_calls):
+    # lobpcg stops at a residual of EIGEN_TOL ||W||_inf, not at machine
+    # precision; Davis-Kahan bounds how far that leaves the basis from the
+    # top-k eigenspace: ||sin Theta||_F <= ||R||_F / (lambda_k - lambda_k+1)
     planted = generate(30, 6, outliers_per_image=2, coord_noise_sigma=0.01,
                        match_corruption_rate=0.2, seed=1)
     w = assemble_block(planted.instance.scores)
-    u = top_eigenvectors(w, 6, seed=0)
+    u = top_eigenvectors(w, 6, planted.instance.layout)
     assert not dense_calls  # m = 240 >= 5k and lobpcg converges: no dense solve
     assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
-    assert np.allclose(u @ u.T, _top_projector(w, 6), atol=1e-6)
-    assert np.array_equal(top_eigenvectors(w, 6, seed=0), u)
+    ritz = np.diag(u.T @ (w @ u))
+    residual = np.linalg.norm(w @ u - u * ritz)
+    vals, vecs = _dense_eigh(w)
+    gap = vals[-6] - vals[-7]
+    sines = np.sin(scipy.linalg.subspace_angles(u, vecs[:, -6:]))
+    assert 0.0 < residual <= multimatch.solver.EIGEN_TOL * abs(w).sum(axis=1).max() * math.sqrt(6)
+    assert np.linalg.norm(sines) <= residual / gap
+    assert np.array_equal(top_eigenvectors(w, 6, planted.instance.layout), u)
 
 
 @pytest.mark.parametrize(
     "n, u, outliers, corrupt, seed",
     [(4, 4, 1, 0.2, 2), (6, 5, 0, 0.5, 0)],  # m = 5k = 20 and m = 30 > 5k
 )
-def test_top_eigenvectors_dense_fallback_runs_without_warnings(dense_calls, n, u, outliers, corrupt, seed):
-    # a bare lobpcg warns on both instances and misses its tolerance
+def test_top_eigenvectors_dense_fallback_runs_without_warnings(monkeypatch, dense_calls, n, u, outliers, corrupt, seed):
+    # with no lobpcg iteration allowed, the start block misses the tolerance
+    # on both instances, and the dense solver takes over without a warning
+    monkeypatch.setattr(multimatch.solver, "EIGEN_MAXITER", 0)
     planted = generate(n, u, outliers_per_image=outliers, coord_noise_sigma=0.02,
                        match_corruption_rate=corrupt, seed=seed)
     w = assemble_block(planted.instance.scores)
     m = w.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        basis = top_eigenvectors(w, u, seed=0)
+        basis = top_eigenvectors(w, u, planted.instance.layout)
         state = solve(planted.instance, SolverConfig(k=u))
     assert dense_calls == [(m, m), (m, m)]
     assert np.allclose(basis @ basis.T, _top_projector(w, u), atol=1e-8)
     assert state.converged
     state.labeling.validate()
+
+
+def test_top_eigenvectors_starts_from_the_image_with_the_most_evidence(dense_calls):
+    # image 0 matches no other image, so its columns are eigenvectors of
+    # eigenvalue 1: a start block from them converges at once to that
+    # subspace, far below the top eigenvalues, and passes the residual check
+    planted = generate(30, 6, outliers_per_image=2, coord_noise_sigma=0.01,
+                       match_corruption_rate=0.2, seed=1)
+    layout = planted.instance.layout
+    raw = planted.instance.scores.matrix.tocoo()
+    image = layout.candidate_images()
+    keep = ((image[raw.row] != 0) & (image[raw.col] != 0)) | (raw.row == raw.col)
+    scores = PairwiseScores(sp.csr_matrix((raw.data[keep], (raw.row[keep], raw.col[keep])), shape=raw.shape), layout)
+    instance = ProblemInstance(planted.instance.features, scores)
+    w = assemble_block(scores)
+    vals, vecs = _dense_eigh(w)
+    assert vals[-6] > 10.0  # the top eigenvalues are far above image 0's eigenvalue 1
+    u = top_eigenvectors(w, 6, layout)
+    assert not dense_calls
+    assert np.cos(scipy.linalg.subspace_angles(u, vecs[:, -6:])).min() >= 0.999  # smallest principal cosine
+    state = solve(instance, SolverConfig(k=6))
+    assert not dense_calls
+
+    def dense_basis(w, k, layout, row_sums=None):
+        return _dense_eigh(w)[1][:, -k:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(multimatch.solver, "top_eigenvectors", dense_basis)
+        reference = solve(instance, SolverConfig(k=6))
+    assert recall(state.labeling, planted.truth_labels) == recall(reference.labeling, planted.truth_labels)
 
 
 def test_top_eigenvectors_block_solver_converges_under_heavy_corruption(monkeypatch):
@@ -647,7 +695,7 @@ def test_top_eigenvectors_block_solver_converges_under_heavy_corruption(monkeypa
     for seed in range(20):
         planted = generate(10, 10, outliers_per_image=10, coord_noise_sigma=0.01,
                            match_corruption_rate=0.6, seed=seed)
-        u = top_eigenvectors(assemble_block(planted.instance.scores), 10, seed)
+        u = top_eigenvectors(assemble_block(planted.instance.scores), 10, planted.instance.layout)
         assert np.allclose(u.T @ u, np.eye(10), atol=1e-8)
 
 
@@ -657,7 +705,7 @@ def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
     # column permutation
     planted = generate(12, 5, outliers_per_image=3, seed=4)
     w = assemble_block(planted.instance.scores)
-    y0 = spectral_start(w, 5, 0, planted.instance.layout)
+    y0 = spectral_start(w, 5, planted.instance.layout)
     truth = planted.ground_truth.stacked()
     perm = np.argmax(truth.T @ y0, axis=0)
     assert np.allclose(y0, truth[:, perm], atol=1e-8)
@@ -682,23 +730,43 @@ def test_solve_same_seed_same_result():
     assert a.objective_trace == b.objective_trace
 
 
-def test_solver_seed_changes_the_eigensolver_start_but_not_the_labeling(dense_calls):
-    # on the lobpcg path (m >= 5k) each seed draws another start block and
-    # gets another basis of the top eigenspace, yet every seed selects the
-    # same candidates with the same induced matches: the labelings agree up
-    # to a renaming of the labels
+def test_top_eigenvectors_returns_the_same_bytes_on_every_call(dense_calls):
+    # the start block is chosen from w and the layout, with no random draw
     planted = generate(12, 6, outliers_per_image=3, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=21)
     w = assemble_block(planted.instance.scores)
     assert w.shape[0] >= 5 * 6
-    bases = [top_eigenvectors(w, 6, seed) for seed in range(4)]
+    bases = [top_eigenvectors(w, 6, planted.instance.layout) for _ in range(2)]
     assert not dense_calls
-    assert not any(np.allclose(bases[0], b) for b in bases[1:])
-    indexes = [solve(planted.instance, SolverConfig(k=6, seed=seed)).labeling.index for seed in range(4)]
+    assert bases[0].tobytes() == bases[1].tobytes()
+
+
+def test_solver_seed_changes_nothing(dense_calls):
+    # SolverConfig.seed is accepted and checked, but the solve draws nothing
+    planted = generate(12, 6, outliers_per_image=3, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=21)
+    a, b = (solve(planted.instance, SolverConfig(k=6, seed=seed)) for seed in (0, 3))
     assert not dense_calls
-    canonical = [index[:, np.argsort(index[0])] for index in indexes]  # labels renamed by image 0's candidates
-    for index in canonical[1:]:
-        assert np.array_equal(index, canonical[0])
+    assert np.array_equal(a.labeling.index, b.labeling.index)
+    assert a.y.tobytes() == b.y.tobytes()
+    assert a.objective_trace == b.objective_trace
+
+
+def test_solve_orders_labels_by_image_0s_candidates():
+    planted = generate(10, 5, outliers_per_image=3, coord_noise_sigma=0.02,
+                       match_corruption_rate=0.3, seed=6)
+    state = solve(planted.instance, SolverConfig(k=5))
+    assert (np.diff(state.labeling.index[0]) > 0).all()
+    state.labeling.validate()
+    # y, the measurements and the fit follow the labels' order: the coupling
+    # of the returned y and labeling is the last record's, and the fit is
+    # close to the measurements column by column
+    last = state.objective_trace[-1]
+    diff = state.y - state.labeling.stacked()
+    assert 0.5 * float(last.stage.split("=")[1]) * (diff * diff).sum() == pytest.approx(last.coupling, rel=1e-9)
+    m_tilde, z = state.measurement.m_tilde, state.measurement.z
+    assert np.array_equal(m_tilde, assemble_measurements(state.labeling, [np.hstack(planted.instance.coordinates)]))
+    assert np.linalg.norm(m_tilde - z) < 0.1 * np.linalg.norm(m_tilde)
 
 
 def test_solve_reports_init_step_cap(monkeypatch):
@@ -791,7 +859,7 @@ def test_every_stage_but_the_last_changes_x(monkeypatch, seed, schedule):
     for start, end in zip(starts[:-1], ends[:-1]):
         assert not np.array_equal(start, end)
     assert np.array_equal(starts[-1], ends[-1]) or len(rhos) == len(schedule)
-    assert np.array_equal(state.labeling.index, ends[-1])
+    assert np.array_equal(state.labeling.index, ends[-1][:, np.argsort(ends[-1][0])])  # in canonical label order
     assert {rec.stage for rec in state.objective_trace} == {"init", *(f"rho={rho:g}" for rho in rhos)}
 
 
