@@ -243,7 +243,7 @@ def load_truth(path, counts: dict[str, int] | None = None, counted_by: str = "pr
 
     ``counts``, when given, maps the image ids of the ``counted_by``
     document (the problem or the labeling) to their candidate counts, and
-    is checked as :func:`load_labeling` checks its ``problem_counts``.
+    is checked as :func:`load_labeling` checks its ``counts``.
     """
     with _document(path, "ground-truth") as doc:
         ids, layout, flat = _read_pairs(doc, "universe_size", counts, ("ground truth", counted_by))
@@ -255,17 +255,30 @@ def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
     _save_pairs(path, ids, labeling.labels(), "k", labeling.k)
 
 
-def load_labeling(path, problem_counts: dict[str, int] | None = None) -> tuple[list[str], SelectionLabeling]:
+def load_labeling(path, counts: dict[str, int] | None = None, counted_by: str = "problem") -> tuple[list[str], SelectionLabeling]:
     """The image ids and the labeling of a labeling document.
 
-    ``problem_counts``, when given, maps the problem's image ids to their
-    candidate counts: an image the problem lacks, or whose ``p`` differs
-    from its count, raises :class:`ParseError` before any array of ``p``
-    entries is allocated.
+    ``counts``, when given, maps the image ids of the ``counted_by``
+    document (the problem or the ground truth) to their candidate counts:
+    an image that document lacks, or whose ``p`` differs from its count,
+    raises :class:`ParseError` before any array of ``p`` entries is
+    allocated.
     """
     with _document(path, "labeling") as doc:
-        ids, layout, flat = _read_pairs(doc, "k", problem_counts)
+        ids, layout, flat = _read_pairs(doc, "k", counts, ("labeling", counted_by))
         return ids, SelectionLabeling.from_labels(layout.split(flat), doc["k"])
+
+
+def labeling_counts(path) -> dict[str, int]:
+    """The candidate count ``p`` of every image of a labeling document, by image id.
+
+    The ids and counts are checked as :func:`load_labeling` checks them,
+    and no array of ``p`` entries is allocated, so a caller can check the
+    counts against another document's first.
+    """
+    with _document(path, "labeling") as doc:
+        _, ids, sizes = _image_sizes(doc)
+        return dict(zip(ids, sizes))
 
 
 def save_trace(path, trace: list[TraceRecord]) -> None:
@@ -429,6 +442,18 @@ def _image_ids(records) -> list[str]:
     return ids
 
 
+def _image_sizes(doc: dict) -> tuple[list, list[str], list[int]]:
+    """The image records of a sidecar document, their ids and their ``p``, each a nonnegative JSON integer."""
+    records = _member(doc, "images")
+    ids = _image_ids(records)
+    sizes = _members(records, "p", lambda t: f"image {ids[t]}")
+    _expect("integer", sizes, lambda t: f"image {ids[t]}: p")
+    if min(sizes) < 0:
+        t = next(t for t, p in enumerate(sizes) if p < 0)
+        raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
+    return records, ids, sizes
+
+
 def _read_pairs(
     doc: dict, size_key: str, image_counts: dict[str, int] | None = None, names: tuple[str, str] = ("labeling", "problem")
 ) -> tuple[list[str], BlockLayout, np.ndarray]:
@@ -447,13 +472,7 @@ def _read_pairs(
     Returns the ids, the layout of the images' ``p`` and the labels of
     every candidate, image after image.
     """
-    records = _member(doc, "images")
-    ids = _image_ids(records)
-    sizes, runs = (_members(records, key, lambda t: f"image {ids[t]}") for key in ("p", "pairs"))
-    _expect("integer", sizes, lambda t: f"image {ids[t]}: p")
-    if min(sizes) < 0:
-        t = next(t for t, p in enumerate(sizes) if p < 0)
-        raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
+    records, ids, sizes = _image_sizes(doc)
     if image_counts is not None:  # checked before any array of p entries is allocated
         missing = [i for i in ids if i not in image_counts]
         if missing:
@@ -461,6 +480,7 @@ def _read_pairs(
         t = next((t for t, (i, p) in enumerate(zip(ids, sizes)) if p != image_counts[i]), None)
         if t is not None:
             raise ParseError(f"image {ids[t]}: the {names[0]} has {sizes[t]} candidates, the {names[1]} {image_counts[ids[t]]}")
+    runs = _members(records, "pairs", lambda t: f"image {ids[t]}")
     _expect("array", runs, lambda t: f"image {ids[t]}: pairs")
     counts = np.fromiter(map(len, runs), np.int64, len(runs))
     owner = np.repeat(np.arange(len(runs)), counts)  # the image of every pair

@@ -262,7 +262,7 @@ def test_a_labeling_of_other_candidate_counts_than_the_problem_exits_2(solved, t
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="address-space limits are enforced on Linux")
-@pytest.mark.parametrize("command", ["eval", "reconstruct"])
+@pytest.mark.parametrize("command", ["eval", "eval-agreeing", "reconstruct"])
 def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
     import resource
 
@@ -272,8 +272,13 @@ def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
     p, image["p"] = image["p"], 35184372088832  # 2**45 candidates: 256 TiB of labels
     bad = tmp_path / "huge.json"
     bad.write_text(json.dumps(doc))
+    big_truth = tmp_path / "huge.truth.json"  # a truth that agrees with the labeling's count
+    truth_doc = json.loads(truth.read_text())
+    truth_doc["images"][0]["p"] = image["p"]
+    big_truth.write_text(json.dumps(truth_doc))
     argv = {
         "eval": ["eval", "--labeling", bad, "--truth", truth],
+        "eval-agreeing": ["eval", "--labeling", bad, "--truth", big_truth],
         "reconstruct": ["reconstruct", "--problem", problem, "--labeling", bad, "--out", tmp_path / "cloud.txt"],
     }[command]
 
@@ -286,9 +291,11 @@ def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "multimatch.cli", *map(str, argv)], capture_output=True, text=True,
                           env=env, preexec_fn=limit_address_space, timeout=120)
     assert proc.returncode == 2, proc.stderr
+    # the count is refused before any allocation: against the truth's without a
+    # problem, which is read against the labeling's counts, else the problem's
     message = {
-        "eval": f"{bad}: labeling document needs more memory than is available",
-        # with the problem's counts read first, the count is refused before any allocation
+        "eval": f"image {image['id']}: the ground truth has {p} candidates, the labeling {image['p']}",
+        "eval-agreeing": f"{big_truth}: ground-truth document needs more memory than is available",
         "reconstruct": f"image {image['id']}: the labeling has {image['p']} candidates, the problem {p}",
     }[command]
     assert message in proc.stderr
@@ -320,17 +327,23 @@ def test_a_sidecar_p_that_fits_is_refused_before_it_is_allocated(solved, tmp_pat
     assert f"image {image['id']}: the labeling has {10**8} candidates, the problem {p}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("problem_given", [True, False])
-def test_a_truth_p_is_refused_before_it_is_allocated(solved, tmp_path, capsys, problem_given):
+@pytest.mark.parametrize("inflated, problem_given", [
+    pytest.param("truth", True, id="True"),
+    pytest.param("truth", False, id="False"),
+    # plain eval: the labeling's counts are read, not allocated, and the truth checked against them
+    pytest.param("labeling", False, id="labeling"),
+])
+def test_a_truth_p_is_refused_before_it_is_allocated(solved, tmp_path, capsys, inflated, problem_given):
     import tracemalloc
 
     problem, truth, labeling = solved
-    doc = json.loads(truth.read_text())
+    paths = {"truth": truth, "labeling": labeling}
+    doc = json.loads(paths[inflated].read_text())
     image = doc["images"][0]
     p, image["p"] = image["p"], 10**8  # 800 MB per array of labels
-    bad = tmp_path / "big.truth.json"
-    bad.write_text(json.dumps(doc))
-    argv = ["eval", "--labeling", labeling, "--truth", bad, *(["--problem", problem] if problem_given else [])]
+    paths[inflated] = tmp_path / f"big.{inflated}.json"
+    paths[inflated].write_text(json.dumps(doc))
+    argv = ["eval", "--labeling", paths["labeling"], "--truth", paths["truth"], *(["--problem", problem] if problem_given else [])]
     capsys.readouterr()
     tracemalloc.start()  # numpy reports its array buffers to tracemalloc
     try:
@@ -339,8 +352,9 @@ def test_a_truth_p_is_refused_before_it_is_allocated(solved, tmp_path, capsys, p
     finally:
         tracemalloc.stop()
     assert peak < 50 << 20
+    truth_p, other_p = (10**8, p) if inflated == "truth" else (p, 10**8)
     counted_by = "problem" if problem_given else "labeling"
-    assert f"image {image['id']}: the ground truth has {10**8} candidates, the {counted_by} {p}" in capsys.readouterr().err
+    assert f"image {image['id']}: the ground truth has {truth_p} candidates, the {counted_by} {other_p}" in capsys.readouterr().err
 
 
 def _repeat_member(src, out, records, key):
