@@ -136,18 +136,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.problem is None:
-        # no candidate count is trusted as an allocation size before two
-        # documents agree on it: the truth is read against the labeling's
-        # counts, then the labeling against the truth's
-        features = None
-        truth_ids, truth_labels, _ = serialize.load_truth(args.truth, serialize.labeling_counts(args.labeling), "labeling")
-        lab_ids, labeling = serialize.load_labeling(
-            args.labeling, dict(zip(truth_ids, map(len, truth_labels))), "ground truth"
-        )
+    # no array is sized by the labeling's candidate counts; the truth's
+    # labels are, so they are checked first against the problem's counts,
+    # or without a problem against the labeling's
+    features = None if args.problem is None else serialize.load_features(args.problem)
+    lab_ids, labeling = _load_labeling(args.labeling, features)
+    if features is None:
+        truth_ids, truth_labels, _ = serialize.load_truth(args.truth, dict(zip(lab_ids, labeling.sizes)), "labeling")
     else:
-        features = serialize.load_features(args.problem)
-        lab_ids, labeling = _load_labeling(args.labeling, features)
         truth_ids, truth_labels, _ = serialize.load_truth(args.truth, {f.image_id: f.p for f in features})
     truth = _align(truth_ids, truth_labels, lab_ids, "ground truth")
     coords = None if features is None else _labeled_coords(features, lab_ids)

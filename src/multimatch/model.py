@@ -247,32 +247,6 @@ class SelectionLabeling:
         out[self.stacked_rows()] = np.arange(self.k)
         return self.layout.split(out)
 
-    @classmethod
-    def from_labels(cls, labels: list[np.ndarray], k: int) -> "SelectionLabeling":
-        """Parse per-image label arrays (-1 for unselected candidates).
-
-        Raises :class:`MatchingError` unless every image uses every label
-        in [0, k) exactly once.
-        """
-        k = int(k)
-        layout = BlockLayout(tuple(map(len, labels)))
-        # the leading empty array keeps an empty list of images readable
-        flat = np.concatenate([np.empty(0, dtype=int), *labels]).astype(int, copy=False)
-        chosen = np.flatnonzero(flat >= 0)
-        (image, candidate), label = layout.locate(chosen), flat[chosen]
-        faulty = np.bincount(image, minlength=layout.n) != k
-        faulty[image[label >= k]] = True
-        # one row per image left, each with k labels below k (so at most m
-        # entries in all): a label used twice leaves another one unused
-        ok = ~faulty
-        index = np.full((np.count_nonzero(ok), k), -1, dtype=np.intp)
-        take = ok[image]
-        index[(np.cumsum(ok) - 1)[image[take]], label[take]] = candidate[take]
-        faulty[ok] = (index < 0).any(axis=1)
-        if faulty.any():
-            raise MatchingError(f"image {np.argmax(faulty)}: every label in [0, {k}) must be used exactly once")
-        return cls(index, layout)
-
 
 @dataclass
 class SolverConfig:

@@ -38,8 +38,14 @@ from .solver import TraceRecord
 
 FORMAT_VERSION = 2
 
-# the problem file's solver defaults, in the order written: file key -> SolverConfig field
-_SETTINGS = {"k": "k", "lambda": "lam", "r": "r", "rho_schedule": "rho_schedule", "seed": "seed"}
+# the problem file's solver defaults, in the order written: file key -> (SolverConfig field, JSON kind)
+_SETTINGS = {
+    "k": ("k", "integer"),
+    "lambda": ("lam", "number"),
+    "r": ("r", "integer"),
+    "rho_schedule": ("rho_schedule", "array"),
+    "seed": ("seed", "integer"),
+}
 
 
 def problem_document(
@@ -74,10 +80,10 @@ def problem_document(
     ]
     doc = {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
     if settings:
-        unknown = set(settings) - set(_SETTINGS.values())
+        unknown = set(settings) - {name for name, _ in _SETTINGS.values()}
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
-        doc["solver_defaults"] = {key: settings[name] for key, name in _SETTINGS.items() if name in settings}
+        doc["solver_defaults"] = {key: settings[name] for key, (name, _) in _SETTINGS.items() if name in settings}
     return _record_lines(doc)
 
 
@@ -120,11 +126,10 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
         unknown = set(defaults) - set(_SETTINGS)
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
-        kinds = {"k": "integer", "lambda": "number", "r": "integer", "rho_schedule": "array", "seed": "integer"}
         for key, value in defaults.items():
-            _expect(kinds[key], [value], f"solver default {key}")
+            _expect(_SETTINGS[key][1], [value], f"solver default {key}")
         _expect("number", defaults.get("rho_schedule", []), lambda t: f"solver default rho_schedule[{t}]")
-        return features, scores, {_SETTINGS[key]: value for key, value in defaults.items()}
+        return features, scores, {_SETTINGS[key][0]: value for key, value in defaults.items()}
 
 
 def load_features(path) -> list[FeatureSet]:
@@ -242,12 +247,17 @@ def load_truth(path, counts: dict[str, int] | None = None, counted_by: str = "pr
     """The image ids, per-image labels and universe size of a ground-truth document.
 
     ``counts``, when given, maps the image ids of the ``counted_by``
-    document (the problem or the labeling) to their candidate counts, and
-    is checked as :func:`load_labeling` checks its ``counts``.
+    document (the problem or the labeling) to their candidate counts: an
+    image that document lacks, or whose ``p`` differs from its count,
+    raises :class:`ParseError` before the labels of the images' ``p``
+    candidates are allocated.
     """
     with _document(path, "ground-truth") as doc:
-        ids, layout, flat = _read_pairs(doc, "universe_size", counts, ("ground truth", counted_by))
-        return ids, layout.split(flat), doc["universe_size"]
+        ids, sizes, (image, candidate, label) = _read_pairs(doc, "universe_size", counts, ("ground truth", counted_by))
+        layout = BlockLayout(sizes)
+        labels = np.full(layout.m, -1, dtype=int)
+        labels[np.asarray(layout.offsets, dtype=np.int64)[image] + candidate] = label
+        return ids, layout.split(labels), doc["universe_size"]
 
 
 def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
@@ -255,30 +265,19 @@ def save_labeling(path, labeling: SelectionLabeling, ids) -> None:
     _save_pairs(path, ids, labeling.labels(), "k", labeling.k)
 
 
-def load_labeling(path, counts: dict[str, int] | None = None, counted_by: str = "problem") -> tuple[list[str], SelectionLabeling]:
+def load_labeling(path, counts: dict[str, int] | None = None) -> tuple[list[str], SelectionLabeling]:
     """The image ids and the labeling of a labeling document.
 
-    ``counts``, when given, maps the image ids of the ``counted_by``
-    document (the problem or the ground truth) to their candidate counts:
-    an image that document lacks, or whose ``p`` differs from its count,
-    raises :class:`ParseError` before any array of ``p`` entries is
-    allocated.
+    ``counts``, when given, maps the problem's image ids to their candidate
+    counts: an image the problem lacks, or whose ``p`` differs from its
+    count, raises :class:`ParseError`.  No array is sized by a ``p``, so a
+    labeling is read whole before any count of it is trusted.
     """
     with _document(path, "labeling") as doc:
-        ids, layout, flat = _read_pairs(doc, "k", counts, ("labeling", counted_by))
-        return ids, SelectionLabeling.from_labels(layout.split(flat), doc["k"])
-
-
-def labeling_counts(path) -> dict[str, int]:
-    """The candidate count ``p`` of every image of a labeling document, by image id.
-
-    The ids and counts are checked as :func:`load_labeling` checks them,
-    and no array of ``p`` entries is allocated, so a caller can check the
-    counts against another document's first.
-    """
-    with _document(path, "labeling") as doc:
-        _, ids, sizes = _image_sizes(doc)
-        return dict(zip(ids, sizes))
+        ids, sizes, (image, candidate, label) = _read_pairs(doc, "k", counts)
+        index = np.empty((len(ids), doc["k"]), dtype=np.intp)
+        index[image, label] = candidate  # every label of every image is set once
+        return ids, SelectionLabeling(index, BlockLayout(sizes))
 
 
 def save_trace(path, trace: list[TraceRecord]) -> None:
@@ -442,8 +441,25 @@ def _image_ids(records) -> list[str]:
     return ids
 
 
-def _image_sizes(doc: dict) -> tuple[list, list[str], list[int]]:
-    """The image records of a sidecar document, their ids and their ``p``, each a nonnegative JSON integer."""
+def _read_pairs(
+    doc: dict, size_key: str, image_counts: dict[str, int] | None = None, names: tuple[str, str] = ("labeling", "problem")
+) -> tuple[list[str], list[int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The labeled candidates of a sidecar document's per-image (candidate, label) pairs.
+
+    The pairs of all images are read as one [candidate, label] table and
+    checked in whole-array passes; a fault names the first image holding
+    one.  Image ids must be distinct JSON strings, every ``p`` a
+    nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
+    pairs of JSON numbers, candidates distinct integers in [0, p) and below
+    2**63, and each image's labels -1 or distinct values below the JSON
+    integer ``doc[size_key]``, all of them used if that is a labeling's
+    ``"k"``, and with ``image_counts`` every id one of its keys and every
+    ``p`` its count; else :class:`ParseError`, whose count faults call this
+    document and the one ``image_counts`` come from by ``names``.  Nothing
+    is sized by a ``p``: distinct candidates are found by sorting.
+    Returns the ids, the images' ``p`` and the (image, candidate, label)
+    arrays of the pairs whose label is not -1, in document order.
+    """
     records = _member(doc, "images")
     ids = _image_ids(records)
     sizes = _members(records, "p", lambda t: f"image {ids[t]}")
@@ -451,29 +467,7 @@ def _image_sizes(doc: dict) -> tuple[list, list[str], list[int]]:
     if min(sizes) < 0:
         t = next(t for t, p in enumerate(sizes) if p < 0)
         raise ParseError(f"image {ids[t]}: p must be nonnegative, got {sizes[t]}")
-    return records, ids, sizes
-
-
-def _read_pairs(
-    doc: dict, size_key: str, image_counts: dict[str, int] | None = None, names: tuple[str, str] = ("labeling", "problem")
-) -> tuple[list[str], BlockLayout, np.ndarray]:
-    """Candidate labels from per-image (candidate, label) pairs; -1 marks unlisted candidates.
-
-    The pairs of all images are read as one [candidate, label] table and
-    checked in whole-array passes; a fault names the first image holding
-    one.  Image ids must be distinct JSON strings, every ``p`` a
-    nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
-    pairs of JSON numbers, candidates distinct integers in [0, p), and each
-    image's labels distinct values below the JSON integer ``doc[size_key]``,
-    all of them used if that is a labeling's ``"k"``, and with ``image_counts``
-    every id one of its keys and every ``p`` its count; else
-    :class:`ParseError`, whose count faults call this document and the one
-    ``image_counts`` come from by ``names``.
-    Returns the ids, the layout of the images' ``p`` and the labels of
-    every candidate, image after image.
-    """
-    records, ids, sizes = _image_sizes(doc)
-    if image_counts is not None:  # checked before any array of p entries is allocated
+    if image_counts is not None:
         missing = [i for i in ids if i not in image_counts]
         if missing:
             raise ParseError(f"{names[1]} lacks images {missing}")
@@ -496,29 +490,31 @@ def _read_pairs(
     integral = (np.isfinite(table) & (table == np.trunc(table))).all(axis=1)
     if not integral.all():
         raise ParseError(f"image {ids[owner[np.argmax(~integral)]]}: candidates and labels must be integers")
-    layout = BlockLayout(sizes)
-    labels = np.full(layout.m, -1, dtype=int)
     candidate, label = table.T
-    misplaced = (candidate < 0) | (candidate >= np.take(sizes, owner))
-    if not misplaced.any():  # every candidate inside its image: a repeat shows in the count per slot
-        slot = np.asarray(layout.offsets, dtype=np.int64)[owner] + candidate.astype(np.int64)
-        misplaced = np.bincount(slot, minlength=labels.size)[slot] > 1
+    # 2**63 and up, which a larger p allows, would not cast to an integer index
+    limits = np.minimum(sizes, 2.0**63).astype(float)
+    misplaced = (candidate < 0) | (candidate >= limits[owner])
+    misplaced[_repeats(owner, candidate)] = True
     if misplaced.any():
         i = owner[np.argmax(misplaced)]
-        raise ParseError(f"image {ids[i]}: candidates must be distinct indices in [0, {sizes[i]})")
+        raise ParseError(f"image {ids[i]}: candidates must be distinct indices in [0, {min(sizes[i], 2**63)})")
     wrong = (label < -1) | (label >= 2.0**63)  # 2**63 and up would not cast to an integer label
     if wrong.any():
         raise ParseError(f"image {ids[owner[np.argmax(wrong)]]}: labels must be -1 or nonnegative integers below 2**63")
-    labels[slot] = label
     used = label >= 0
-    image, label = owner[used], labels[slot[used]]
-    faulty = np.bincount(image[label >= bound], minlength=layout.n) > 0
-    order = np.lexsort((label, image))  # a label repeated in an image lands beside itself
-    image, label = image[order], label[order]
-    faulty[image[1:][(image[1:] == image[:-1]) & (label[1:] == label[:-1])]] = True
+    image, candidate, label = owner[used], candidate[used].astype(np.int64), label[used].astype(np.int64)
+    faulty = np.bincount(image[label >= bound], minlength=len(ids)) > 0
+    faulty[image[_repeats(image, label)]] = True
     if size_key == "k":  # with no label repeated or past k, k labels in an image are every label once
-        faulty |= np.bincount(image, minlength=layout.n) != bound
+        faulty |= np.bincount(image, minlength=len(ids)) != bound
     if faulty.any():
         rule = f"the values in [0, {bound}), each once" if size_key == "k" else f"distinct values in [0, {bound})"
         raise ParseError(f"image {ids[np.argmax(faulty)]}: labels must be -1 or {rule}")
-    return ids, layout, labels
+    return ids, sizes, (image, candidate, label)
+
+
+def _repeats(image: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """The positions of the entries whose (image, value) pair an earlier entry holds too."""
+    order = np.lexsort((value, image))  # stable: equal pairs land side by side, in their first order
+    ahead, behind = order[1:], order[:-1]
+    return ahead[(image[ahead] == image[behind]) & (value[ahead] == value[behind])]

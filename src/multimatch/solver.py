@@ -362,13 +362,13 @@ def update_Z(x: SelectionLabeling, points: np.ndarray, r: int) -> tuple[np.ndarr
     return z, 0.5 * float(np.cumsum(per_image)[-1])
 
 
-def top_eigenvectors(w, k: int, layout: BlockLayout, row_sums: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis of the top-k eigenspace of the symmetric score matrix w.
+def top_eigenvectors(cycle, k: int, layout: BlockLayout) -> np.ndarray:
+    """Orthonormal basis of the top-k eigenspace of the symmetric score matrix w = ``cycle.w``.
 
-    ``lobpcg`` starts from k columns of w: those of the image of
-    ``layout`` whose rows have the largest summed absolute row sums
-    (``row_sums``, |w| 1, computed here when not given), the k of its
-    columns that pivoted QR ranks first.  The image's identity diagonal
+    ``cycle`` is the :class:`Contraction` of w.  ``lobpcg`` starts from k
+    columns of w: those of the image of ``layout`` whose rows have the
+    largest summed absolute row sums (``cycle.row_sums``, |w| 1), the k of
+    its columns that pivoted QR ranks first.  The image's identity diagonal
     block gives them rank k.  ``lobpcg`` runs for at most ``EIGEN_MAXITER``
     iterations to a residual of ``EIGEN_TOL * ||w||_inf``.  Below m = 5k,
     where ``lobpcg`` would itself switch to a dense solver, and whenever
@@ -377,10 +377,10 @@ def top_eigenvectors(w, k: int, layout: BlockLayout, row_sums: np.ndarray | None
     tolerance, the basis comes from ``np.linalg.eigh`` on the dense matrix
     instead.  The result is a function of w and the layout alone.
     """
+    w = cycle.w
     m = w.shape[0]
     if m >= 5 * k:
-        if row_sums is None:
-            row_sums = np.asarray(abs(w).sum(axis=1)).ravel()
+        row_sums = cycle.row_sums
         tol = EIGEN_TOL * float(row_sums.max())
         image = int(np.argmax(np.bincount(layout.candidate_images(), weights=row_sums, minlength=layout.n)))
         rows = w[layout.block_slice(image)]  # by symmetry, the transpose of the image's columns
@@ -395,18 +395,18 @@ def top_eigenvectors(w, k: int, layout: BlockLayout, row_sums: np.ndarray | None
     return np.linalg.eigh(dense)[1][:, m - k :]
 
 
-def spectral_start(w, k: int, layout: BlockLayout, row_sums: np.ndarray | None = None) -> np.ndarray:
-    """Feasible start point from the top-k eigenspace of w, over ``layout``'s blocks.
+def spectral_start(cycle, k: int, layout: BlockLayout) -> np.ndarray:
+    """Feasible start point from the top-k eigenspace of w = ``cycle.w``, over ``layout``'s blocks.
 
-    The eigenspace comes from :func:`top_eigenvectors`, which takes
-    ``row_sums`` as well.  Pivoted QR of U^T picks k anchor rows S;
+    The eigenspace comes from :func:`top_eigenvectors` of the contraction
+    ``cycle``.  Pivoted QR of U^T picks k anchor rows S;
     ``U U_S^{-1}`` maps them to the k unit labels and spreads every other
     row over the labels in proportion to its eigenspace coordinates.  The
     result does not depend on the basis chosen for the eigenspace.
     Negative entries are clipped before the projection onto the constraint
     set.
     """
-    u = top_eigenvectors(w, k, layout, row_sums)
+    u = top_eigenvectors(cycle, k, layout)
     anchors = scipy.linalg.qr(u.T, mode="r", pivoting=True)[1][:k]
     y0 = np.linalg.solve(u[anchors].T, u.T).T
     return project_onto_C(np.maximum(y0, 0.0), layout)
@@ -416,15 +416,15 @@ def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.nda
     """Solve the score-only relaxation from the spectral start.
 
     ``cycle`` is the contraction of the score matrix ``cycle.w``.  The
-    start point is :func:`spectral_start`, which reads the contraction's
-    ``row_sums``; projected gradient descent on the cycle term alone
-    refines it, and ``layout``'s blocks are discretized into the initial
-    selection, blocks of equal height as one stack.  Returns (y,
+    start point is :func:`spectral_start` of the same contraction;
+    projected gradient descent on the cycle term alone refines it, and
+    ``layout``'s blocks are discretized into the initial selection, blocks
+    of equal height as one stack.  Returns (y,
     selection, objective history, stalled flag) as :func:`update_Y`
     reports them; a history longer than ``MAX_INNER`` means the descent
     used every step.
     """
-    y0 = spectral_start(cycle.w, config.k, layout, cycle.row_sums)
+    y0 = spectral_start(cycle, config.k, layout)
     y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, layout)
     index = np.empty((layout.n, config.k), dtype=np.intp)
     for p, images, rows in layout.groups():

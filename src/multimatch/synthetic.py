@@ -101,7 +101,7 @@ def generate(
 
     cameras: list[Camera] = []
     features: list[FeatureSet] = []
-    labels: list[np.ndarray] = []
+    positions: list[np.ndarray] = []  # positions[i][s] = candidate index of scene point s in image i
     for i in range(n):
         q, rmat = np.linalg.qr(rng.normal(size=(3, 3)))
         q = q * np.sign(np.diag(rmat))  # Haar-uniform orthogonal frame
@@ -125,17 +125,8 @@ def generate(
             coords = inliers
         perm = rng.permutation(p)
         # shuffled candidate t is original column perm[t]; originals < u are inliers
-        label = np.where(perm < u, perm, -1)
         features.append(FeatureSet(f"img{i:03d}", coords[:, perm]))
-        labels.append(label)
-
-    # positions[i][s] = candidate index of scene point s in image i
-    positions = []
-    for lab in labels:
-        pos = np.empty(u, dtype=int)
-        sel = lab >= 0
-        pos[lab[sel]] = np.nonzero(sel)[0]
-        positions.append(pos)
+        positions.append(np.argsort(perm)[:u])
 
     n_corrupt = int(round(match_corruption_rate * u))
     # free[j] = candidates of image j that no scene point lands on
@@ -153,10 +144,9 @@ def generate(
 
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     matrix = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * p, n * p))
-    scores = PairwiseScores(matrix, BlockLayout((p,) * n))
-    instance = validate_instance(features, scores, SolverConfig(k=u))
-    ground_truth = SelectionLabeling.from_labels(labels, u)
-    return PlantedInstance(instance, ground_truth, scene, cameras)
+    layout = BlockLayout((p,) * n)
+    instance = validate_instance(features, PairwiseScores(matrix, layout), SolverConfig(k=u))
+    return PlantedInstance(instance, SelectionLabeling(np.stack(positions), layout), scene, cameras)
 
 
 def brute_force_solve(

@@ -291,8 +291,8 @@ def test_a_sidecar_p_past_the_memory_exits_2(solved, tmp_path, command):
     proc = subprocess.run([sys.executable, "-m", "multimatch.cli", *map(str, argv)], capture_output=True, text=True,
                           env=env, preexec_fn=limit_address_space, timeout=120)
     assert proc.returncode == 2, proc.stderr
-    # the count is refused before any allocation: against the truth's without a
-    # problem, which is read against the labeling's counts, else the problem's
+    # the labeling allocates nothing by its count; the truth's count is refused
+    # before the truth is allocated: against the labeling's without a problem
     message = {
         "eval": f"image {image['id']}: the ground truth has {p} candidates, the labeling {image['p']}",
         "eval-agreeing": f"{big_truth}: ground-truth document needs more memory than is available",
@@ -355,6 +355,38 @@ def test_a_truth_p_is_refused_before_it_is_allocated(solved, tmp_path, capsys, i
     truth_p, other_p = (10**8, p) if inflated == "truth" else (p, 10**8)
     counted_by = "problem" if problem_given else "labeling"
     assert f"image {image['id']}: the ground truth has {truth_p} candidates, the {counted_by} {other_p}" in capsys.readouterr().err
+
+
+def test_plain_eval_decodes_each_sidecar_once(solved, capsys, monkeypatch):
+    problem, truth, labeling = solved
+    decoded = []
+    document = multimatch.serialize._document
+
+    def counted(path, *args, **kwargs):
+        decoded.append(Path(path))
+        return document(path, *args, **kwargs)
+
+    monkeypatch.setattr(multimatch.serialize, "_document", counted)
+    assert run(["eval", "--labeling", labeling, "--truth", truth]) == 0
+    assert sorted(decoded) == sorted([labeling, truth])
+    plain = capsys.readouterr().out
+    assert run(["eval", "--labeling", labeling, "--truth", truth, "--problem", problem]) == 0
+    assert capsys.readouterr().out.startswith(plain)
+
+
+def test_plain_eval_refuses_counts_whose_total_passes_int64(solved, tmp_path, capsys):
+    # the two documents agree, so only the truth's allocation can refuse them
+    problem, truth, labeling = solved
+    paths = []
+    for src in (labeling, truth):
+        doc = json.loads(src.read_text())
+        doc["images"][0]["p"] = doc["images"][1]["p"] = 2**62
+        paths.append(tmp_path / src.name)
+        paths[-1].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--labeling", paths[0], "--truth", paths[1]]) == 2
+    err = capsys.readouterr().err
+    assert f"{paths[1]}: malformed ground-truth document" in err and "Traceback" not in err
 
 
 def _repeat_member(src, out, records, key):

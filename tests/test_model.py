@@ -1,3 +1,7 @@
+import json
+import tempfile
+from pathlib import Path
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -12,11 +16,13 @@ from multimatch import (
     MatchingError,
     NonFiniteEntry,
     PairwiseScores,
+    ParseError,
     SelectionLabeling,
     SolverConfig,
     assemble_block,
     validate_instance,
 )
+from multimatch.serialize import FORMAT_VERSION, load_labeling, save_labeling
 from conftest import (
     dense_merge_oracle,
     pair_matrix,
@@ -213,9 +219,29 @@ def test_labeling_triplet_consistency_by_construction(rng):
                 assert np.array_equal(direct, composed)
 
 
+def _reloaded(lab):
+    """``lab`` written by :func:`save_labeling` and read back by :func:`load_labeling`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lab.json"
+        save_labeling(path, lab, [f"i{t}" for t in range(lab.n)])
+        return load_labeling(path)[1]
+
+
+def _load_labels(labels, k):
+    """Load per-image label arrays (-1 for unselected candidates) written as a labeling document."""
+    images = [
+        {"id": f"i{t}", "p": len(lab), "pairs": [[c, int(lab[c])] for c in np.flatnonzero(np.asarray(lab) >= 0).tolist()]}
+        for t, lab in enumerate(labels)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lab.json"
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION, "k": k, "images": images}))
+        return load_labeling(path)[1]
+
+
 def test_labeling_labels_roundtrip(rng):
     lab = random_labeling(rng, [4, 3], 2)
-    rebuilt = SelectionLabeling.from_labels(lab.labels(), 2)
+    rebuilt = _reloaded(lab)
     for a, b in zip(lab.assignments, rebuilt.assignments):
         assert np.array_equal(a, b)
 
@@ -265,7 +291,7 @@ def test_labeling_forms_agree_with_assignment_oracle(lab):
     for i in range(lab.n):
         for j in range(lab.n):
             assert np.array_equal(pair_matrix(lab, i, j), blocks[i] @ blocks[j].T)
-    rebuilt = SelectionLabeling.from_labels(lab.labels(), lab.k)
+    rebuilt = _reloaded(lab)
     assert np.array_equal(rebuilt.index, lab.index) and rebuilt.sizes == lab.sizes
 
 
@@ -273,7 +299,7 @@ def test_labeling_forms_agree_with_assignment_oracle(lab):
 @hypothesis.given(
     labelings(spare=1), st.sampled_from(["repeated", "relabeled", "missing", "out of range"]), st.data()
 )
-def test_from_labels_rejects_broken_label_sets(lab, fault, data):
+def test_load_labeling_rejects_broken_label_sets(lab, fault, data):
     labels = [lab_i.copy() for lab_i in lab.labels()]
     i = data.draw(st.integers(0, lab.n - 1))
     l = data.draw(st.integers(0, lab.k - 1))
@@ -287,8 +313,8 @@ def test_from_labels_rejects_broken_label_sets(lab, fault, data):
         labels[i][lab.index[i, l]] = -1
     else:
         labels[i][unselected] = lab.k
-    with pytest.raises(MatchingError):
-        SelectionLabeling.from_labels(labels, lab.k)
+    with pytest.raises(ParseError, match=rf"image i{i}: labels must be -1 or the values in \[0, {lab.k}\), each once"):
+        _load_labels(labels, lab.k)
 
 
 @_fuzz
@@ -407,6 +433,5 @@ def test_labeling_checks_name_the_first_faulty_image():
         SelectionLabeling([[0, 1], [0, 0], [5, 1]], BlockLayout((3, 1, 3))).validate()
     # a label used twice (image 1) is named before a label missing (image 2)
     labels = [[0, 1, -1], [0, 0, -1], [0, -1, -1]]
-    with pytest.raises(MatchingError, match=r"image 1: every label in \[0, 2\) must be used exactly once"):
-        SelectionLabeling.from_labels(labels, 2)
-    assert SelectionLabeling.from_labels([], 2).index.shape == (0, 2)
+    with pytest.raises(ParseError, match=r"image i1: labels must be -1 or the values in \[0, 2\), each once"):
+        _load_labels(labels, 2)

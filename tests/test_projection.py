@@ -3,7 +3,7 @@ import pytest
 
 from multimatch import BlockLayout, DimensionMismatch, InfeasibleK, feasibility_gap, project_onto_C, projection
 from multimatch.projection import _threshold
-from multimatch.solver import assemble_block, spectral_start
+from multimatch.solver import Contraction, assemble_block, spectral_start
 from conftest import descriptor_instance, kkt_residual, qp_project, random_feasible_y, random_labeling
 
 # the tests that lower PROJECTION_MAX_ITER fail when a projection reaches it
@@ -206,7 +206,7 @@ def test_project_c_round_budget_on_descriptor_stack(monkeypatch):
     instance, config = descriptor_instance(7)
     layout = instance.layout
     w = assemble_block(instance.scores)
-    y = spectral_start(w, config.k, layout)
+    y = spectral_start(Contraction(w), config.k, layout)
     gram = y.T @ y
     eta = 4.0 / (np.linalg.eigvalsh(gram)[-1] + abs(w).sum(axis=1).max())
     v = y - eta * (y @ gram - w @ y)

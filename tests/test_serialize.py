@@ -671,6 +671,30 @@ def test_load_labeling_checks_the_problem_counts_first(tmp_path):
         load_labeling(file, {"x": 3, "y": 3})
 
 
+@pytest.mark.parametrize("p", [2**45, 10**30])
+def test_load_labeling_sizes_nothing_by_p(tmp_path, p):
+    import tracemalloc
+
+    doc = json.loads(_sidecar([[2, 1], [0, 0]], k=2))
+    doc["images"][1]["p"] = p
+    file = tmp_path / "lab.json"
+    file.write_text(json.dumps(doc))
+    tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+    try:
+        ids, lab = load_labeling(file)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 << 20
+    assert ids == ["x", "y", "z"] and lab.sizes == (3, p, 2)
+    assert lab.index.tolist() == [[0, 1], [0, 2], [1, 0]]
+    # a candidate that a p past 2**63 allows would not fit an index
+    doc["images"][1]["pairs"] = [[2**63, 1], [0, 0]]
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=rf"image y: candidates must be distinct indices in \[0, {min(p, 2**63)}\)"):
+        load_labeling(file)
+
+
 def test_load_truth_checks_the_given_counts_first(tmp_path):
     file = tmp_path / "truth.json"
     file.write_text(_sidecar([[0, 0], [1, 1]], universe_size=2))

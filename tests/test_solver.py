@@ -620,7 +620,7 @@ def test_top_eigenvectors_block_solver_matches_dense_subspace(dense_calls):
     planted = generate(30, 6, outliers_per_image=2, coord_noise_sigma=0.01,
                        match_corruption_rate=0.2, seed=1)
     w = assemble_block(planted.instance.scores)
-    u = top_eigenvectors(w, 6, planted.instance.layout)
+    u = top_eigenvectors(Contraction(w), 6, planted.instance.layout)
     assert not dense_calls  # m = 240 >= 5k and lobpcg converges: no dense solve
     assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
     ritz = np.diag(u.T @ (w @ u))
@@ -630,7 +630,7 @@ def test_top_eigenvectors_block_solver_matches_dense_subspace(dense_calls):
     sines = np.sin(scipy.linalg.subspace_angles(u, vecs[:, -6:]))
     assert 0.0 < residual <= multimatch.solver.EIGEN_TOL * abs(w).sum(axis=1).max() * math.sqrt(6)
     assert np.linalg.norm(sines) <= residual / gap
-    assert np.array_equal(top_eigenvectors(w, 6, planted.instance.layout), u)
+    assert np.array_equal(top_eigenvectors(Contraction(w), 6, planted.instance.layout), u)
 
 
 @pytest.mark.parametrize(
@@ -647,7 +647,7 @@ def test_top_eigenvectors_dense_fallback_runs_without_warnings(monkeypatch, dens
     m = w.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        basis = top_eigenvectors(w, u, planted.instance.layout)
+        basis = top_eigenvectors(Contraction(w), u, planted.instance.layout)
         state = solve(planted.instance, SolverConfig(k=u))
     assert dense_calls == [(m, m), (m, m)]
     assert np.allclose(basis @ basis.T, _top_projector(w, u), atol=1e-8)
@@ -670,14 +670,14 @@ def test_top_eigenvectors_starts_from_the_image_with_the_most_evidence(dense_cal
     w = assemble_block(scores)
     vals, vecs = _dense_eigh(w)
     assert vals[-6] > 10.0  # the top eigenvalues are far above image 0's eigenvalue 1
-    u = top_eigenvectors(w, 6, layout)
+    u = top_eigenvectors(Contraction(w), 6, layout)
     assert not dense_calls
     assert np.cos(scipy.linalg.subspace_angles(u, vecs[:, -6:])).min() >= 0.999  # smallest principal cosine
     state = solve(instance, SolverConfig(k=6))
     assert not dense_calls
 
-    def dense_basis(w, k, layout, row_sums=None):
-        return _dense_eigh(w)[1][:, -k:]
+    def dense_basis(cycle, k, layout):
+        return _dense_eigh(cycle.w)[1][:, -k:]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(multimatch.solver, "top_eigenvectors", dense_basis)
@@ -695,7 +695,7 @@ def test_top_eigenvectors_block_solver_converges_under_heavy_corruption(monkeypa
     for seed in range(20):
         planted = generate(10, 10, outliers_per_image=10, coord_noise_sigma=0.01,
                            match_corruption_rate=0.6, seed=seed)
-        u = top_eigenvectors(assemble_block(planted.instance.scores), 10, planted.instance.layout)
+        u = top_eigenvectors(Contraction(assemble_block(planted.instance.scores)), 10, planted.instance.layout)
         assert np.allclose(u.T @ u, np.eye(10), atol=1e-8)
 
 
@@ -705,7 +705,7 @@ def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
     # column permutation
     planted = generate(12, 5, outliers_per_image=3, seed=4)
     w = assemble_block(planted.instance.scores)
-    y0 = spectral_start(w, 5, planted.instance.layout)
+    y0 = spectral_start(Contraction(w), 5, planted.instance.layout)
     truth = planted.ground_truth.stacked()
     perm = np.argmax(truth.T @ y0, axis=0)
     assert np.allclose(y0, truth[:, perm], atol=1e-8)
@@ -736,7 +736,7 @@ def test_top_eigenvectors_returns_the_same_bytes_on_every_call(dense_calls):
                        match_corruption_rate=0.3, seed=21)
     w = assemble_block(planted.instance.scores)
     assert w.shape[0] >= 5 * 6
-    bases = [top_eigenvectors(w, 6, planted.instance.layout) for _ in range(2)]
+    bases = [top_eigenvectors(Contraction(w), 6, planted.instance.layout) for _ in range(2)]
     assert not dense_calls
     assert bases[0].tobytes() == bases[1].tobytes()
 
