@@ -84,7 +84,10 @@ def generate(
     four.  Outliers are uniform over the bounding box of each image's
     projected points.  Per block, round(rate * u) of the true matches are
     reassigned to targets drawn without replacement from the block's free
-    column candidates plus their own.
+    column candidates plus their own.  These draws come last, for all
+    pairs i < j at once in row-major pair order: one row-wise permutation
+    picks each pair's victims, a second its targets.  At rate 0 nothing is
+    drawn for the pairs.
     """
     if n < 2:
         raise MatchingError("need at least two images")
@@ -128,25 +131,38 @@ def generate(
         features.append(FeatureSet(f"img{i:03d}", coords[:, perm]))
         positions.append(np.argsort(perm)[:u])
 
-    n_corrupt = int(round(match_corruption_rate * u))
-    # free[j] = candidates of image j that no scene point lands on
-    free = [np.setdiff1d(np.arange(p), pos) for pos in positions] if n_corrupt else []
-    rows, cols = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            targets = positions[j].copy()
-            if n_corrupt:
-                victims = rng.choice(u, size=n_corrupt, replace=False)
-                pool = np.concatenate([targets[victims], free[j]])
-                targets[victims] = rng.choice(pool, size=n_corrupt, replace=False)
-            rows.append(i * p + positions[i])
-            cols.append(j * p + targets)
-
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    matrix = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * p, n * p))
+    table = np.stack(positions)
+    matrix = _planted_scores(rng, table, p, int(round(match_corruption_rate * u)))
     layout = BlockLayout((p,) * n)
     instance = validate_instance(features, PairwiseScores(matrix, layout), SolverConfig(k=u))
-    return PlantedInstance(instance, SelectionLabeling(np.stack(positions), layout), scene, cameras)
+    return PlantedInstance(instance, SelectionLabeling(table, layout), scene, cameras)
+
+
+def _planted_scores(rng: np.random.Generator, positions: np.ndarray, p: int, n_corrupt: int) -> sp.csr_matrix:
+    """Score matrix of the true matches of every pair i < j, n_corrupt of each block's moved.
+
+    ``positions`` is the (n, u) table of each scene point's candidate per
+    image.  Each pair's victims are the first n_corrupt entries of its own
+    permutation of the u matches, and their targets the first n_corrupt
+    of a permutation of its pool: the victims' targets plus image j's
+    p - u free candidates.  The (pairs, u) temporaries die on return,
+    before the instance is validated.
+    """
+    n, u = positions.shape
+    pi, pj = np.triu_indices(n, 1)
+    targets = positions[pj]
+    if n_corrupt:
+        victims = rng.permuted(np.broadcast_to(np.arange(u, dtype=np.int32), targets.shape), axis=1)
+        victims = victims[:, :n_corrupt]
+        taken = np.zeros((n, p), dtype=bool)
+        taken[np.arange(n)[:, None], positions] = True
+        free = np.nonzero(~taken)[1].reshape(n, p - u)
+        pool = np.concatenate([np.take_along_axis(targets, victims, axis=1), free[pj]], axis=1)
+        picks = rng.permuted(pool, axis=1)[:, :n_corrupt]
+        np.put_along_axis(targets, victims, picks, axis=1)
+    rows = (pi * p)[:, None] + positions[pi]
+    cols = (pj * p)[:, None] + targets
+    return sp.csr_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())), shape=(n * p, n * p))
 
 
 def brute_force_solve(

@@ -712,8 +712,8 @@ def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
 
 
 def test_solve_recovers_found_crowd_instance():
-    # a crowd-shaped instance with a local minimum one whole label wrong
-    # (recall 0.875) that a near-uniform start settles in
+    # a check at crowd size (200 images, corruption 0.2): full recall and a
+    # converged solve
     planted = generate(200, 8, outliers_per_image=4, coord_noise_sigma=0.01,
                        match_corruption_rate=0.2, seed=87422295002)
     state = solve(planted.instance, SolverConfig(k=8))
@@ -897,14 +897,23 @@ def test_solve_trace_monotone_within_stages():
         assert (np.diff(vals) <= 1e-9).all(), stage
 
 
-def test_solve_trace_totals_are_component_sums():
+def test_solve_trace_totals_are_component_sums(monkeypatch):
     planted = generate(5, 4, outliers_per_image=2, coord_noise_sigma=0.02,
                        match_corruption_rate=0.2, seed=4)
+    scored = []
+    components = multimatch.solver.objective_components
+    monkeypatch.setattr(multimatch.solver, "objective_components",
+                        lambda cycle, y, *rest: scored.append(y.copy()) or components(cycle, y, *rest))
     state = solve(planted.instance, SolverConfig(k=4, seed=4))
     for rec in state.objective_trace:
         assert rec.total == rec.cycle + rec.geo + rec.coupling
+    # one call per stage record, the last one scoring the y of the last record
+    assert len(scored) == sum(rec.stage != "init" for rec in state.objective_trace)
+    last = scored[-1]
+    # solve returns that y with its columns in image 0's candidate order, bit for bit
+    assert sorted(col.tobytes() for col in last.T) == sorted(col.tobytes() for col in state.y.T)
     w = assemble_block(planted.instance.scores)
-    assert state.objective_trace[-1].cycle == Contraction(w).value(state.y)
+    assert state.objective_trace[-1].cycle == Contraction(w).value(last)
 
 
 def test_solve_with_huge_rho_matches_initialize_then_discretize():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,14 +84,52 @@ def test_corruption_fraction_measured_against_truth():
 
 
 def test_corrupted_blocks_stay_valid_partial_permutations():
-    planted = generate(6, 5, outliers_per_image=4, match_corruption_rate=0.5, seed=8)
+    u, rate = 5, 0.5
+    planted = generate(6, u, outliers_per_image=4, match_corruption_rate=rate, seed=8)
+    n_corrupt = round(rate * u)
+    pos = planted.ground_truth.index  # (n, u): candidate of each scene point per image
+    moved = []
     for (i, j), blk in planted.instance.scores.blocks.items():
         if i == j:
             continue
         assert set(np.unique(blk)) <= {0.0, 1.0}
         assert blk.sum(axis=0).max() <= 1
         assert blk.sum(axis=1).max() <= 1
-        assert blk.sum() == 5  # corruption moves matches, never drops them
+        assert blk.sum() == u  # corruption moves matches, never drops them
+        # each match stays on its scene point's row; at most n_corrupt of them change column
+        rows, cols = np.nonzero(blk)
+        order = np.argsort(pos[i])
+        assert np.array_equal(rows, pos[i, order])
+        moved.append(int((cols != pos[j, order]).sum()))
+    assert max(moved) == n_corrupt
+
+
+def _instance_digest(planted) -> str:
+    """sha256 of the CSR score arrays and the coordinates, in fixed dtypes.
+
+    Coordinates are rounded to 1e-10, so a LAPACK build whose QR differs
+    in the last bit gives the same digest.
+    """
+    m = planted.instance.scores.matrix
+    h = hashlib.sha256()
+    for a in (m.indptr, m.indices):
+        h.update(np.asarray(a, dtype="<i8").tobytes())
+    h.update(np.asarray(m.data, dtype="<f8").tobytes())
+    for c in planted.instance.coordinates:
+        h.update(np.round(c, 10).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("rate, digest", [
+    (0.0, "6e88895f1421410149df4ddce48544af235bf39c724aa17d1ee1271651c20b62"),
+    (0.2, "78e5f15e641c9dbfcf4c8224ab91e731c3be20cb513d847bfa0fb045470ddaa7"),
+])
+def test_seeded_instances_keep_their_digest(rate, digest):
+    # the benchmark builds its instances with generate: a change to either
+    # digest changes the benchmark's instances and must be named in CHANGES.md
+    planted = generate(6, 5, outliers_per_image=3, coord_noise_sigma=0.02,
+                       match_corruption_rate=rate, seed=7)
+    assert _instance_digest(planted) == digest
 
 
 def test_generate_rejects_bad_parameters():
