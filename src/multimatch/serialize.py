@@ -8,10 +8,14 @@ pairwise record holds its sparse entries as one flat run of numbers,
 ``[row, col, value, row, col, value, ...]``, so each image pair decodes
 into one Python list. The writer puts every image record and every
 pairwise record on a line of its own, in compact JSON: diffs stay line
-by line, the file carries no indentation, and the dump runs in the C
-JSON encoder. Ground truth and labeling sidecars share one shape and
-one writer: per image, its id, ``p`` and the (candidate index, label)
-pairs of its labeled candidates; an unlisted candidate is an outlier.
+by line and the file carries no indentation. Image records are dumped
+one by one by the C JSON encoder; the pairwise section is written as a
+table, its number tokens looked up for all entries at once and stitched
+into records by one join, the same text one dump per record would give.
+A NaN or infinite score is refused, not written. Ground truth and
+labeling sidecars share one shape and one writer: per image, its id,
+``p`` and the (candidate index, label) pairs of its labeled candidates;
+an unlisted candidate is an outlier.
 Every reader runs in one frame, :func:`_document`, which decodes the
 file, checks its version and raises :class:`ParseError` on a malformed
 document, including one that repeats a member of an object among those
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ParseError
+from .errors import NonFiniteEntry, ParseError
 from .model import BlockLayout, FeatureSet, PairwiseScores, SelectionLabeling
 from .solver import TraceRecord
 
@@ -55,7 +59,9 @@ def problem_document(
 ) -> str:
     """Render a problem as canonical JSON text (deterministic ordering).
 
-    ``settings`` are solver defaults keyed by :class:`SolverConfig` field name.
+    ``settings`` are solver defaults keyed by :class:`SolverConfig` field
+    name.  A NaN or infinite score, for which JSON has no number, raises
+    :class:`NonFiniteEntry` naming its block.
     """
     images = []
     for f in features:
@@ -63,45 +69,70 @@ def problem_document(
         if f.descriptors is not None:
             rec["descriptors"] = f.descriptors.tolist()
         images.append(rec)
-    ids = [f.image_id for f in features]
-    w = scores.matrix.tocoo()
-    layout = scores.layout
-    (bi, rows), (bj, cols) = layout.locate(w.row), layout.locate(w.col)
-    keep = np.flatnonzero((bi != bj) & (w.data != 0))  # identity diagonals are implicit
-    keep = keep[np.lexsort((cols[keep], rows[keep], bj[keep], bi[keep]))]
-    bi, bj = bi[keep], bj[keep]
-    # where each image pair's entries start, and where the last pair's end
-    bounds = np.flatnonzero(np.diff(bi * layout.n + bj, prepend=-1)).tolist() + [keep.size]
-    flat = [None] * (3 * keep.size)  # row, col, value, row, col, value, ...
-    flat[0::3], flat[1::3], flat[2::3] = rows[keep].tolist(), cols[keep].tolist(), w.data[keep].tolist()
-    pairwise = [
-        {"i": ids[bi[a]], "j": ids[bj[a]], "entries": flat[3 * a : 3 * b]}
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    doc = {"format_version": FORMAT_VERSION, "images": images, "pairwise": pairwise}
+    fields = {
+        "format_version": json.dumps(FORMAT_VERSION),
+        "images": _listed(images),
+        "pairwise": _pairwise_text([json.dumps(f.image_id) for f in features], scores),
+    }
     if settings:
         unknown = set(settings) - {name for name, _ in _SETTINGS.values()}
         if unknown:
             raise ParseError(f"unknown solver defaults: {sorted(unknown)}")
-        doc["solver_defaults"] = {key: settings[name] for key, (name, _) in _SETTINGS.items() if name in settings}
-    return _record_lines(doc)
+        fields["solver_defaults"] = json.dumps({key: settings[name] for key, (name, _) in _SETTINGS.items() if name in settings})
+    return _object_lines(fields)
 
 
-def _record_lines(doc: dict) -> str:
-    """``doc`` as JSON text, one top-level field per line and one line per list element.
+def _pairwise_text(ids: list[str], scores: PairwiseScores) -> str:
+    """The JSON array of the pairwise records, one per line; ``ids`` are the image ids as JSON text.
 
-    Each line is rendered compactly by ``json.dumps`` without ``indent``,
-    which keeps CPython on its C encoder; any ``indent`` switches the whole
-    dump to the pure-Python one.
+    Every image pair (i, j) holding a nonzero entry off the diagonal blocks
+    gets one record, in (i, j, row, col) order.  The text is stitched from
+    number tokens in whole-array passes: indices are read off a table of
+    ``str(0)``, ``str(1)``, ... up to the largest index written, and values
+    off one ``json.dumps`` of the distinct values, so the text is that of
+    one ``json.dumps`` per record.  Each record's first token carries its
+    ``{"i": ..., "j": ..., "entries": [`` and its last its ``]}``; all
+    tokens are joined by ``, `` and every record boundary then becomes
+    ``,\n`` (``]}, {"i": `` cannot occur inside an id, whose every ``"``
+    is escaped).
     """
-    fields = []
-    for key, value in doc.items():
-        if isinstance(value, list) and value:
-            value_text = "[\n" + ",\n".join(map(json.dumps, value)) + "\n]"
-        else:
-            value_text = json.dumps(value)
-        fields.append(f"{json.dumps(key)}: {value_text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+    w, layout = scores.matrix, scores.layout  # canonical CSR: row-major, columns sorted in each row
+    bi, rows = layout.locate(np.repeat(np.arange(layout.m), np.diff(w.indptr)))
+    bj, cols = layout.locate(w.indices)
+    keep = np.flatnonzero((bi != bj) & (w.data != 0))  # identity diagonals are implicit
+    pair = bi[keep] * layout.n + bj[keep]
+    order = np.argsort(pair, kind="stable")  # row-major inside each image pair
+    keep, pair = keep[order], pair[order]
+    if not keep.size:
+        return "[]"
+    bi, bj, rows, cols = bi[keep], bj[keep], rows[keep], cols[keep]
+    values, value_at = np.unique(w.data[keep], return_inverse=True)
+    if not np.isfinite(values).all():
+        t = np.argmax(~np.isfinite(values)[value_at])  # the first in the written order
+        raise NonFiniteEntry(f"block ({bi[t]}, {bj[t]}) contains non-finite scores")
+    index = np.array([str(c) for c in range(max(rows.max(), cols.max()) + 1)], dtype=object)
+    tokens = np.empty(3 * keep.size, dtype=object)  # row, col, value, row, col, value, ...
+    tokens[0::3], tokens[1::3] = index[rows], index[cols]
+    tokens[2::3] = np.array(json.dumps(values.tolist())[1:-1].split(", "), dtype=object)[value_at]
+    first = np.flatnonzero(np.diff(pair, prepend=-1))  # each record's first entry
+    ids = np.array(ids, dtype=object)
+    tokens[3 * first] = '{"i": ' + ids[bi[first]] + ', "j": ' + ids[bj[first]] + ', "entries": [' + tokens[3 * first]
+    tokens[3 * np.append(first[1:], keep.size) - 1] += "]}"
+    return "[\n" + ", ".join(tokens.tolist()).replace(']}, {"i": ', ']},\n{"i": ') + "\n]"
+
+
+def _listed(records: list) -> str:
+    """A JSON array with one compact ``json.dumps`` line per element.
+
+    Without ``indent``, ``json.dumps`` stays on CPython's C encoder; any
+    ``indent`` switches the whole dump to the pure-Python one.
+    """
+    return "[\n" + ",\n".join(map(json.dumps, records)) + "\n]" if records else "[]"
+
+
+def _object_lines(fields: dict[str, str]) -> str:
+    """A JSON object of members already rendered as JSON text, one member per line."""
+    return "{\n" + ",\n".join(f"{json.dumps(key)}: {text}" for key, text in fields.items()) + "\n}\n"
 
 
 def save_problem(path, features, scores, settings: dict | None = None) -> None:
@@ -235,7 +266,8 @@ def _save_pairs(path, ids, labels, size_key: str, size: int) -> None:
         lab = np.asarray(lab, dtype=int)
         chosen = np.flatnonzero(lab >= 0)
         images.append({"id": image_id, "p": lab.size, "pairs": np.column_stack((chosen, lab[chosen])).tolist()})
-    Path(path).write_text(_record_lines({"format_version": FORMAT_VERSION, size_key: int(size), "images": images}))
+    fields = {"format_version": json.dumps(FORMAT_VERSION), size_key: json.dumps(int(size)), "images": _listed(images)}
+    Path(path).write_text(_object_lines(fields))
 
 
 def save_truth(path, labels, ids, universe_size: int) -> None:

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import json
 
 import numpy as np
 import pytest
 
-from multimatch import ParseError, SelectionLabeling, generate
+from multimatch import FeatureSet, NonFiniteEntry, ParseError, SelectionLabeling, generate
 from multimatch.serialize import (
     FORMAT_VERSION,
     load_features,
@@ -98,27 +99,59 @@ def _reference_problem_document(features, scores, settings):
 
 
 def test_problem_document_matches_entry_by_entry_rendering(rng):
-    from multimatch import FeatureSet
     from conftest import scores_from_blocks
 
-    sizes = (3, 1, 4, 2)
+    sizes = (3, 1, 4, 2, 12)  # image 4's indices reach two digits
+    # ids the pairwise records spell as JSON strings: a quote, a backslash,
+    # the text of a record boundary, and characters escaped as \uXXXX
+    ids = ["im0", 'say "im1"', "im\\2", ']}, {"i": "im3', "caf\u00e9 \u753b\u50cf"]
     features = []
     for i, p in enumerate(sizes):
         desc = None
         if i % 2 == 0:
             desc = rng.normal(size=(5, p))
             desc /= np.linalg.norm(desc, axis=0)
-        features.append(FeatureSet(f"im{i}", rng.normal(scale=100.0, size=(2, p)), desc))
+        features.append(FeatureSet(ids[i], rng.normal(scale=100.0, size=(2, p)), desc))
     blocks = {}
-    for i, j in [(0, 1), (0, 2), (2, 0), (3, 1), (2, 3)]:
+    for i, j in [(0, 1), (0, 2), (2, 0), (3, 1), (2, 3), (4, 0), (1, 4), (4, 2)]:
         block = rng.random((sizes[i], sizes[j])) * (rng.random((sizes[i], sizes[j])) < 0.6)
         block[0, 0] = 0.1 + 0.2  # a value whose shortest repr has 17 digits
         blocks[(i, j)] = block
+    # the smallest subnormal, a value near the largest float, a negative and a whole number
+    blocks[(4, 2)][[10, 11, 11, 5], [3, 0, 2, 1]] = 5e-324, 1e308, -1.5, 2.0
+    blocks[(1, 4)][0, 9:] = 1.0
     defaults = {"seed": 3, "rho_schedule": [1.0, 10.0], "k": 1, "lam": 0.5}
     for blocks_kept, defaults_kept in ((blocks, defaults), ({}, {})):
         scores = scores_from_blocks(blocks_kept, sizes)
         expected = _reference_problem_document(features, scores, defaults_kept)
         assert problem_document(features, scores, defaults_kept) == expected
+
+
+def test_problem_document_keeps_its_digest():
+    # the problem file's bytes for a seeded corrupted instance; a change to
+    # this digest changes every problem file written and must be named in CHANGES.md
+    inst = generate(30, 6, outliers_per_image=3, coord_noise_sigma=0.01,
+                    match_corruption_rate=0.2, seed=11).instance
+    features = [FeatureSet(f.image_id, np.round(f.coordinates, 10)) for f in inst.features]
+    text = problem_document(features, inst.scores, {"k": 6})
+    assert hashlib.sha256(text.encode()).hexdigest() == "b38c4502507d2874b9ab580196117b3ba903c1bce185cc252957ae82ccd9c611"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_document_refuses_non_finite_scores(tmp_path, bad):
+    # JSON has no token for them: the writer names the first block holding
+    # one, in the written order, instead of writing a file every reader refuses
+    from conftest import scores_from_blocks
+
+    block, later = np.full((2, 3), 0.5), np.eye(3)
+    block[1, 2] = later[2, 0] = bad
+    features = [FeatureSet(f"im{i}", np.zeros((2, p))) for i, p in enumerate((3, 2, 3))]
+    scores = scores_from_blocks({(0, 2): np.full((3, 3), 0.25), (2, 0): later, (1, 2): block}, (3, 2, 3))
+    with pytest.raises(NonFiniteEntry, match=r"block \(1, 2\) contains non-finite scores"):
+        problem_document(features, scores)
+    with pytest.raises(NonFiniteEntry):
+        save_problem(tmp_path / "problem.json", features, scores)
+    assert not (tmp_path / "problem.json").exists()
 
 
 def test_problem_roundtrip_with_descriptors(tmp_path, rng):
