@@ -136,6 +136,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.rank < 1:  # before any file is read or any line printed
+        raise MatchingError("rank bound must be at least 1")
     # no array is sized by the labeling's candidate counts; the truth's
     # labels are, so they are checked first against the problem's counts,
     # or without a problem against the labeling's

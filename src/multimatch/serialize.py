@@ -176,13 +176,12 @@ def load_features(path) -> list[FeatureSet]:
 
 
 def _features(doc: dict) -> list[FeatureSet]:
-    """The feature sets of a problem document's image records.
+    """The feature sets of a problem document's image records, a JSON array of objects.
 
     Coordinates and descriptors must be JSON arrays of rows of JSON numbers;
     each check runs once over all images, naming the first at fault.
     """
-    records = _member(doc, "images")
-    ids = _image_ids(records)
+    records, ids = _image_records(doc)
     coords = _members(records, "coordinates", lambda t: f"image {ids[t]}")
     descs = [rec.get("descriptors") for rec in records]
     for field, per_image in (("coordinates", coords), ("descriptors", [[] if d is None else d for d in descs])):
@@ -204,13 +203,16 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     [row, col, value] table, and every check runs over whole arrays: each
     record's block offsets and sizes are repeated over its entries, and a
     (row, col) listed twice shows as fewer stored entries after the CSR
-    build (only then are the entries sorted, to name the record).  ``i``
-    and ``j`` must be listed image ids, ``entries`` a JSON array of whole
-    triples of JSON numbers, every index an integer inside its block, every
-    (row, col) may appear once in a block, every ordered image pair once in
-    the document, and no record may pair an image with itself; anything
-    else raises :class:`ParseError`.
+    build (only then are the entries sorted, to name the record).
+    ``records`` must be a JSON array of objects, ``i`` and ``j`` listed
+    image ids, ``entries`` a JSON array of whole triples of JSON numbers,
+    every index an integer inside its block, every (row, col) may appear
+    once in a block, every ordered image pair once in the document, and no
+    record may pair an image with itself; anything else raises
+    :class:`ParseError`.
     """
+    _expect("array", [records], "pairwise")
+    _expect("object", records, lambda t: f"pairwise[{t}]")
     firsts, seconds = (_members(records, key, lambda t: f"pairwise[{t}]") for key in ("i", "j"))
     _expect("string", firsts, "pairwise i")
     _expect("string", seconds, "pairwise j")
@@ -462,15 +464,18 @@ def _member(doc: dict, name: str):
     return _members([doc], name, lambda t: "top level")[0]
 
 
-def _image_ids(records) -> list[str]:
-    """The ids of a document's image records: JSON strings, at least one, none listed twice."""
+def _image_records(doc: dict) -> tuple[list[dict], list[str]]:
+    """A document's ``images``, a JSON array of objects, and their ids: distinct JSON strings, at least one."""
+    records = _member(doc, "images")
+    _expect("array", [records], "images")
+    _expect("object", records, lambda t: f"images[{t}]")
     ids = _members(records, "id", lambda t: f"images[{t}]")
     _expect("string", ids, "image id")
     if not ids:
         raise ParseError("document lists no images")
     if len(set(ids)) < len(ids):
         raise ParseError("an image id is listed twice")
-    return ids
+    return records, ids
 
 
 def _read_pairs(
@@ -480,20 +485,20 @@ def _read_pairs(
 
     The pairs of all images are read as one [candidate, label] table and
     checked in whole-array passes; a fault names the first image holding
-    one.  Image ids must be distinct JSON strings, every ``p`` a
-    nonnegative JSON integer, ``pairs`` a JSON array of [candidate, label]
-    pairs of JSON numbers, candidates distinct integers in [0, p) and below
-    2**63, and each image's labels -1 or distinct values below the JSON
-    integer ``doc[size_key]``, all of them used if that is a labeling's
-    ``"k"``, and with ``image_counts`` every id one of its keys and every
-    ``p`` its count; else :class:`ParseError`, whose count faults call this
-    document and the one ``image_counts`` come from by ``names``.  Nothing
-    is sized by a ``p``: distinct candidates are found by sorting.
-    Returns the ids, the images' ``p`` and the (image, candidate, label)
-    arrays of the pairs whose label is not -1, in document order.
+    one.  ``images`` must be a JSON array of objects, their ids distinct
+    JSON strings, every ``p`` a nonnegative JSON integer, ``pairs`` a JSON
+    array of [candidate, label] pairs of JSON numbers, candidates distinct
+    integers in [0, p) and below 2**63, and each image's labels -1 or
+    distinct values below the JSON integer ``doc[size_key]``, all of them
+    used if that is a labeling's ``"k"``, and with ``image_counts`` every
+    id one of its keys and every ``p`` its count; else
+    :class:`ParseError`, whose count faults call this document and the one
+    ``image_counts`` come from by ``names``.  Nothing is sized by a ``p``:
+    distinct candidates are found by sorting.  Returns the ids, the images'
+    ``p`` and the (image, candidate, label) arrays of the pairs whose label
+    is not -1, in document order.
     """
-    records = _member(doc, "images")
-    ids = _image_ids(records)
+    records, ids = _image_records(doc)
     sizes = _members(records, "p", lambda t: f"image {ids[t]}")
     _expect("integer", sizes, lambda t: f"image {ids[t]}: p")
     if min(sizes) < 0:

@@ -24,13 +24,13 @@ The cycle term 0.25 ||W - Y Y^T||_F^2 has one owner, :class:`Contraction`:
 its value, its gradient (Y Y^T - W) Y and the curvature bound behind
 the step sizes all contract through W Y and the k x k Gram matrix Y^T Y,
 kept for the last iterate evaluated.  The functions of the term take a
-contraction (any object with ``w``, ``row_sums``, ``value``, ``gradient``
-and ``step_bound``), not W; a solve builds one and passes it everywhere, so
-W is contracted once per iterate, and passes the instance's block
-layout and the stacked coordinates the same way.  The geometric term
-has one owner too: :func:`update_Z` returns it with the fit it makes.
-The trace and :func:`selection_objective` both sum the terms through
-:func:`objective_components`.
+contraction (any object with ``product``, ``row_sums``, ``value``,
+``gradient`` and ``step_bound``), not W; a solve builds one and passes
+it everywhere, so W is contracted once per iterate, and passes the
+instance's block layout and the stacked coordinates the same way.  The
+geometric term has one owner too: :func:`update_Z` returns it with the
+fit it makes.  The trace and :func:`selection_objective` both sum the
+terms through :func:`objective_components`.
 
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
 top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
@@ -145,34 +145,31 @@ class SolverState:
 
 
 class Contraction:
-    """The cycle term 0.25 ||w - y y^T||_F^2 of one score matrix w.
+    """The cycle term 0.25 ||w - y y^T||_F^2 of one score matrix w, and the only reader of w.
 
+    w is stored once, as float CSR (a CSR input keeps its arrays), with
+    ||w||_F^2 and the absolute row sums ``row_sums`` = |w| 1, whose largest
+    is ||w||_inf; ``product(y)`` = w @ y is the one product taken with it.
     ``value(y)``, ``gradient(y)`` = (y y^T - w) y and ``step_bound(y)`` =
-    ||y||_2^2 + ||w||_inf all read w @ y and y^T y from one slot that holds
-    them for the last iterate evaluated: the trace record after an
-    ``update_Y`` call and the next call's starting point evaluate the y
-    that call returned, which it has evaluated already.  The slot is keyed
-    on the array's identity, so an evaluated iterate must not be modified
-    in place.  ||w||_F^2 is computed on construction, and the absolute row
-    sums ``row_sums`` = |w| 1, whose largest is ||w||_inf, on first use:
-    the spectral start reads them too, so a solve passes over w once.
+    ||y||_2^2 + ||w||_inf read w @ y and y^T y from one slot that holds
+    them for the last iterate evaluated, which the next ``update_Y`` call
+    and the trace record after one reuse.  The slot is keyed on the
+    array's identity, so an evaluated iterate must not be modified in place.
     """
 
     def __init__(self, w):
-        self.w = w
-        self.wsq = float((w.data**2).sum()) if sp.issparse(w) else float((np.asarray(w) ** 2).sum())
-        self._row_sums = None
+        self._w = sp.csr_matrix(w, dtype=float)
+        self.wsq = float((self._w.data**2).sum())
+        self.row_sums = np.asarray(abs(self._w).sum(axis=1)).ravel()
         self._y = self._wy = self._gram = None
 
-    @property
-    def row_sums(self) -> np.ndarray:
-        if self._row_sums is None:
-            self._row_sums = np.asarray(abs(self.w).sum(axis=1)).ravel()
-        return self._row_sums
+    def product(self, y: np.ndarray) -> np.ndarray:
+        """w @ y, the one product with w."""
+        return self._w @ y
 
     def _contract(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if y is not self._y:
-            self._y, self._wy, self._gram = y, self.w @ y, y.T @ y
+            self._y, self._wy, self._gram = y, self.product(y), y.T @ y
         return self._wy, self._gram
 
     def value(self, y: np.ndarray) -> float:
@@ -363,40 +360,35 @@ def update_Z(x: SelectionLabeling, points: np.ndarray, r: int) -> tuple[np.ndarr
 
 
 def top_eigenvectors(cycle, k: int, layout: BlockLayout) -> np.ndarray:
-    """Orthonormal basis of the top-k eigenspace of the symmetric score matrix w = ``cycle.w``.
+    """Orthonormal basis of the top-k eigenspace of the symmetric score matrix w of ``cycle``.
 
-    ``cycle`` is the :class:`Contraction` of w.  ``lobpcg`` starts from k
-    columns of w: those of the image of ``layout`` whose rows have the
-    largest summed absolute row sums (``cycle.row_sums``, |w| 1), the k of
-    its columns that pivoted QR ranks first.  The image's identity diagonal
-    block gives them rank k.  ``lobpcg`` runs for at most ``EIGEN_MAXITER``
+    ``cycle`` is the :class:`Contraction` of w, read through ``product``
+    and ``row_sums`` alone.  ``lobpcg`` starts from the k columns of w,
+    ranked first by pivoted QR, of the image of ``layout`` whose rows have
+    the largest summed absolute row sums; the image's identity diagonal
+    block gives them rank k.  It runs for at most ``EIGEN_MAXITER``
     iterations to a residual of ``EIGEN_TOL * ||w||_inf``.  Below m = 5k,
     where ``lobpcg`` would itself switch to a dense solver, and whenever
-    some returned pair's residual ||w u - lambda u||, as ``lobpcg``
-    reports it from the products it has already made, exceeds that
-    tolerance, the basis comes from ``np.linalg.eigh`` on the dense matrix
+    some returned pair's residual ||w u - lambda u||, as ``lobpcg`` reports
+    it, exceeds that tolerance, ``np.linalg.eigh`` of w gives the basis
     instead.  The result is a function of w and the layout alone.
     """
-    w = cycle.w
-    m = w.shape[0]
+    m = layout.m
     if m >= 5 * k:
-        row_sums = cycle.row_sums
-        tol = EIGEN_TOL * float(row_sums.max())
-        image = int(np.argmax(np.bincount(layout.candidate_images(), weights=row_sums, minlength=layout.n)))
-        rows = w[layout.block_slice(image)]  # by symmetry, the transpose of the image's columns
-        block = (rows.toarray() if sp.issparse(rows) else np.array(rows, dtype=float)).T
+        tol = EIGEN_TOL * float(cycle.row_sums.max())
+        image = int(np.argmax(np.bincount(layout.candidate_images(), weights=cycle.row_sums, minlength=layout.n)))
+        block = cycle.product(np.eye(m, layout.sizes[image], -layout.offsets[image]))  # the image's columns
         x0 = block[:, scipy.linalg.qr(block, mode="r", pivoting=True)[1][:k]]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # convergence is checked below
-            vecs, residuals = lobpcg(w, x0, tol=tol, maxiter=EIGEN_MAXITER, largest=True, retResidualNormsHistory=True)[1:]
+            vecs, residuals = lobpcg(cycle.product, x0, tol=tol, maxiter=EIGEN_MAXITER, largest=True, retResidualNormsHistory=True)[1:]
         if (residuals[-1] <= tol).all():  # the last entry holds the returned pairs' residuals
             return vecs
-    dense = w.toarray() if sp.issparse(w) else np.asarray(w, dtype=float)
-    return np.linalg.eigh(dense)[1][:, m - k :]
+    return np.linalg.eigh(cycle.product(np.eye(m)))[1][:, m - k :]
 
 
 def spectral_start(cycle, k: int, layout: BlockLayout) -> np.ndarray:
-    """Feasible start point from the top-k eigenspace of w = ``cycle.w``, over ``layout``'s blocks.
+    """Feasible start point from the top-k eigenspace of ``cycle``'s score matrix, over ``layout``'s blocks.
 
     The eigenspace comes from :func:`top_eigenvectors` of the contraction
     ``cycle``.  Pivoted QR of U^T picks k anchor rows S;
@@ -415,7 +407,7 @@ def spectral_start(cycle, k: int, layout: BlockLayout) -> np.ndarray:
 def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.ndarray, SelectionLabeling, list[float], bool]:
     """Solve the score-only relaxation from the spectral start.
 
-    ``cycle`` is the contraction of the score matrix ``cycle.w``.  The
+    ``cycle`` is the contraction of the score matrix.  The
     start point is :func:`spectral_start` of the same contraction;
     projected gradient descent on the cycle term alone refines it, and
     ``layout``'s blocks are discretized into the initial selection, blocks

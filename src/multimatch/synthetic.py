@@ -185,7 +185,7 @@ def brute_force_solve(
             raise InstanceTooLarge(
                 f"{count}+ labelings exceed the enumeration budget {BRUTE_FORCE_BUDGET}"
             )
-    cycle = Contraction(assemble_block(instance.scores).toarray())  # ||w||_F^2 once for all labelings
+    cycle = Contraction(assemble_block(instance.scores))  # ||w||_F^2 once for all labelings
     points = normalize_coordinates(np.hstack(instance.coordinates), layout)[0]
 
     best_obj = np.inf

@@ -48,6 +48,8 @@ def test_spans_cover_the_assignment_projection_and_frontend_layers(tracer):
     names = [s.name for s in tracer.spans]
     for name in ("assignment.update_X", "assignment.discretize", "frontend.lap", "projection.project"):
         assert name in names
+    # the solve builds W through the module binding the benchmark wraps, once
+    assert names.count("model.assemble") == names.count("solver.solve") == 1
     # equal block heights: one assignment stack per X update and one for the start
     assert names.count("assignment.update_X") == names.count("solver.update_X")
     assert names.count("assignment.discretize") == 1

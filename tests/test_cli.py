@@ -516,7 +516,8 @@ def _with_solver_defaults(problem, settings, out):
     (lambda p, t, l, d: ["synth", "--n", 1, "--universe", 3, "--out", d / "bad.json"], 2, "need at least two images"),
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--problem", p, "--rank", 0],
      2, "rank bound must be at least 1"),
-], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "eval-rank"])
+    (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--rank", 0], 2, "rank bound must be at least 1"),
+], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "eval-rank", "eval-rank-plain"])
 def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, argv, code, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("a rejected input reached the solver")
@@ -526,4 +527,6 @@ def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, ar
     problem, truth, labeling = solved
     capsys.readouterr()
     assert run(argv(problem, truth, labeling, tmp_path)) == code
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""  # refused before any result line is printed

@@ -240,6 +240,11 @@ MALFORMED_PAIRWISE = [
      r"pair \(a, b\): an entry column must be a JSON number, got false"),
     ([{"i": "a", "j": "b", "entries": [0, 1, None]}], r"pair \(a, b\): an entry value must be a JSON number, got null"),
     ([{"i": "a", "j": "a", "entries": [0, 1, 0.5]}], "a record pairs an image with itself"),
+    ({}, "pairwise must be a JSON array, got {}"),  # not read as no pairs
+    ("", 'pairwise must be a JSON array, got ""'),
+    (5, "pairwise must be a JSON array, got 5"),
+    (None, "pairwise must be a JSON array, got null"),
+    ([{"i": "a", "j": "b", "entries": [0, 1, 0.5]}, 5], r"pairwise\[1\] must be a JSON object, got 5"),
 ]
 
 
@@ -644,6 +649,22 @@ def test_sidecars_explain_malformed_shapes(tmp_path, image, message):
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=message):
             (load_labeling if "k" in size else load_truth)(path)
+
+
+@pytest.mark.parametrize("images, message", [
+    ({"a": 1}, r'images must be a JSON array, got \{"a": 1\}'),
+    ("", 'images must be a JSON array, got ""'),
+    ([5], r"images\[0\] must be a JSON object, got 5"),
+])
+def test_readers_refuse_images_that_are_not_an_array_of_objects(tmp_path, images, message):
+    path = tmp_path / "doc.json"
+    problem = _three_image_problem([_AB])
+    for load, doc in ((load_problem, problem), (load_features, problem),
+                      (load_labeling, json.loads(_sidecar([[0, 0], [1, 1]], k=2))),
+                      (load_truth, json.loads(_sidecar([[0, 0], [1, 1]], universe_size=2)))):
+        path.write_text(json.dumps({**doc, "images": images}))
+        with pytest.raises(ParseError, match=message):
+            load(path)
 
 
 @pytest.mark.parametrize("entries, spelled", [(5, "5"), ("0, 1, 0.5", '"0, 1, 0.5"'), ({"0": 1}, r'\{"0": 1\}')])
