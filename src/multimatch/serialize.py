@@ -340,14 +340,16 @@ def _document(path, kind: str, members: tuple[str, ...] = ()):
     """Every reader's frame: the JSON object in the file at ``path``, for the ``with`` body to read.
 
     The object is decoded whole, or up to the last of ``members``, and must
-    carry ``format_version`` 2, a JSON integer.  An unreadable file, and a
-    ``KeyError``, ``TypeError``, ``ValueError`` or ``IndexError`` raised in
-    decoding, the version check or the body, raise :class:`ParseError` naming
-    ``path``, as does a ``MemoryError``: a size in the document that is too large.
+    carry ``format_version`` 2, a JSON integer.  An unreadable file, one that
+    is not UTF-8, and a ``KeyError``, ``TypeError``, ``ValueError``,
+    ``IndexError`` or ``RecursionError`` (nesting too deep to decode) raised
+    in decoding, the version check or the body, raise :class:`ParseError`
+    naming ``path``, as does a ``MemoryError``: a size in the document that
+    is too large.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
         doc = _leading_members(text, set(members))
@@ -357,7 +359,7 @@ def _document(path, kind: str, members: tuple[str, ...] = ()):
         if version != FORMAT_VERSION:
             raise ParseError(f"unsupported format version {version}")
         yield doc
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed {kind} document ({exc})") from exc
     except MemoryError as exc:  # a size in the document asks for more than the machine has
         raise ParseError(f"{path}: {kind} document needs more memory than is available ({exc})") from exc

@@ -35,8 +35,9 @@ terms through :func:`objective_components`.
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
 top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
 pivoted QR of U^T, turn that basis into the start point U U_S^{-1}, which
-is clipped at zero, projected, and refined by projected gradient descent
-on the score term alone.  The eigenvectors come from a block eigensolver
+is clipped at zero and projected; its per-image rounding is the initial
+selection, and the first rho stage runs the solve's first descent.  The
+eigenvectors come from a block eigensolver
 (the top eigenvalue of consistent scores is repeated k times, which a
 single-vector Lanczos method cannot resolve) started from k columns of W
 itself: for consistent scores those columns lie in the top-k eigenspace.
@@ -404,24 +405,18 @@ def spectral_start(cycle, k: int, layout: BlockLayout) -> np.ndarray:
     return project_onto_C(np.maximum(y0, 0.0), layout)
 
 
-def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.ndarray, SelectionLabeling, list[float], bool]:
-    """Solve the score-only relaxation from the spectral start.
+def initialize(cycle, config: SolverConfig, layout: BlockLayout) -> tuple[np.ndarray, SelectionLabeling]:
+    """The spectral start and its rounding: (y, the initial selection).
 
-    ``cycle`` is the contraction of the score matrix.  The
-    start point is :func:`spectral_start` of the same contraction;
-    projected gradient descent on the cycle term alone refines it, and
-    ``layout``'s blocks are discretized into the initial selection, blocks
-    of equal height as one stack.  Returns (y,
-    selection, objective history, stalled flag) as :func:`update_Y`
-    reports them; a history longer than ``MAX_INNER`` means the descent
-    used every step.
+    y is :func:`spectral_start` of the contraction ``cycle``; ``layout``'s
+    blocks of it are discretized into the selection, blocks of equal
+    height as one stack.  The first rho stage does the descent.
     """
-    y0 = spectral_start(cycle, config.k, layout)
-    y, history, stalled = update_Y(y0, np.zeros_like(y0), cycle, 0.0, layout)
+    y = spectral_start(cycle, config.k, layout)
     index = np.empty((layout.n, config.k), dtype=np.intp)
     for p, images, rows in layout.groups():
         index[images] = discretize(y[rows].reshape(-1, p, config.k))
-    return y, SelectionLabeling(index, layout), history, stalled
+    return y, SelectionLabeling(index, layout)
 
 
 def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
@@ -434,14 +429,14 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     the selection and the later stages only pull Y closer to it.  The
     rule is a heuristic; a later stage could still have changed X.  Hitting
     ``MAX_SWEEPS`` first, Y updates whose line search stalled and Y updates
-    that use all ``MAX_INNER`` steps (the initial descent's, and per stage
-    one message of each kind with the count of its sweeps), and
-    projections that reach their round cap (one message with their count,
-    in place of the :class:`ProjectionWarning` each one raises) are
-    recorded as warnings on the state, for the stages that ran; other
-    Python warnings raised during the solve are shown once it returns.
-    The trace carries the initialization objective per accepted step and
-    one record per sweep of each stage that ran.  The returned labels are
+    that use all ``MAX_INNER`` steps (per stage one message of each kind
+    with the count of its sweeps), and projections that reach their round
+    cap (one message with their count, in place of the
+    :class:`ProjectionWarning` each one raises) are recorded as warnings on
+    the state, for the stages that ran; other Python warnings raised during
+    the solve are shown once it returns.  The trace carries one ``init``
+    record, the cycle term of the start, and then one record per sweep of
+    each stage that ran.  The returned labels are
     ordered by image 0's chosen candidate, and y and the fit follow that
     order; the trace does not depend on it.
     """
@@ -472,14 +467,9 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
 
     trace: list[TraceRecord] = []
     warnings_list: list[str] = []
-    y, x, init_history, stalled = initialize(cycle, config, layout)
-    if stalled:
-        warnings_list.append("line search stalled at init")
-    if len(init_history) > MAX_INNER:  # every step used: the history holds the start too
-        warnings_list.append(f"max inner steps ({MAX_INNER}) reached at init")
-    trace.extend(
-        TraceRecord("init", t, val, 0.0, 0.0, val) for t, val in enumerate(init_history)
-    )
+    y, x = initialize(cycle, config, layout)
+    f0 = cycle.value(y)
+    trace.append(TraceRecord("init", 0, f0, 0.0, 0.0, f0))
     xs = x.stacked()
     z, geo = update_Z(x, points, config.r)
 

@@ -153,21 +153,21 @@ def test_solve_warning_exit_code(tmp_path, capsys, monkeypatch):
     assert "warning: max sweeps (1) reached at rho=1\n" in capsys.readouterr().err
 
 
-def test_solve_init_step_cap_exit_code(tmp_path, capsys, monkeypatch):
+def test_solve_inner_step_cap_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 1)
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
     trace = tmp_path / "trace.csv"
     assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json", "--trace", trace]) == 3
     err = capsys.readouterr().err
-    assert "warning: max inner steps (1) reached at init\n" in err
+    assert " at init" not in err  # the start is not a descent
     capped = [line for line in err.splitlines() if line.startswith("warning: max inner steps")]
     # the stages that ran, in order: init, then a leading run of the rho schedule
     stages = list(dict.fromkeys(row.split(",")[0] for row in trace.read_text().splitlines()[1:]))
     assert stages[0] == "init" and stages[1:] == ["rho=1", "rho=10", "rho=100"][: len(stages) - 1]
     assert len(stages) > 1
-    assert len(capped) == len(stages)  # init, then one line per rho stage that ran
-    for line, stage in zip(capped[1:], stages[1:]):
+    assert len(capped) == len(stages) - 1  # one line per rho stage that ran
+    for line, stage in zip(capped, stages[1:]):
         assert line.startswith("warning: max inner steps (1) reached in ")
         assert line.endswith(f" sweeps at {stage}")
 
@@ -505,6 +505,17 @@ def _with_solver_defaults(problem, settings, out):
     return out
 
 
+def _not_utf8(path):
+    path.write_bytes(b'{"format_version": 2, "images": \xff}')
+    return path
+
+
+def _nested(path, depth=100_000):
+    """A document whose images member is ``depth`` nested arrays: deeper than the JSON decoder recurses."""
+    path.write_text('{"format_version": 2, "images": ' + "[" * depth + "]" * depth + "}")
+    return path
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (lambda p, t, l, d: ["solve", "--problem", p, "--rho", "1,,2"], 1, "argument --rho"),
     (lambda p, t, l, d: ["solve", "--problem", p, "--seed", -1], 2, "seed must be nonnegative"),
@@ -517,7 +528,18 @@ def _with_solver_defaults(problem, settings, out):
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--problem", p, "--rank", 0],
      2, "rank bound must be at least 1"),
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--rank", 0], 2, "rank bound must be at least 1"),
-], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "eval-rank", "eval-rank-plain"])
+    (lambda p, t, l, d: ["solve", "--problem", _not_utf8(d / "latin.json")],
+     2, "latin.json: 'utf-8' codec can't decode byte 0xff"),
+    (lambda p, t, l, d: ["solve", "--problem", _nested(d / "deep.json")],
+     2, "deep.json: malformed problem document (maximum recursion depth exceeded"),
+    (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--problem", _nested(d / "deep.json")],
+     2, "deep.json: malformed problem document (maximum recursion depth exceeded"),
+    (lambda p, t, l, d: ["eval", "--labeling", _nested(d / "deep.json"), "--truth", t],
+     2, "deep.json: malformed labeling document (maximum recursion depth exceeded"),
+    (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", _nested(d / "deep.json")],
+     2, "deep.json: malformed ground-truth document (maximum recursion depth exceeded"),
+], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "eval-rank", "eval-rank-plain",
+        "not-utf8", "nested-problem", "nested-problem-eval", "nested-labeling", "nested-truth"])
 def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, argv, code, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("a rejected input reached the solver")
