@@ -1,9 +1,10 @@
 """Minimum-cost rectangular linear assignment with deterministic tie-breaking.
 
 Given a p x k cost matrix with p >= k, every column is assigned a distinct
-row so that the total cost is minimal.  Among equal-cost optima the solver
-returns the lexicographically smallest column-major row tuple, so results
-are reproducible across runs and platforms.
+row so that the total cost is minimal, and the answer is the chosen row of
+each column.  Among equal-cost optima the solver returns the
+lexicographically smallest column-major row tuple, so results are
+reproducible across runs and platforms.
 
 The primal comes from ``scipy.optimize.linear_sum_assignment`` (Crouse's
 shortest-augmenting-path method, IEEE TAES 2016), which returns some
@@ -30,8 +31,6 @@ image pair) pay the fixed numpy cost of those steps once per stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -40,25 +39,14 @@ from .errors import DimensionMismatch, InfeasibleK, NonFiniteEntry
 TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
-    """Chosen row per column plus the total cost of the selection.
-
-    For a stack of b matrices ``column_to_row`` is (b, k) and ``total_cost``
-    a (b,) array, one row and one total per matrix.
-    """
-
-    column_to_row: np.ndarray  # (k,) or (b, k) distinct row indices
-    total_cost: float | np.ndarray
-
-
-def solve_lap(cost: np.ndarray) -> AssignmentResult:
-    """Assign each column of ``cost`` to a distinct row at minimum total cost.
+def solve_lap(cost: np.ndarray) -> np.ndarray:
+    """The chosen row of each column of ``cost``, assigned distinct rows at minimum total cost.
 
     ``cost`` is one p x k matrix or a (b, p, k) stack of them, each solved
-    on its own.  Requires at least as many rows as columns and finite
-    entries.  Ties are broken toward the lexicographically smallest
-    (column 0 first) row tuple.
+    on its own; the result is a (k,) index array, or (b, k) for a stack.
+    Requires at least as many rows as columns and finite entries.  Ties
+    are broken toward the lexicographically smallest (column 0 first) row
+    tuple.
     """
     cost = np.ascontiguousarray(cost, dtype=float)
     if cost.ndim not in (2, 3):
@@ -66,24 +54,20 @@ def solve_lap(cost: np.ndarray) -> AssignmentResult:
     stack = cost[None] if cost.ndim == 2 else cost
     b, p, k = stack.shape
     if k == 0:
-        col_to_row, total = np.empty((b, 0), dtype=np.intp), np.zeros(b)
-    else:
-        if p < k:
-            raise InfeasibleK(f"cannot assign {k} columns among {p} rows")
-        if not np.isfinite(stack).all():
-            raise NonFiniteEntry("cost matrix contains non-finite entries")
-        col_to_row = np.array([_primal(c) for c in stack], dtype=np.intp).reshape(b, k)
-        u, v = _duals(stack, col_to_row)
-        tol = TIE_TOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-        tight = stack - u[:, :, None] - v[:, None, :] <= tol[:, None, None]
-        above = np.arange(p)[:, None] < col_to_row[:, None, :]
-        # only a zero reduced cost above a chosen row can give a smaller optimum
-        for t in np.flatnonzero((tight & above).any(axis=(1, 2))):
-            col_to_row[t] = _lexicographic_refine(stack[t], col_to_row[t], tight[t], float(tol[t]))
-        total = stack[np.arange(b)[:, None], col_to_row, np.arange(k)].sum(axis=1)
-    if cost.ndim == 2:
-        return AssignmentResult(col_to_row[0], float(total[0]))
-    return AssignmentResult(col_to_row, total)
+        return np.empty(cost.shape[:-2] + (0,), dtype=np.intp)
+    if p < k:
+        raise InfeasibleK(f"cannot assign {k} columns among {p} rows")
+    if not np.isfinite(stack).all():
+        raise NonFiniteEntry("cost matrix contains non-finite entries")
+    col_to_row = np.array([_primal(c) for c in stack], dtype=np.intp).reshape(b, k)
+    u, v = _duals(stack, col_to_row)
+    tol = TIE_TOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+    tight = stack - u[:, :, None] - v[:, None, :] <= tol[:, None, None]
+    above = np.arange(p)[:, None] < col_to_row[:, None, :]
+    # only a zero reduced cost above a chosen row can give a smaller optimum
+    for t in np.flatnonzero((tight & above).any(axis=(1, 2))):
+        col_to_row[t] = _lexicographic_refine(stack[t], col_to_row[t], tight[t], float(tol[t]))
+    return col_to_row[0] if cost.ndim == 2 else col_to_row
 
 
 def discretize(y: np.ndarray) -> np.ndarray:
@@ -93,7 +77,7 @@ def discretize(y: np.ndarray) -> np.ndarray:
     largest entries subject to one distinct row per column.  Returns the
     chosen row of each column: a (k,) index array, or (b, k) for a stack.
     """
-    return solve_lap(-np.asarray(y, dtype=float)).column_to_row
+    return solve_lap(-np.asarray(y, dtype=float))
 
 
 def _primal(cost: np.ndarray) -> np.ndarray:
@@ -164,28 +148,21 @@ def _lexicographic_refine(
     for c in range(k):
         r_cur = int(cur[c])
         candidates = np.flatnonzero(~fixed[:r_cur] & tight[:r_cur, c])
-        n_rest = k - c - 1
+        rest = np.arange(c + 1, k)
         for r in candidates:
             r = int(r)
             rows_left = np.flatnonzero(~fixed)
             rows_left = rows_left[rows_left != r]
-            if n_rest:
-                sub = cost[np.ix_(rows_left, np.arange(c + 1, k))]
-                # column minima bound the residual from below (row reuse
-                # allowed), which rejects most degenerate-dual candidates
-                # without an assignment solve
-                bound = prefix + cost[r, c] + float(sub.min(axis=0).sum())
-                if bound > value + tol:
-                    continue
-                sub_rows = _primal(sub)
-                sub_total = float(sub[sub_rows, np.arange(n_rest)].sum())
-            else:
-                sub_rows = np.empty(0, dtype=np.intp)
-                sub_total = 0.0
-            if prefix + cost[r, c] + sub_total <= value + tol:
+            sub = cost[np.ix_(rows_left, rest)]
+            # column minima bound the residual from below (row reuse
+            # allowed), which rejects most degenerate-dual candidates
+            # without an assignment solve
+            if prefix + cost[r, c] + float(sub.min(axis=0).sum()) > value + tol:
+                continue
+            sub_rows = _primal(sub)
+            if prefix + cost[r, c] + float(sub[sub_rows, np.arange(rest.size)].sum()) <= value + tol:
                 cur[c] = r
-                if n_rest:
-                    cur[c + 1 :] = rows_left[sub_rows]
+                cur[c + 1 :] = rows_left[sub_rows]
                 break
         fixed[cur[c]] = True
         prefix += cost[cur[c], c]

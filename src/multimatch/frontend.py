@@ -56,7 +56,7 @@ def _match(sims: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     for members in stacks.values():
         flipped = [sims[t].shape[0] < sims[t].shape[1] for t in members]
         cost = np.stack([-(sims[t].T if f else sims[t]) for t, f in zip(members, flipped)])
-        chosen = solve_lap(cost).column_to_row
+        chosen = solve_lap(cost)
         every = np.arange(chosen.shape[1])
         for t, f, rows in zip(members, flipped, chosen):
             out[t] = (every, rows) if f else (rows, every)

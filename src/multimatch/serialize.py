@@ -224,8 +224,7 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
         raise ParseError(f"pair ({firsts[t]}, {seconds[t]}): {'i' if first[t] < 0 else 'j'} is not a listed image id")
     if (first == second).any():
         raise ParseError("a record pairs an image with itself")
-    pairs = np.sort(first * layout.n + second)
-    if (pairs[1:] == pairs[:-1]).any():
+    if _repeats(first, second).size:
         raise ParseError("an image pair is listed twice")
     runs = _members(records, "entries", lambda t: f"pair ({firsts[t]}, {seconds[t]})")
     _expect("array", runs, lambda t: f"pair ({firsts[t]}, {seconds[t]}): entries")
@@ -254,10 +253,7 @@ def _score_matrix(records, index: dict[str, int], layout: BlockLayout) -> sp.csr
     cols = np.repeat(offsets[second], counts) + col.astype(np.int64)
     matrix = sp.csr_matrix((table[:, 2], (rows, cols)), shape=(layout.m, layout.m))
     if matrix.nnz < len(table):  # the CSR build added up a repeated (row, col)
-        flat = rows * layout.m + cols
-        order = np.argsort(flat, kind="stable")
-        repeat = order[1:][flat[order[1:]] == flat[order[:-1]]][0]
-        raise ParseError(f"{pair(repeat)}: an entry (row, col) is listed twice")
+        raise ParseError(f"{pair(_repeats(rows, cols)[0])}: an entry (row, col) is listed twice")
     return matrix
 
 
@@ -552,8 +548,8 @@ def _read_pairs(
     return ids, sizes, (image, candidate, label)
 
 
-def _repeats(image: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """The positions of the entries whose (image, value) pair an earlier entry holds too."""
-    order = np.lexsort((value, image))  # stable: equal pairs land side by side, in their first order
+def _repeats(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The positions of the entries whose (first, second) pair an earlier entry holds too, in pair order."""
+    order = np.lexsort((second, first))  # stable: equal pairs land side by side, in their first order
     ahead, behind = order[1:], order[:-1]
-    return ahead[(image[ahead] == image[behind]) & (value[ahead] == value[behind])]
+    return ahead[(first[ahead] == first[behind]) & (second[ahead] == second[behind])]

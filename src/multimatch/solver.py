@@ -340,7 +340,7 @@ def update_X(y: np.ndarray, z: np.ndarray, points: np.ndarray, lam: float, rho: 
     for p, images, rows in layout.groups():
         ci = points[:, rows].reshape(2, -1, p).transpose(1, 0, 2)  # (images, 2, p)
         cost = lam * _squared_distances(ci, z.reshape(-1, 2, k)[images]) - 2.0 * rho * y[rows].reshape(-1, p, k)
-        index[images] = solve_lap(cost).column_to_row
+        index[images] = solve_lap(cost)
     return SelectionLabeling(index, layout)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +88,22 @@ def generate(
     column candidates plus their own.  These draws come last, for all
     pairs i < j at once in row-major pair order: one row-wise permutation
     picks each pair's victims, a second its targets.  At rate 0 nothing is
-    drawn for the pairs.
+    drawn for the pairs.  An argument out of range, a NaN or infinite noise
+    sigma, or a seed that is not a nonnegative integer (a bool is not one)
+    raises :class:`MatchingError`.
     """
     if n < 2:
         raise MatchingError("need at least two images")
     if u < 1:
         raise MatchingError("need at least one scene point")
-    if outliers_per_image < 0 or coord_noise_sigma < 0:
-        raise MatchingError("outlier count and noise sigma must be nonnegative")
+    if outliers_per_image < 0:
+        raise MatchingError("outlier count must be nonnegative")
+    if not 0.0 <= coord_noise_sigma < math.inf:  # false for NaN too
+        raise MatchingError(f"noise sigma must be finite and nonnegative, got {coord_noise_sigma!r}")
     if not 0.0 <= match_corruption_rate <= 1.0:
         raise MatchingError("corruption rate must lie in [0, 1]")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise MatchingError(f"seed must be a nonnegative integer, got {seed!r}")
 
     rng = np.random.default_rng(seed)
     scene = rng.uniform(0.0, 1.0, size=(3, u))

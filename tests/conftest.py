@@ -37,6 +37,12 @@ def enumerate_lap(cost, tol=0.0):
     return np.array(tuples[t]), float(totals[t])
 
 
+def chosen_total(cost, rows):
+    """Total of the entries that ``rows`` chooses, the row of each column of ``cost``."""
+    cost = np.asarray(cost, dtype=float)
+    return float(cost[rows, np.arange(cost.shape[1])].sum())
+
+
 def naive_cycle_objective(w, y):
     """Quarter squared Frobenius residual by explicit double loop."""
     w = np.asarray(w, dtype=float)

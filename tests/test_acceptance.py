@@ -31,7 +31,7 @@ from multimatch import (
     update_Z,
 )
 from multimatch.solver import Contraction, selection_objective
-from conftest import enumerate_lap, kkt_residual, qp_project, random_feasible_y, random_labeling
+from conftest import chosen_total, enumerate_lap, kkt_residual, qp_project, random_feasible_y, random_labeling
 
 SIZES = dict(n=10, u=10, outliers_per_image=10)  # shared planted geometry
 
@@ -194,10 +194,10 @@ def test_criterion_8_lap_correctness(rng):
         p = int(rng.integers(1, 7))
         k = int(rng.integers(1, min(p, 4) + 1))
         cost = rng.uniform(-10, 10, size=(p, k))
-        res = solve_lap(cost)
+        got = solve_lap(cost)
         rows, total = enumerate_lap(cost)
-        assert res.column_to_row.tolist() == rows.tolist()
-        assert res.total_cost == total
+        assert got.tolist() == rows.tolist()
+        assert chosen_total(cost, got) == total
     print("ACCEPTANCE 8 lap-correctness: PASS (1000 exact matches to enumeration)")
 
 

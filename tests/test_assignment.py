@@ -4,35 +4,33 @@ from scipy.optimize import linear_sum_assignment
 
 from multimatch import DimensionMismatch, InfeasibleK, NonFiniteEntry, discretize, solve_lap
 from multimatch.assignment import _duals, _primal
-from conftest import enumerate_lap
+from conftest import chosen_total, enumerate_lap
 
 # square and rectangular shapes small enough to enumerate
 TIE_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 1), (4, 2), (5, 3), (6, 4), (7, 3), (7, 4)]
 
 
 def test_zero_diagonal_two_by_two():
-    res = solve_lap(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert res.column_to_row.tolist() == [0, 1]
-    assert res.total_cost == 0.0
+    cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rows = solve_lap(cost)
+    assert rows.tolist() == [0, 1]
+    assert chosen_total(cost, rows) == 0.0
 
 
 def test_rectangular_example_matches_enumeration():
     cost = np.array([[1.0, 2.0], [0.0, 5.0], [2.0, 0.0]])
-    res = solve_lap(cost)
+    got = solve_lap(cost)
     rows, total = enumerate_lap(cost)
-    assert res.column_to_row.tolist() == rows.tolist() == [1, 2]
-    assert res.total_cost == total == 0.0
+    assert got.tolist() == rows.tolist() == [1, 2]
+    assert chosen_total(cost, got) == total == 0.0
 
 
 def test_all_zero_ties_break_lexicographically():
-    res = solve_lap(np.zeros((4, 2)))
-    assert res.column_to_row.tolist() == [0, 1]
-    assert res.total_cost == 0.0
+    assert solve_lap(np.zeros((4, 2))).tolist() == [0, 1]
 
 
 def test_uniform_cost_ties_break_lexicographically():
-    res = solve_lap(np.full((5, 3), 0.37))
-    assert res.column_to_row.tolist() == [0, 1, 2]
+    assert solve_lap(np.full((5, 3), 0.37)).tolist() == [0, 1, 2]
 
 
 def test_infeasible_and_non_finite_inputs():
@@ -47,20 +45,20 @@ def test_matches_enumeration_on_random_matrices(rng):
         p = int(rng.integers(1, 7))
         k = int(rng.integers(1, min(p, 4) + 1))
         cost = rng.uniform(-5, 5, size=(p, k))
-        res = solve_lap(cost)
+        got = solve_lap(cost)
         rows, total = enumerate_lap(cost)
-        assert res.column_to_row.tolist() == rows.tolist()
-        assert res.total_cost == total
+        assert got.tolist() == rows.tolist()
+        assert chosen_total(cost, got) == total
 
 
 def test_matches_enumeration_on_integer_ties(rng):
     for p, k in TIE_SHAPES:
         for _ in range(40):
             cost = rng.integers(0, 3, size=(p, k)).astype(float)
-            res = solve_lap(cost)
+            got = solve_lap(cost)
             rows, total = enumerate_lap(cost)
-            assert res.column_to_row.tolist() == rows.tolist()
-            assert res.total_cost == total
+            assert got.tolist() == rows.tolist()
+            assert chosen_total(cost, got) == total
 
 
 def test_matches_enumeration_on_rounded_ties(rng):
@@ -69,10 +67,10 @@ def test_matches_enumeration_on_rounded_ties(rng):
     for p, k in TIE_SHAPES:
         for _ in range(40):
             cost = np.round(rng.random((p, k)), 1)
-            res = solve_lap(cost)
+            got = solve_lap(cost)
             rows, total = enumerate_lap(cost, tol=1e-9)
-            assert res.column_to_row.tolist() == rows.tolist()
-            assert res.total_cost == total
+            assert got.tolist() == rows.tolist()
+            assert chosen_total(cost, got) == total
 
 
 def _certificates(costs):
@@ -138,69 +136,60 @@ def test_agrees_with_scipy_on_total_cost(rng):
         p = int(rng.integers(2, 12))
         k = int(rng.integers(1, p + 1))
         cost = rng.normal(size=(p, k))
-        res = solve_lap(cost)
         ri, ci = linear_sum_assignment(cost)
-        assert res.total_cost == pytest.approx(cost[ri, ci].sum(), abs=1e-9)
+        assert chosen_total(cost, solve_lap(cost)) == pytest.approx(cost[ri, ci].sum(), abs=1e-9)
 
 
-def test_total_cost_equals_sum_of_chosen_entries(rng):
-    cost = rng.random((6, 4))
-    res = solve_lap(cost)
-    chosen = cost[res.column_to_row, np.arange(4)].sum()
-    assert abs(res.total_cost - chosen) <= 1e-9
-    assert len(set(res.column_to_row.tolist())) == 4
+def test_chosen_rows_are_distinct(rng):
+    rows = solve_lap(rng.random((6, 4)))
+    assert rows.shape == (4,) and len(set(rows.tolist())) == 4
 
 
 def test_column_shift_invariance(rng):
     for _ in range(30):
         cost = rng.normal(size=(6, 3))
-        res = solve_lap(cost)
+        rows = solve_lap(cost)
         c = float(rng.normal())
         col = int(rng.integers(3))
         shifted = cost.copy()
         shifted[:, col] += c
-        res2 = solve_lap(shifted)
-        assert res2.column_to_row.tolist() == res.column_to_row.tolist()
-        assert res2.total_cost == pytest.approx(res.total_cost + c, abs=1e-9)
+        rows2 = solve_lap(shifted)
+        assert rows2.tolist() == rows.tolist()
+        assert chosen_total(shifted, rows2) == pytest.approx(chosen_total(cost, rows) + c, abs=1e-9)
 
 
 def test_row_shift_invariance_square(rng):
     # row shifts preserve the optimum only when every row is matched
     for _ in range(30):
         cost = rng.normal(size=(4, 4))
-        res = solve_lap(cost)
+        rows = solve_lap(cost)
         c = float(rng.normal())
         row = int(rng.integers(4))
         shifted = cost.copy()
         shifted[row] += c
-        res2 = solve_lap(shifted)
-        assert res2.column_to_row.tolist() == res.column_to_row.tolist()
-        assert res2.total_cost == pytest.approx(res.total_cost + c, abs=1e-9)
+        rows2 = solve_lap(shifted)
+        assert rows2.tolist() == rows.tolist()
+        assert chosen_total(shifted, rows2) == pytest.approx(chosen_total(cost, rows) + c, abs=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (3, 3), (9, 4), (6, 2), (5, 1)])
 @pytest.mark.parametrize("kind", ["normal", "integers", "rounded"])
 def test_stack_matches_per_matrix_solves(rng, shape, kind):
     costs = _random_costs(rng, kind, (40,) + shape)
-    res = solve_lap(costs)
-    assert res.column_to_row.shape == (40, shape[1]) and res.total_cost.shape == (40,)
-    for cost, rows, total in zip(costs, res.column_to_row, res.total_cost):
-        single = solve_lap(cost)
-        assert np.array_equal(rows, single.column_to_row)
-        assert total == single.total_cost
+    chosen = solve_lap(costs)
+    assert chosen.shape == (40, shape[1])
+    for cost, rows in zip(costs, chosen):
+        assert np.array_equal(rows, solve_lap(cost))
     if shape[0] <= 6:  # small enough to enumerate
         tol = 1e-9 if kind == "rounded" else 0.0
-        for cost, rows in zip(costs, res.column_to_row):
+        for cost, rows in zip(costs, chosen):
             assert np.array_equal(rows, enumerate_lap(cost, tol=tol)[0])
 
 
 def test_empty_stacks_and_zero_columns():
-    res = solve_lap(np.zeros((0, 4, 3)))
-    assert res.column_to_row.shape == (0, 3) and res.total_cost.shape == (0,)
-    res = solve_lap(np.zeros((3, 4, 0)))
-    assert res.column_to_row.shape == (3, 0) and res.total_cost.tolist() == [0.0, 0.0, 0.0]
-    res = solve_lap(np.zeros((4, 0)))
-    assert res.column_to_row.shape == (0,) and res.total_cost == 0.0
+    for shape, chosen in [((0, 4, 3), (0, 3)), ((3, 4, 0), (3, 0)), ((4, 0), (0,))]:
+        rows = solve_lap(np.zeros(shape))
+        assert rows.shape == chosen and rows.dtype == np.intp
     assert discretize(np.zeros((0, 4, 3))).shape == (0, 3)
 
 

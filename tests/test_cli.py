@@ -525,6 +525,10 @@ def _nested(path, depth=100_000):
     (lambda p, t, l, d: ["solve", "--problem", _with_solver_defaults(p, {"k": 5, "lamda": 0.0}, d / "typo.json")],
      2, "unknown solver defaults: ['lamda']"),
     (lambda p, t, l, d: ["synth", "--n", 1, "--universe", 3, "--out", d / "bad.json"], 2, "need at least two images"),
+    (lambda p, t, l, d: ["synth", "--n", 3, "--universe", 3, "--seed", -1, "--out", d / "neg.json"],
+     2, "seed must be a nonnegative integer, got -1"),
+    (lambda p, t, l, d: ["synth", "--n", 3, "--universe", 3, "--sigma", "nan", "--out", d / "nan.json"],
+     2, "noise sigma must be finite and nonnegative, got nan"),
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--problem", p, "--rank", 0],
      2, "rank bound must be at least 1"),
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", t, "--rank", 0], 2, "rank bound must be at least 1"),
@@ -538,8 +542,9 @@ def _nested(path, depth=100_000):
      2, "deep.json: malformed labeling document (maximum recursion depth exceeded"),
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", _nested(d / "deep.json")],
      2, "deep.json: malformed ground-truth document (maximum recursion depth exceeded"),
-], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "eval-rank", "eval-rank-plain",
-        "not-utf8", "nested-problem", "nested-problem-eval", "nested-labeling", "nested-truth"])
+], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "synth-seed", "synth-sigma",
+        "eval-rank", "eval-rank-plain", "not-utf8", "nested-problem", "nested-problem-eval", "nested-labeling",
+        "nested-truth"])
 def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, argv, code, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("a rejected input reached the solver")
@@ -550,5 +555,5 @@ def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, ar
     capsys.readouterr()
     assert run(argv(problem, truth, labeling, tmp_path)) == code
     out, err = capsys.readouterr()
-    assert message in err
+    assert message in err and "Traceback" not in err
     assert out == ""  # refused before any result line is printed

@@ -471,7 +471,7 @@ def test_update_x_with_unequal_heights_matches_a_per_image_loop(rng, lam):
     for i, p in enumerate(sizes):
         d = ((coords[i][:, :, None] - z[2 * i : 2 * i + 2, None, :]) ** 2).sum(axis=0)
         cost = lam * d - 2.0 * rho * y[off : off + p]
-        assert np.array_equal(lab.index[i], solve_lap(cost).column_to_row)
+        assert np.array_equal(lab.index[i], solve_lap(cost))
         off += p
 
 

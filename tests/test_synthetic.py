@@ -6,6 +6,7 @@ import pytest
 from multimatch import (
     BlockLayout,
     InstanceTooLarge,
+    MatchingError,
     SolverConfig,
     assemble_block,
     assemble_measurements,
@@ -141,6 +142,20 @@ def test_generate_rejects_bad_parameters():
         generate(3, 3, match_corruption_rate=1.5)
     with pytest.raises(ValueError):
         generate(3, 3, coord_noise_sigma=-0.1)
+    for kwargs, message in [
+        ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
+        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+        ({"seed": 1.0}, "seed must be a nonnegative integer, got 1.0"),
+        ({"coord_noise_sigma": float("nan")}, "noise sigma must be finite and nonnegative, got nan"),
+        ({"coord_noise_sigma": float("inf")}, "noise sigma must be finite and nonnegative, got inf"),
+    ]:
+        with pytest.raises(MatchingError, match=message):
+            generate(3, 3, **kwargs)
+
+
+def test_numpy_integer_seed_gives_the_same_instance():
+    a, b = generate(3, 3, seed=np.int64(5)), generate(3, 3, seed=5)
+    assert np.array_equal(a.scene, b.scene)
 
 
 def test_ground_truth_satisfies_constraints():
