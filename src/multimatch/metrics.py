@@ -54,14 +54,23 @@ def _pair_count(labels: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
+def _check_counts(a: str, counts_a, b: str, counts_b) -> None:
+    """Raise :class:`MatchingError` unless a and b give the same candidate count for every image.
+
+    A difference in the number of images is named first, then the first
+    image whose counts differ.
+    """
+    if len(counts_a) != len(counts_b):
+        raise MatchingError(f"the {a} covers {len(counts_a)} images, the {b} {len(counts_b)}")
+    for i, (x, y) in enumerate(zip(counts_a, counts_b)):
+        if x != y:
+            raise MatchingError(f"image {i}: the {a} has {x} candidates, the {b} {y}")
+
+
 def _aligned_labels(predicted, truth) -> tuple[np.ndarray, np.ndarray]:
     """Both labelings' labels laid image after image, once their images' candidate counts agree."""
     pred, true = _as_labels(predicted), _as_labels(truth)
-    if len(pred) != len(true):
-        raise MatchingError(f"the prediction covers {len(pred)} images, the truth {len(true)}")
-    for i, (a, b) in enumerate(zip(pred, true)):
-        if len(a) != len(b):
-            raise MatchingError(f"image {i}: the prediction has {len(a)} candidates, the truth {len(b)}")
+    _check_counts("prediction", [len(a) for a in pred], "truth", [len(b) for b in true])
     empty = np.empty(0, dtype=int)  # keeps a labeling of no images readable
     return np.concatenate([empty, *pred]), np.concatenate([empty, *true])
 
@@ -100,9 +109,13 @@ def scores_pair_stats(scores: PairwiseScores, truth) -> MatchStats:
     Grades the pairwise input the same way a labeling is graded, so input
     and solved precision are directly comparable.  Every entry of canonical
     ``scores`` above the diagonal blocks that scores at least
-    ``STRONG_SCORE`` is one predicted pair.
+    ``STRONG_SCORE`` is one predicted pair.  Raises :class:`MatchingError`,
+    as :func:`pair_stats` does, unless the truth gives every image of
+    ``scores.layout`` its candidate count.
     """
-    true = np.concatenate(_as_labels(truth))
+    labels = _as_labels(truth)
+    _check_counts("truth", [len(lab) for lab in labels], "scores", scores.sizes)
+    true = np.concatenate(labels)
     w = scores.matrix.tocoo()
     image = scores.layout.candidate_images()
     upper = image[w.row] < image[w.col]

@@ -385,8 +385,9 @@ def validate_instance(
 def assemble_block(scores: PairwiseScores) -> sp.csr_matrix:
     """The symmetric m x m score matrix: canonical scores plus their mirror image.
 
-    Sparse, so the solver's per-iteration products stay linear in the
-    number of stored matches rather than quadratic in m.
+    Sparse, with twice the canonical scores' off-diagonal entries.  The
+    solver does not build it: its contraction multiplies by the stored
+    upper triangle and that triangle's transpose.
     """
     w = scores.matrix
     return (w + sp.triu(w, 1).T).tocsr()

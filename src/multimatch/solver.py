@@ -27,10 +27,13 @@ kept for the last iterate evaluated.  The functions of the term take a
 contraction (any object with ``product``, ``row_sums``, ``value``,
 ``gradient`` and ``step_bound``), not W; a solve builds one and passes
 it everywhere, so W is contracted once per iterate, and passes the
-instance's block layout and the stacked coordinates the same way.  The
-geometric term has one owner too: :func:`update_Z` returns it with the
-fit it makes.  The trace and :func:`selection_objective` both sum the
-terms through :func:`objective_components`.
+instance's block layout and the stacked coordinates the same way.  It
+is built from the canonical scores, which store the upper triangle of
+W: every product is taken with that triangle and its transpose, and no
+mirrored W is formed.  The geometric term has one owner too:
+:func:`update_Z` returns it with the fit it makes.  The trace and
+:func:`selection_objective` both sum the terms through
+:func:`objective_components`.
 
 The start is spectral.  Consistent scores factor as W = Y Y^T, so the
 top-k eigenvectors U of W span the labeling; k anchor rows S, chosen by
@@ -81,13 +84,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import lobpcg
 
 from .assignment import discretize, solve_lap
-from .errors import InfeasibleK
+from .errors import InfeasibleK, MatchingError
 from .model import (
     BlockLayout,
     ProblemInstance,
     SelectionLabeling,
     SolverConfig,
-    assemble_block,
+    assemble_block,  # not called here: bench/spans.py wraps this binding, and its install needs it
 )
 from . import projection
 from .projection import ProjectionWarning, project_onto_C
@@ -146,11 +149,16 @@ class SolverState:
 
 
 class Contraction:
-    """The cycle term 0.25 ||w - y y^T||_F^2 of one score matrix w, and the only reader of w.
+    """The cycle term 0.25 ||w - y y^T||_F^2 of one symmetric score matrix w, and the only reader of w.
 
-    w is stored once, as float CSR (a CSR input keeps its arrays), with
-    ||w||_F^2 and the absolute row sums ``row_sums`` = |w| 1, whose largest
-    is ||w||_inf; ``product(y)`` = w @ y is the one product taken with it.
+    Takes u, the upper triangle of w with its diagonal, such as the matrix
+    of validated scores; a stored entry below the diagonal raises
+    :class:`MatchingError`, so a full w is refused rather than counted
+    twice.  u is stored once, as float CSR (a CSR input keeps its arrays),
+    beside its transpose view, and w is never formed: ``product(y)`` =
+    w @ y = u y + u^T y - diag(u) y is the one product taken with it,
+    ``wsq`` = ||w||_F^2 = 2 ||u||_F^2 - ||diag u||^2, and ``row_sums`` =
+    |w| 1 = |u| 1 + |u|^T 1 - |diag u|, whose largest is ||w||_inf.
     ``value(y)``, ``gradient(y)`` = (y y^T - w) y and ``step_bound(y)`` =
     ||y||_2^2 + ||w||_inf read w @ y and y^T y from one slot that holds
     them for the last iterate evaluated, which the next ``update_Y`` call
@@ -158,15 +166,29 @@ class Contraction:
     array's identity, so an evaluated iterate must not be modified in place.
     """
 
-    def __init__(self, w):
-        self._w = sp.csr_matrix(w, dtype=float)
-        self.wsq = float((self._w.data**2).sum())
-        self.row_sums = np.asarray(abs(self._w).sum(axis=1)).ravel()
+    def __init__(self, u):
+        self._u = sp.csr_matrix(u, dtype=float)
+        rows = np.repeat(np.arange(self._u.shape[0]), np.diff(self._u.indptr))
+        below = np.flatnonzero(self._u.indices < rows)
+        if below.size:
+            t = below[0]
+            raise MatchingError(
+                f"score matrix stores entry ({rows[t]}, {self._u.indices[t]}) below the diagonal; "
+                "pass the upper triangle of w"
+            )
+        self._ut = self._u.T  # a view on u's arrays, built once
+        self._diag = self._u.diagonal()
+        self.wsq = float(2.0 * (self._u.data**2).sum() - (self._diag**2).sum())
+        mag = abs(self._u)
+        self.row_sums = np.asarray(mag.sum(axis=1)).ravel() + np.asarray(mag.sum(axis=0)).ravel() - abs(self._diag)
         self._y = self._wy = self._gram = None
 
     def product(self, y: np.ndarray) -> np.ndarray:
-        """w @ y, the one product with w."""
-        return self._w @ y
+        """w @ y, the one product with w, from u and its transpose view."""
+        out = self._u @ y
+        out += self._ut @ y
+        out -= (self._diag * y.T).T  # the diagonal, counted by both halves
+        return out
 
     def _contract(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if y is not self._y:
@@ -461,7 +483,7 @@ def _solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     if config.k > min(layout.sizes):
         raise InfeasibleK(f"k={config.k} exceeds the smallest candidate count {min(layout.sizes)}")
     # y enters the trace as update_Y last evaluated it
-    cycle = Contraction(assemble_block(instance.scores))
+    cycle = Contraction(instance.scores.matrix)
     raw = np.hstack(instance.coordinates)
     points, scale, center = normalize_coordinates(raw, layout)
 

@@ -28,7 +28,6 @@ from .model import (
     ProblemInstance,
     SelectionLabeling,
     SolverConfig,
-    assemble_block,
     validate_instance,
 )
 from .solver import Contraction, normalize_coordinates, selection_objective
@@ -192,7 +191,7 @@ def brute_force_solve(
             raise InstanceTooLarge(
                 f"{count}+ labelings exceed the enumeration budget {BRUTE_FORCE_BUDGET}"
             )
-    cycle = Contraction(assemble_block(instance.scores))  # ||w||_F^2 once for all labelings
+    cycle = Contraction(instance.scores.matrix)  # ||w||_F^2 once for all labelings
     points = normalize_coordinates(np.hstack(instance.coordinates), layout)[0]
 
     best_obj = np.inf

@@ -14,7 +14,6 @@ import multimatch as mm
 from multimatch import (
     BlockLayout,
     SolverConfig,
-    assemble_block,
     assemble_measurements,
     affine_factorize,
     brute_force_solve,
@@ -146,9 +145,8 @@ def test_criterion_6_tiny_global_optimality():
                            match_corruption_rate=0.25, seed=seed)
         config = SolverConfig(k=2, seed=seed)
         state = solve(planted.instance, config)
-        w = assemble_block(planted.instance.scores).toarray()
         points = normalize_coordinates(np.hstack(planted.instance.coordinates), planted.instance.layout)[0]
-        achieved = selection_objective(Contraction(w), state.labeling, points, config.lam, config.r)
+        achieved = selection_objective(Contraction(planted.instance.scores.matrix), state.labeling, points, config.lam, config.r)
         _, optimum = brute_force_solve(planted.instance, config)
         hits += achieved - optimum <= 1e-6
     assert hits >= 90
@@ -215,9 +213,9 @@ def test_criterion_9_gradient_check(rng):
 
         def f(yc):
             diff = yc - x
-            return Contraction(w).value(yc) + 0.5 * rho * (diff * diff).sum()
+            return Contraction(np.triu(w)).value(yc) + 0.5 * rho * (diff * diff).sum()
 
-        analytic = Contraction(w).gradient(y) + rho * (y - x)
+        analytic = Contraction(np.triu(w)).gradient(y) + rho * (y - x)
         numeric = np.zeros_like(y)
         for a in range(y.shape[0]):
             for b in range(k):
@@ -253,7 +251,7 @@ def test_criterion_10_rank_facts(rng):
 
 def _median_y_update_seconds(n, u, k, outliers, trials=5, seed=0):
     planted = generate(n, u, outliers_per_image=outliers, match_corruption_rate=0.2, seed=seed)
-    w = assemble_block(planted.instance.scores)
+    w = planted.instance.scores.matrix
     layout = planted.instance.layout
     rng = np.random.default_rng(seed)
     y0 = project_onto_C(rng.random((layout.m, k)), layout)

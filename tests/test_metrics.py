@@ -142,6 +142,21 @@ def test_scores_pair_stats_grades_raw_input():
     assert scores_pair_stats(clean.instance.scores, clean.truth_labels).precision == 1.0
 
 
+def test_scores_pair_stats_refuses_shifted_truth_counts():
+    planted = generate(3, 4, outliers_per_image=1, match_corruption_rate=0.2, seed=5)
+    truth = planted.truth_labels  # five candidates per image
+    # counts (6, 4, 5) total the layout's 15 but shift every candidate after image 0's
+    shifted = [np.append(truth[0], -1), truth[1][:-1], truth[2]]
+    with pytest.raises(MatchingError, match="image 0: the truth has 6 candidates, the scores 5"):
+        scores_pair_stats(planted.instance.scores, shifted)
+
+
+def test_scores_pair_stats_refuses_a_truth_missing_an_image():
+    planted = generate(3, 4, outliers_per_image=1, match_corruption_rate=0.2, seed=5)
+    with pytest.raises(MatchingError, match="the truth covers 2 images, the scores 3"):
+        scores_pair_stats(planted.instance.scores, planted.truth_labels[:2])
+
+
 def test_selected_inlier_fraction():
     truth = [np.array([0, -1, 1]), np.array([-1, 0, 1])]
     pred = [np.array([0, 1, -1]), np.array([-1, 0, 1])]

@@ -206,7 +206,7 @@ def test_project_c_round_budget_on_descriptor_stack(monkeypatch):
     instance, config = descriptor_instance(7)
     layout = instance.layout
     w = assemble_block(instance.scores)
-    y = spectral_start(Contraction(w), config.k, layout)
+    y = spectral_start(Contraction(instance.scores.matrix), config.k, layout)
     gram = y.T @ y
     eta = 4.0 / (np.linalg.eigvalsh(gram)[-1] + abs(w).sum(axis=1).max())
     v = y - eta * (y @ gram - w @ y)

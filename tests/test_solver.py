@@ -13,6 +13,7 @@ import multimatch.solver
 
 from multimatch import (
     BlockLayout,
+    MatchingError,
     PairwiseScores,
     ProblemInstance,
     SelectionLabeling,
@@ -32,6 +33,7 @@ from multimatch import (
     update_X,
     update_Y,
     update_Z,
+    validate_instance,
 )
 from multimatch.solver import (
     Contraction,
@@ -56,7 +58,7 @@ from conftest import (
 def test_objective_cycle_zero_at_exact_factorization(rng):
     y = random_feasible_y(rng, (3, 3), 2)
     w = y @ y.T
-    assert Contraction(w).value(y) == pytest.approx(0.0, abs=1e-12)
+    assert Contraction(np.triu(w)).value(y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_cycle_identity_at_zero():
@@ -70,7 +72,7 @@ def test_objective_cycle_matches_naive_loop(rng):
         w = rng.random((4, 4))
         w = 0.5 * (w + w.T)
         y = rng.random((4, 2))
-        assert Contraction(w).value(y) == pytest.approx(
+        assert Contraction(np.triu(w)).value(y) == pytest.approx(
             naive_cycle_objective(w, y), rel=1e-9, abs=1e-12
         )
 
@@ -79,9 +81,63 @@ def test_objective_cycle_accepts_sparse(rng):
     w = rng.random((5, 5))
     w = 0.5 * (w + w.T)
     y = rng.random((5, 2))
-    dense = Contraction(w).value(y)
-    sparse = Contraction(sp.csr_matrix(w)).value(y)
+    dense = Contraction(np.triu(w)).value(y)
+    sparse = Contraction(sp.triu(sp.csr_matrix(w), format="csr")).value(y)
     assert sparse == pytest.approx(dense, rel=1e-12)
+
+
+def _signed_symmetric(rng, m):
+    """A sparse signed symmetric w whose diagonal is not all ones, with row and column 3 empty."""
+    w = sp.random(m, m, density=0.3, random_state=rng, data_rvs=lambda n: rng.uniform(-1.0, 1.0, n)).toarray()
+    w = w + w.T
+    np.fill_diagonal(w, rng.uniform(-2.0, 2.0, m))
+    w[3, :] = w[:, 3] = 0.0
+    return w
+
+
+def _close(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("source", ["signed", "generate"])
+def test_contraction_of_the_upper_triangle_matches_the_dense_symmetric_w(source):
+    rng = np.random.default_rng(31)
+    if source == "signed":
+        sizes = (4, 5, 3, 6)
+        w = _signed_symmetric(rng, sum(sizes))
+        u = sp.triu(w, format="csr")
+    else:
+        planted = generate(5, 4, outliers_per_image=2, coord_noise_sigma=0.02, match_corruption_rate=0.3, seed=31)
+        sizes, u = planted.instance.layout.sizes, planted.instance.scores.matrix
+        w = assemble_block(planted.instance.scores).toarray()
+    m = w.shape[0]
+    cycle = Contraction(u)
+    for y in (rng.normal(size=m), rng.normal(size=(m, 3)), np.eye(m, sizes[1], -sizes[0])):
+        _close(cycle.product(y), w @ y)
+    _close(cycle.row_sums, np.abs(w).sum(axis=1))
+    assert cycle.wsq == pytest.approx((w * w).sum(), rel=1e-12)
+    y = random_feasible_y(rng, sizes, 3)
+    assert cycle.value(y) == pytest.approx(naive_cycle_objective(w, y), rel=1e-12)
+    _close(cycle.gradient(y), (y @ y.T - w) @ y)
+    bound = np.linalg.norm(y, 2) ** 2 + np.abs(w).sum(axis=1).max()
+    assert cycle.step_bound(y) == pytest.approx(bound, rel=1e-12)
+    # a full w is refused, naming its first stored entry below the diagonal in row order
+    rows, cols = np.nonzero(np.tril(w, -1))
+    with pytest.raises(MatchingError, match=rf"entry \({rows[0]}, {cols[0]}\) below the diagonal"):
+        Contraction(w)
+
+
+def test_pairs_given_in_the_other_orientation_solve_to_the_same_labeling():
+    planted = generate(8, 5, outliers_per_image=2, coord_noise_sigma=0.01, match_corruption_rate=0.2, seed=13)
+    canonical, config = planted.instance, SolverConfig(k=5)
+    # every off-diagonal score stored as its (j, i) mirror, below the diagonal
+    flipped = PairwiseScores(canonical.scores.matrix.T, canonical.layout)
+    instance = validate_instance(canonical.features, flipped, config)
+    a, b = solve(canonical, config), solve(instance, config)
+    assert np.array_equal(a.labeling.index, b.labeling.index)
+    assert a.objective_trace == b.objective_trace
 
 
 def test_update_z_geo_zero_at_exact_fit(rng):
@@ -131,7 +187,7 @@ def test_objective_total_zero_for_consistent_state(rng):
     w = xs @ xs.T
     coords = [rng.random((2, 3)), rng.random((2, 3))]
     geo = update_Z(lab, np.hstack(coords), 4)[1]  # 4 >= min(2n, k) = 2: an exact fit
-    parts = objective_components(Contraction(w), xs, xs, geo, lam=1.0, rho=5.0)
+    parts = objective_components(Contraction(np.triu(w)), xs, xs, geo, lam=1.0, rho=5.0)
     assert sum(parts) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -144,22 +200,22 @@ def test_objective_total_decomposes(rng):
     z, fit = update_Z(lab, np.hstack(coords), 1)
     xs = lab.stacked()
     lam, rho = 0.7, 3.0
-    cycle, geo, coupling = objective_components(Contraction(w), y, xs, fit, lam, rho)
+    cycle, geo, coupling = objective_components(Contraction(np.triu(w)), y, xs, fit, lam, rho)
     assert cycle == pytest.approx(naive_cycle_objective(w, y), rel=1e-9)
     assert geo == pytest.approx(lam * naive_geo_objective(lab.assignments, z, coords), rel=1e-9)
     assert coupling == pytest.approx(0.5 * rho * ((xs - y) ** 2).sum(), rel=1e-9)
-    assert objective_components(Contraction(w), y, xs, fit, lam, 0.0) == (cycle, geo, 0.0)
-    assert objective_components(Contraction(w), y, xs, fit, 0.0, rho) == (cycle, 0.0, coupling)
+    assert objective_components(Contraction(np.triu(w)), y, xs, fit, lam, 0.0) == (cycle, geo, 0.0)
+    assert objective_components(Contraction(np.triu(w)), y, xs, fit, 0.0, rho) == (cycle, 0.0, coupling)
 
 
-def gradient_fd(w, y, h=1e-5):
-    """Central finite differences of the cycle term in y."""
+def gradient_fd(u, y, h=1e-5):
+    """Central finite differences in y of the cycle term of the upper triangle u."""
     g = np.zeros_like(y)
     for a in range(y.shape[0]):
         for b in range(y.shape[1]):
             e = np.zeros_like(y)
             e[a, b] = h
-            g[a, b] = (Contraction(w).value(y + e) - Contraction(w).value(y - e)) / (2 * h)
+            g[a, b] = (Contraction(u).value(y + e) - Contraction(u).value(y - e)) / (2 * h)
     return g
 
 
@@ -173,9 +229,10 @@ def test_gradient_matches_finite_differences(rng):
             if sparse:
                 w[np.abs(w) < 0.4] = 0.0
                 w = sp.csr_matrix(w)
-            c = Contraction(w)
+            u = sp.triu(w, format="csr") if sparse else np.triu(w)
+            c = Contraction(u)
             analytic = c.gradient(y)
-            numeric = gradient_fd(w, y)
+            numeric = gradient_fd(u, y)
             rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
             assert rel <= 1e-5
             dense = w.toarray() if sparse else w
@@ -187,7 +244,7 @@ def test_update_y_fixed_point_when_gradient_zero(rng):
     y = random_feasible_y(rng, (3, 3), 2)
     w = y @ y.T
     # gradient = y y^T y - w y = 0 exactly at this w
-    out, hist, stalled = update_Y(y, np.zeros_like(y), Contraction(w), 0.0, BlockLayout((3, 3)))
+    out, hist, stalled = update_Y(y, np.zeros_like(y), Contraction(np.triu(w)), 0.0, BlockLayout((3, 3)))
     assert np.allclose(out, y, atol=1e-9)
     assert not stalled
 
@@ -214,11 +271,11 @@ def test_update_y_matches_grid_search_on_tiny_instance(rng, monkeypatch):
     # 1-simplices, so exhaustive grid search over (y1, y3) is an oracle
     lab = SelectionLabeling([[0], [1]], BlockLayout((2, 2)))
     xs = lab.stacked()
-    w = xs @ xs.T
+    u = np.triu(xs @ xs.T)
     y0 = project_onto_C(np.full((4, 1), 0.4), BlockLayout((2, 2)))
 
     def objective(yv):
-        return Contraction(w).value(yv.reshape(4, 1))
+        return Contraction(u).value(yv.reshape(4, 1))
 
     best, best_val = None, np.inf
     grid = np.linspace(0.0, 1.0, 101)
@@ -230,8 +287,8 @@ def test_update_y_matches_grid_search_on_tiny_instance(rng, monkeypatch):
                 best_val, best = val, yv
     monkeypatch.setattr(multimatch.solver, "INNER_TOL", 1e-12)
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 2000)
-    out, _, _ = update_Y(y0, np.zeros((4, 1)), Contraction(w), 0.0, BlockLayout((2, 2)))
-    assert Contraction(w).value(out) <= best_val + 1e-3
+    out, _, _ = update_Y(y0, np.zeros((4, 1)), Contraction(u), 0.0, BlockLayout((2, 2)))
+    assert Contraction(u).value(out) <= best_val + 1e-3
 
 
 def test_update_y_objective_history_monotone(rng):
@@ -240,7 +297,7 @@ def test_update_y_objective_history_monotone(rng):
     x = random_labeling(rng, sizes, 2).stacked()
     w = rng.random((12, 12))
     w = 0.5 * (w + w.T)
-    _, hist, _ = update_Y(y, x, Contraction(w), 2.0, BlockLayout(sizes))
+    _, hist, _ = update_Y(y, x, Contraction(np.triu(w)), 2.0, BlockLayout(sizes))
     diffs = np.diff(hist)
     assert (diffs <= 1e-9).all()
 
@@ -251,7 +308,7 @@ def test_update_y_stays_feasible(rng):
     x = random_labeling(rng, sizes, 2).stacked()
     w = rng.random((8, 8))
     w = 0.5 * (w + w.T)
-    out, _, _ = update_Y(y, x, Contraction(w), 1.0, BlockLayout(sizes))
+    out, _, _ = update_Y(y, x, Contraction(np.triu(w)), 1.0, BlockLayout(sizes))
     assert feasibility_gap(out, BlockLayout(sizes)) <= 1e-5
 
 
@@ -274,7 +331,7 @@ def test_update_y_second_step_starts_from_spectral_step(monkeypatch, rho):
     assert eta0 < eta < 1e3 * eta0  # inside the clamp: the quotient itself is the trial
     monkeypatch.setattr(multimatch.solver, "INNER_TOL", 0.0)
     monkeypatch.setattr(multimatch.solver, "MAX_INNER", 2)
-    out, hist, stalled = update_Y(y0, x, Contraction(w), rho, BlockLayout(sizes))
+    out, hist, stalled = update_Y(y0, x, Contraction(planted.instance.scores.matrix), rho, BlockLayout(sizes))
     assert len(hist) == 3 and not stalled
     assert np.allclose(out, project_onto_C(y1 - eta * grad(y1), BlockLayout(sizes)), atol=1e-12)
 
@@ -304,7 +361,7 @@ def test_first_stage_on_a_sparse_image_graph_takes_spectral_steps(monkeypatch):
     upper = np.triu(rng.random((40, 40)) < 4 / 39, 1)
     graph = upper | upper.T | np.eye(40, dtype=bool)
     image = np.repeat(np.arange(40), sizes)
-    full = assemble_block(planted.instance.scores).tocoo()
+    full = planted.instance.scores.matrix.tocoo()
     keep = graph[image[full.row], image[full.col]]
     w = sp.csr_matrix((full.data[keep], (full.row[keep], full.col[keep])), shape=full.shape)
     layout = BlockLayout(sizes)
@@ -333,14 +390,14 @@ def test_update_y_history_never_increases_on_sparse_signed_scores(sizes, k, dens
     w = sp.csr_matrix(w + w.T)
     y = random_feasible_y(rng, sizes, k)
     x = random_labeling(rng, sizes, k).stacked()
-    _, hist, _ = update_Y(y, x, Contraction(w), rho, BlockLayout(sizes))
+    _, hist, _ = update_Y(y, x, Contraction(sp.triu(w)), rho, BlockLayout(sizes))
     assert (np.diff(hist) <= 1e-12 * max(1.0, abs(hist[0]))).all()
 
 
 @pytest.mark.parametrize("rho", [0.0, 3.0])
 def test_update_y_with_carried_contraction_matches_fresh(monkeypatch, rho):
     planted = generate(5, 4, outliers_per_image=1, match_corruption_rate=0.3, seed=9)
-    w = assemble_block(planted.instance.scores)
+    w = planted.instance.scores.matrix
     sizes = planted.instance.layout.sizes
     rng = np.random.default_rng(9)
     y0 = random_feasible_y(rng, sizes, 4)
@@ -396,8 +453,8 @@ class CountingContraction:
 def test_any_contraction_object_drives_the_solver(sparse):
     planted = generate(4, 4, outliers_per_image=2, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=12)
-    w = assemble_block(planted.instance.scores)
-    w = w if sparse else w.toarray()  # Contraction takes W dense or sparse
+    w = planted.instance.scores.matrix
+    w = w if sparse else w.toarray()  # Contraction takes W's upper triangle dense or sparse
     layout = planted.instance.layout
     config = SolverConfig(k=4, seed=12)
     rng = np.random.default_rng(12)
@@ -568,9 +625,8 @@ def test_initialize_recovers_planted_labeling():
     hits = 0
     for seed in range(20):
         planted = generate(6, 5, outliers_per_image=0, seed=seed)
-        w = assemble_block(planted.instance.scores)
         cfg = SolverConfig(k=5, seed=seed)
-        _, x = initialize(Contraction(w), cfg, planted.instance.layout)
+        _, x = initialize(Contraction(planted.instance.scores.matrix), cfg, planted.instance.layout)
         hits += recall(x, planted.truth_labels) == 1.0
     assert hits == 20
 
@@ -580,8 +636,7 @@ def test_initialize_single_image_degenerate():
 
     feats = [FeatureSet("solo", np.random.default_rng(0).random((2, 4)))]
     inst = validate_instance(feats, PairwiseScores(sp.csr_matrix((4, 4)), BlockLayout((4,))), SolverConfig(k=2))
-    w = assemble_block(inst.scores)
-    y, x = initialize(Contraction(w), SolverConfig(k=2), BlockLayout((4,)))
+    y, x = initialize(Contraction(inst.scores.matrix), SolverConfig(k=2), BlockLayout((4,)))
     assert feasibility_gap(y, BlockLayout((4,))) <= 1e-5
     x.validate()
 
@@ -592,8 +647,7 @@ def test_initialize_all_ones_blocks_monotone_and_feasible(rng):
     feats = [FeatureSet(f"i{t}", rng.random((2, 3))) for t in range(3)]
     blocks = {(i, j): np.ones((3, 3)) for i in range(3) for j in range(i + 1, 3)}
     inst = validate_instance(feats, scores_from_blocks(blocks, (3, 3, 3)), SolverConfig(k=2))
-    w = assemble_block(inst.scores)
-    y, x = initialize(Contraction(w), SolverConfig(k=2), BlockLayout((3, 3, 3)))
+    y, x = initialize(Contraction(inst.scores.matrix), SolverConfig(k=2), BlockLayout((3, 3, 3)))
     assert feasibility_gap(y, BlockLayout((3, 3, 3))) <= 1e-5
     x.validate()
 
@@ -602,7 +656,7 @@ def test_initialize_is_the_spectral_start_and_its_rounding():
     planted = generate(6, 4, outliers_per_image=2, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=8)
     layout, config = planted.instance.layout, SolverConfig(k=4)
-    w = assemble_block(planted.instance.scores)
+    w = planted.instance.scores.matrix
     y, x = initialize(Contraction(w), config, layout)
     start = spectral_start(Contraction(w), 4, layout)
     assert y.dtype == start.dtype and y.tobytes() == start.tobytes()
@@ -640,7 +694,7 @@ def test_top_eigenvectors_block_solver_matches_dense_subspace(dense_calls):
     planted = generate(30, 6, outliers_per_image=2, coord_noise_sigma=0.01,
                        match_corruption_rate=0.2, seed=1)
     w = assemble_block(planted.instance.scores)
-    u = top_eigenvectors(Contraction(w), 6, planted.instance.layout)
+    u = top_eigenvectors(Contraction(planted.instance.scores.matrix), 6, planted.instance.layout)
     assert not dense_calls  # m = 240 >= 5k and lobpcg converges: no dense solve
     assert np.allclose(u.T @ u, np.eye(6), atol=1e-8)
     ritz = np.diag(u.T @ (w @ u))
@@ -650,7 +704,7 @@ def test_top_eigenvectors_block_solver_matches_dense_subspace(dense_calls):
     sines = np.sin(scipy.linalg.subspace_angles(u, vecs[:, -6:]))
     assert 0.0 < residual <= multimatch.solver.EIGEN_TOL * abs(w).sum(axis=1).max() * math.sqrt(6)
     assert np.linalg.norm(sines) <= residual / gap
-    assert np.array_equal(top_eigenvectors(Contraction(w), 6, planted.instance.layout), u)
+    assert np.array_equal(top_eigenvectors(Contraction(planted.instance.scores.matrix), 6, planted.instance.layout), u)
 
 
 @pytest.mark.parametrize(
@@ -667,7 +721,7 @@ def test_top_eigenvectors_dense_fallback_runs_without_warnings(monkeypatch, dens
     m = w.shape[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        basis = top_eigenvectors(Contraction(w), u, planted.instance.layout)
+        basis = top_eigenvectors(Contraction(planted.instance.scores.matrix), u, planted.instance.layout)
         state = solve(planted.instance, SolverConfig(k=u))
     assert dense_calls == [(m, m), (m, m)]
     assert np.allclose(basis @ basis.T, _top_projector(w, u), atol=1e-8)
@@ -690,7 +744,7 @@ def test_top_eigenvectors_starts_from_the_image_with_the_most_evidence(dense_cal
     w = assemble_block(scores)
     vals, vecs = _dense_eigh(w)
     assert vals[-6] > 10.0  # the top eigenvalues are far above image 0's eigenvalue 1
-    u = top_eigenvectors(Contraction(w), 6, layout)
+    u = top_eigenvectors(Contraction(scores.matrix), 6, layout)
     assert not dense_calls
     assert np.cos(scipy.linalg.subspace_angles(u, vecs[:, -6:])).min() >= 0.999  # smallest principal cosine
     state = solve(instance, SolverConfig(k=6))
@@ -715,7 +769,7 @@ def test_top_eigenvectors_block_solver_converges_under_heavy_corruption(monkeypa
     for seed in range(20):
         planted = generate(10, 10, outliers_per_image=10, coord_noise_sigma=0.01,
                            match_corruption_rate=0.6, seed=seed)
-        u = top_eigenvectors(Contraction(assemble_block(planted.instance.scores)), 10, planted.instance.layout)
+        u = top_eigenvectors(Contraction(planted.instance.scores.matrix), 10, planted.instance.layout)
         assert np.allclose(u.T @ u, np.eye(10), atol=1e-8)
 
 
@@ -724,8 +778,7 @@ def test_spectral_start_is_the_planted_labeling_on_consistent_scores():
     # anchors are k candidates with distinct labels and U U_S^-1 is X up to a
     # column permutation
     planted = generate(12, 5, outliers_per_image=3, seed=4)
-    w = assemble_block(planted.instance.scores)
-    y0 = spectral_start(Contraction(w), 5, planted.instance.layout)
+    y0 = spectral_start(Contraction(planted.instance.scores.matrix), 5, planted.instance.layout)
     truth = planted.ground_truth.stacked()
     perm = np.argmax(truth.T @ y0, axis=0)
     assert np.allclose(y0, truth[:, perm], atol=1e-8)
@@ -754,7 +807,7 @@ def test_top_eigenvectors_returns_the_same_bytes_on_every_call(dense_calls):
     # the start block is chosen from w and the layout, with no random draw
     planted = generate(12, 6, outliers_per_image=3, coord_noise_sigma=0.02,
                        match_corruption_rate=0.3, seed=21)
-    w = assemble_block(planted.instance.scores)
+    w = planted.instance.scores.matrix
     assert w.shape[0] >= 5 * 6
     bases = [top_eigenvectors(Contraction(w), 6, planted.instance.layout) for _ in range(2)]
     assert not dense_calls
@@ -824,7 +877,7 @@ def test_descriptor_solve_runs_without_stalls(seed):
     state = solve(instance, config)
     assert state.warnings == []
     layout = instance.layout
-    cycle = Contraction(assemble_block(instance.scores))
+    cycle = Contraction(instance.scores.matrix)
     points = normalize_coordinates(np.hstack(instance.coordinates), layout)[0]
     y, x = state.y, state.labeling
     z = update_Z(x, points, config.r)[0]
@@ -931,15 +984,13 @@ def test_solve_trace_totals_are_component_sums(monkeypatch):
     last = scored[-1]
     # solve returns that y with its columns in image 0's candidate order, bit for bit
     assert sorted(col.tobytes() for col in last.T) == sorted(col.tobytes() for col in state.y.T)
-    w = assemble_block(planted.instance.scores)
-    assert state.objective_trace[-1].cycle == Contraction(w).value(last)
+    assert state.objective_trace[-1].cycle == Contraction(planted.instance.scores.matrix).value(last)
 
 
 def test_solve_with_huge_rho_matches_initialize_then_discretize():
     planted = generate(4, 4, outliers_per_image=2, seed=3)
-    w = assemble_block(planted.instance.scores)
     cfg = SolverConfig(k=4, lam=0.0, rho_schedule=(1e6,), seed=3)
-    _, x_init = initialize(Contraction(w), cfg, planted.instance.layout)
+    _, x_init = initialize(Contraction(planted.instance.scores.matrix), cfg, planted.instance.layout)
     state = solve(planted.instance, cfg)
     for a, b in zip(state.labeling.assignments, x_init.assignments):
         assert np.array_equal(a, b)
@@ -972,7 +1023,7 @@ def test_selection_objective_matches_naive_oracles(rng):
         blocks = lab.assignments
         expected = naive_cycle_objective(w, lab.stacked())
         expected += lam * naive_geo_objective(blocks, _rank_r_fit(blocks, coords, r), coords)
-        val = selection_objective(Contraction(w), lab, points, lam=lam, r=r)
+        val = selection_objective(Contraction(planted.instance.scores.matrix), lab, points, lam=lam, r=r)
         assert val == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 

@@ -194,7 +194,6 @@ def test_brute_force_matches_hand_enumeration():
     # two images, two candidates each, k=1: exactly four labelings
     planted = generate(2, 1, outliers_per_image=1, seed=2)
     cfg = SolverConfig(k=1, lam=1.0, r=4)
-    w = assemble_block(planted.instance.scores).toarray()
     points = normalize_coordinates(np.hstack(planted.instance.coordinates), planted.instance.layout)[0]
     best, obj = brute_force_solve(planted.instance, cfg)
     # by hand: evaluate all four (row_0, row_1) choices
@@ -204,7 +203,7 @@ def test_brute_force_matches_hand_enumeration():
     for r0 in range(2):
         for r1 in range(2):
             lab = SelectionLabeling([[r0], [r1]], BlockLayout((2, 2)))
-            totals[(r0, r1)] = selection_objective(Contraction(w), lab, points, 1.0, 4)
+            totals[(r0, r1)] = selection_objective(Contraction(planted.instance.scores.matrix), lab, points, 1.0, 4)
     hand_best = min(totals, key=totals.get)
     assert obj == pytest.approx(totals[hand_best], abs=1e-12)
     got = tuple(best.index[:, 0].tolist())
@@ -215,8 +214,7 @@ def test_brute_force_lambda_zero_depends_only_on_cycle_term():
     planted = generate(3, 2, outliers_per_image=1, coord_noise_sigma=0.2, seed=4)
     cfg = SolverConfig(k=2, lam=0.0)
     best, obj = brute_force_solve(planted.instance, cfg)
-    w = assemble_block(planted.instance.scores).toarray()
-    assert obj == pytest.approx(Contraction(w).value(best.stacked()), rel=1e-12, abs=1e-12)
+    assert obj == pytest.approx(Contraction(planted.instance.scores.matrix).value(best.stacked()), rel=1e-12, abs=1e-12)
 
 
 def test_brute_force_rejects_large_instances():
