@@ -5,8 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 parse or validation error,
 search stalled, a Y update used all its inner steps, or a projection
 stopped at its round cap).
 All commands are deterministic given identical inputs; ``synth`` also
-given its seed.  ``solve --seed`` is accepted and checked, and has no
-effect.
+given its seed.
 """
 
 from __future__ import annotations
@@ -67,13 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--problem", required=True)
     slv.add_argument("--out", default="labeling.json", help="labeling output path")
     slv.add_argument("--trace", default=None, help="trace CSV path (default: <out>.trace.csv)")
-    # dests are SolverConfig fields; a flag left out is None and falls back
-    # to the problem file's solver_defaults, then to SolverConfig's defaults
+    # dests are SolverConfig fields, not all of which have a flag; a flag left
+    # out is None and falls back to solver_defaults, then to SolverConfig's defaults
     slv.add_argument("--k", type=int, help="selected features per image")
     slv.add_argument("--lambda", dest="lam", type=float, help="geometric weight")
     slv.add_argument("--r", type=int, help="rank bound of the geometric fit")
     slv.add_argument("--rho", dest="rho_schedule", type=_floats, help="comma-separated coupling schedule")
-    slv.add_argument("--seed", type=int, help="accepted and checked; has no effect")
     slv.set_defaults(func=_cmd_solve)
 
     ev = sub.add_parser("eval", help="score a labeling against ground truth")
@@ -115,7 +113,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_solve(args) -> int:
     features, scores, file_settings = serialize.load_problem(args.problem)
-    flags = {f.name: getattr(args, f.name) for f in fields(SolverConfig) if getattr(args, f.name) is not None}
+    flags = {f.name: v for f in fields(SolverConfig) if (v := getattr(args, f.name, None)) is not None}
     settings = {**file_settings, **flags}
     if "k" not in settings:
         raise MatchingError("k is required (flag --k or solver_defaults in the problem file)")

@@ -254,8 +254,8 @@ class SolverConfig:
 
     ``k`` is the number of features selected per image, ``r`` the rank bound
     of the geometric fit, ``lam`` the geometric weight, ``rho_schedule`` the
-    increasing sequence of coupling weights.  ``seed`` is accepted and
-    checked and has no effect: the solve draws no random numbers.  Step
+    increasing sequence of coupling weights.  ``seed`` is checked and has
+    no effect (the solve draws no random numbers); no flag or file sets it.  Step
     control, stopping tolerances and iteration caps are constants of the
     solver module.  Raises :class:`MatchingError` unless ``k``, ``r`` and
     ``seed`` are integers (not booleans), ``lam`` and every rho are finite

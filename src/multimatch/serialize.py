@@ -48,7 +48,6 @@ _SETTINGS = {
     "lambda": ("lam", "number"),
     "r": ("r", "integer"),
     "rho_schedule": ("rho_schedule", "array"),
-    "seed": ("seed", "integer"),
 }
 
 
@@ -143,9 +142,10 @@ def load_problem(path) -> tuple[list[FeatureSet], PairwiseScores, dict]:
     """Parse a problem document into features, raw scores, and solver defaults.
 
     The solver defaults come back keyed by :class:`SolverConfig` field name.
-    Defaults that are not a JSON object, an unknown key, a ``k``, ``r`` or
-    ``seed`` that is not a JSON integer, a ``lambda`` not a JSON number and
-    a ``rho_schedule`` not a JSON array of numbers raise :class:`ParseError`.
+    Defaults that are not a JSON object, an unknown key (``seed`` among
+    them: the solve draws no random numbers), a ``k`` or ``r`` that is not
+    a JSON integer, a ``lambda`` not a JSON number and a ``rho_schedule``
+    not a JSON array of numbers raise :class:`ParseError`.
     """
     with _document(path, "problem") as doc:
         features = _features(doc)

@@ -456,11 +456,13 @@ def solve(instance: ProblemInstance, config: SolverConfig) -> SolverState:
     cap (one message with their count, in place of the
     :class:`ProjectionWarning` each one raises) are recorded as warnings on
     the state, for the stages that ran; other Python warnings raised during
-    the solve are shown once it returns.  The trace carries one ``init``
-    record, the cycle term of the start, and then one record per sweep of
-    each stage that ran.  The returned labels are
-    ordered by image 0's chosen candidate, and y and the fit follow that
-    order; the trace does not depend on it.
+    the solve are shown once it returns, not counted on the state, and
+    under the default filter once per solve rather than once per call
+    site, since the solve records them afresh.  The trace carries one
+    ``init`` record, the cycle term of the start, and then one record per
+    sweep of each stage that ran.  The returned labels are ordered by image
+    0's chosen candidate, and y and the fit follow that order; the trace
+    does not depend on it.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ProjectionWarning)

@@ -67,6 +67,24 @@ def test_solve_lambda_zero_reports_zero_geo(tmp_path):
     assert all(v == 0.0 for v in geo_vals)
 
 
+def test_solve_line_search_stall_exit_code(tmp_path, capsys, monkeypatch):
+    # every trial step lies below a stall threshold this large
+    monkeypatch.setattr(multimatch.solver, "STALL_ETA", 1e300)
+    problem, truth = tmp_path / "p.json", tmp_path / "t.json"
+    run(synth_args(problem, truth, seed=9, corrupt=0.4, sigma=0.02))
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "l.json"]) == 3
+    assert "warning: line search stalled in 1 sweeps at rho=1\n" in capsys.readouterr().err
+
+
+def test_solve_write_failure_is_an_error_not_a_traceback(solved, tmp_path, capsys):
+    problem, _, _ = solved
+    capsys.readouterr()
+    assert run(["solve", "--problem", problem, "--out", tmp_path / "missing" / "l.json"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "l.json" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_solve_infeasible_k_is_validation_error(tmp_path, capsys):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth))
@@ -200,6 +218,19 @@ def test_eval_matches_library_metrics(tmp_path, capsys):
     assert metrics["recall"] == stats.recall
     assert metrics["precision"] == stats.precision
     assert "rank_tail_ratio" in metrics
+
+
+def test_eval_reports_a_truth_without_pairs_as_vacuous(solved, tmp_path, capsys):
+    problem, truth, labeling = solved
+    doc = json.loads(truth.read_text())
+    for rec in doc["images"]:
+        rec["pairs"] = []  # every candidate an outlier
+    empty = tmp_path / "empty.truth.json"
+    empty.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--labeling", labeling, "--truth", empty]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["recall 1.0 lab", "precision 0.0 lab", "vacuous 1 lab"]
 
 
 def test_eval_mismatched_ids_is_error(tmp_path, capsys):
@@ -443,6 +474,26 @@ def test_reconstruct_noiseless_run(tmp_path, capsys):
     assert len(lines) == 7  # header + one row per selected label
 
 
+def test_reconstruct_warns_when_every_image_has_the_same_coordinates(solved, tmp_path, capsys):
+    problem, _, _ = solved
+    doc = json.loads(problem.read_text())
+    for rec in doc["images"]:
+        rec["coordinates"] = doc["images"][0]["coordinates"]
+    same = tmp_path / "same.json"
+    same.write_text(json.dumps(doc))
+    features = multimatch.serialize.load_features(same)
+    layout = multimatch.BlockLayout(tuple(f.p for f in features))
+    # the same candidates in every image: every view measures the same points
+    labeling = multimatch.SelectionLabeling(np.tile(np.arange(5), (layout.n, 1)), layout)
+    multimatch.serialize.save_labeling(tmp_path / "lab.json", labeling, [f.image_id for f in features])
+    capsys.readouterr()
+    assert run(["reconstruct", "--problem", same, "--labeling", tmp_path / "lab.json",
+                "--out", tmp_path / "cloud.txt"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("reprojection_rms ")
+    assert err == "warning: centered measurements are rank-deficient\n"
+
+
 def test_reconstruct_small_k_fails(tmp_path):
     problem, truth = tmp_path / "p.json", tmp_path / "t.json"
     run(synth_args(problem, truth, seed=4, universe=3, n=4))
@@ -505,6 +556,13 @@ def _with_solver_defaults(problem, settings, out):
     return out
 
 
+def _without_solver_defaults(problem, out):
+    doc = json.loads(problem.read_text())
+    del doc["solver_defaults"]
+    out.write_text(json.dumps(doc))
+    return out
+
+
 def _not_utf8(path):
     path.write_bytes(b'{"format_version": 2, "images": \xff}')
     return path
@@ -518,12 +576,16 @@ def _nested(path, depth=100_000):
 
 @pytest.mark.parametrize("argv, code, message", [
     (lambda p, t, l, d: ["solve", "--problem", p, "--rho", "1,,2"], 1, "argument --rho"),
-    (lambda p, t, l, d: ["solve", "--problem", p, "--seed", -1], 2, "seed must be nonnegative"),
+    # the solve draws no random numbers, so neither a flag nor the file takes a seed
+    (lambda p, t, l, d: ["solve", "--problem", p, "--seed", 5], 1, "unrecognized arguments: --seed 5"),
+    (lambda p, t, l, d: ["solve", "--problem", _with_solver_defaults(p, {"k": 5, "seed": 5}, d / "seeded.json")],
+     2, "unknown solver defaults: ['seed']"),
     (lambda p, t, l, d: ["solve", "--problem", p, "--lambda", "nan"], 2, "geometric weight must be a finite number"),
     (lambda p, t, l, d: ["solve", "--problem", _with_solver_defaults(p, {"k": 5, "lambda": float("nan")}, d / "nan.json")],
      2, "geometric weight must be a finite number"),
     (lambda p, t, l, d: ["solve", "--problem", _with_solver_defaults(p, {"k": 5, "lamda": 0.0}, d / "typo.json")],
      2, "unknown solver defaults: ['lamda']"),
+    (lambda p, t, l, d: ["solve", "--problem", _without_solver_defaults(p, d / "bare.json")], 2, "k is required"),
     (lambda p, t, l, d: ["synth", "--n", 1, "--universe", 3, "--out", d / "bad.json"], 2, "need at least two images"),
     (lambda p, t, l, d: ["synth", "--n", 3, "--universe", 3, "--seed", -1, "--out", d / "neg.json"],
      2, "seed must be a nonnegative integer, got -1"),
@@ -542,9 +604,9 @@ def _nested(path, depth=100_000):
      2, "deep.json: malformed labeling document (maximum recursion depth exceeded"),
     (lambda p, t, l, d: ["eval", "--labeling", l, "--truth", _nested(d / "deep.json")],
      2, "deep.json: malformed ground-truth document (maximum recursion depth exceeded"),
-], ids=["rho-list", "seed", "lambda-flag", "lambda-file", "unknown-key", "synth-n", "synth-seed", "synth-sigma",
-        "eval-rank", "eval-rank-plain", "not-utf8", "nested-problem", "nested-problem-eval", "nested-labeling",
-        "nested-truth"])
+], ids=["rho-list", "seed", "seed-file", "lambda-flag", "lambda-file", "unknown-key", "no-k", "synth-n",
+        "synth-seed", "synth-sigma", "eval-rank", "eval-rank-plain", "not-utf8", "nested-problem",
+        "nested-problem-eval", "nested-labeling", "nested-truth"])
 def test_bad_input_exits_with_its_code(solved, tmp_path, capsys, monkeypatch, argv, code, message):
     def no_solve(*args, **kwargs):
         raise AssertionError("a rejected input reached the solver")

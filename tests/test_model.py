@@ -48,6 +48,16 @@ def test_validate_rejects_infeasible_k(rng):
         validate_instance(features, scores, SolverConfig(k=4))
 
 
+def test_validate_rejects_no_images_and_repeated_ids(rng):
+    config = SolverConfig(k=1)
+    with pytest.raises(DimensionMismatch, match="at least one image is required"):
+        validate_instance([], PairwiseScores(sp.csr_matrix((0, 0)), BlockLayout(())), config)
+    features = toy_features([2, 2], rng)
+    features[1].image_id = features[0].image_id
+    with pytest.raises(MatchingError, match="image ids must be unique"):
+        validate_instance(features, random_scores(rng, [2, 2]), config)
+
+
 def test_validate_rejects_bad_block_shape(rng):
     features = toy_features([3, 3], rng)
     with pytest.raises(DimensionMismatch):
@@ -92,6 +102,21 @@ def test_feature_set_checks_unit_descriptors():
     FeatureSet("a", coords, good)
     with pytest.raises(MatchingError):
         FeatureSet("a", coords, 2.0 * good)
+
+
+@pytest.mark.parametrize("coords, descs, error, message", [
+    (np.zeros(3), None, DimensionMismatch, r"a: coordinates must be 2 x p, got \(3,\)"),
+    (np.zeros((3, 2)), None, DimensionMismatch, r"a: coordinates must be 2 x p, got \(3, 2\)"),
+    (np.zeros((2, 0)), None, DimensionMismatch, "a: at least one candidate required"),
+    ([[0.0, np.nan], [0.0, 1.0]], None, NonFiniteEntry, "a: non-finite coordinate"),
+    (np.zeros((2, 2)), np.eye(3), DimensionMismatch, "a: descriptors must have one column per candidate"),
+    (np.zeros((2, 2)), np.ones(2), DimensionMismatch, "a: descriptors must have one column per candidate"),
+    (np.zeros((2, 2)), [[1.0, np.inf], [0.0, 0.0]], NonFiniteEntry, "a: non-finite descriptor"),
+], ids=["coords-1d", "coords-3-rows", "no-candidates", "nan-coordinate", "descriptor-columns", "descriptors-1d",
+        "inf-descriptor"])
+def test_feature_set_refuses_malformed_arrays(coords, descs, error, message):
+    with pytest.raises(error, match=message):
+        FeatureSet("a", coords, descs)
 
 
 def test_assemble_single_image_is_identity():
@@ -346,6 +371,8 @@ def test_solver_config_validation():
         SolverConfig(k=0)
     with pytest.raises(MatchingError):
         SolverConfig(k=2, lam=-0.5)
+    with pytest.raises(MatchingError, match="rank bound must be at least 1"):
+        SolverConfig(k=2, r=0)
     cfg = SolverConfig(k=2)
     assert cfg.lam == 1.0 and cfg.r == 4 and cfg.rho_schedule == (1.0, 10.0, 100.0)
 
@@ -425,6 +452,10 @@ def test_validate_names_the_faulty_block(rng):
 
 def test_labeling_checks_name_the_first_faulty_image():
     layout = BlockLayout((3, 3, 3))
+    with pytest.raises(DimensionMismatch, match=r"index must be 3 x k, got \(2, 2\)"):
+        SelectionLabeling([[0, 1], [2, 0]], layout)
+    with pytest.raises(DimensionMismatch, match=r"index must be 3 x k, got \(3,\)"):
+        SelectionLabeling([0, 1, 2], layout)
     with pytest.raises(MatchingError, match="image 1: some candidate carries multiple labels"):
         SelectionLabeling([[0, 1], [2, 2], [5, 1]], layout).validate()
     with pytest.raises(MatchingError, match=r"image 1: a chosen candidate lies outside \[0, 3\)"):

@@ -220,6 +220,13 @@ def test_project_c_rejects_infeasible_k():
         project_onto_C(np.zeros((2, 3)), BlockLayout((2,)))
 
 
+def test_project_c_rejects_the_wrong_row_count():
+    with pytest.raises(DimensionMismatch, match=r"expected 5 rows, got shape \(4, 2\)"):
+        project_onto_C(np.ones((4, 2)), BlockLayout((2, 3)))
+    with pytest.raises(DimensionMismatch, match=r"expected 5 rows, got shape \(5,\)"):
+        project_onto_C(np.ones(5), BlockLayout((2, 3)))
+
+
 def test_project_c_rejects_an_image_without_candidates():
     # a zero-size block cannot reach a column sum of 1, whatever k is
     with pytest.raises(DimensionMismatch, match="every image must contribute at least one candidate"):

@@ -93,7 +93,7 @@ def _reference_problem_document(features, scores, settings):
             pairwise.append({"i": features[i].image_id, "j": features[j].image_id, "entries": entries})
     fields = [f'"format_version": {FORMAT_VERSION}', listed("images", images), listed("pairwise", pairwise)]
     if settings:
-        keys = {"k": "k", "lam": "lambda", "r": "r", "rho_schedule": "rho_schedule", "seed": "seed"}
+        keys = {"k": "k", "lam": "lambda", "r": "r", "rho_schedule": "rho_schedule"}
         fields.append('"solver_defaults": ' + json.dumps({keys[name]: settings[name] for name in keys if name in settings}))
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
@@ -120,7 +120,7 @@ def test_problem_document_matches_entry_by_entry_rendering(rng):
     # the smallest subnormal, a value near the largest float, a negative and a whole number
     blocks[(4, 2)][[10, 11, 11, 5], [3, 0, 2, 1]] = 5e-324, 1e308, -1.5, 2.0
     blocks[(1, 4)][0, 9:] = 1.0
-    defaults = {"seed": 3, "rho_schedule": [1.0, 10.0], "k": 1, "lam": 0.5}
+    defaults = {"rho_schedule": [1.0, 10.0], "k": 1, "lam": 0.5}
     for blocks_kept, defaults_kept in ((blocks, defaults), ({}, {})):
         scores = scores_from_blocks(blocks_kept, sizes)
         expected = _reference_problem_document(features, scores, defaults_kept)
@@ -356,7 +356,7 @@ def test_loaders_reject_image_values_that_are_not_arrays_of_rows(tmp_path, field
     ({"k": 4.7}, "solver default k must be a JSON integer, got 4.7"),
     ({"k": "4"}, 'solver default k must be a JSON integer, got "4"'),
     ({"r": True}, "solver default r must be a JSON integer, got true"),
-    ({"seed": 1.0}, "solver default seed must be a JSON integer, got 1.0"),
+    ({"r": 2.0}, "solver default r must be a JSON integer, got 2.0"),
     ({"lambda": "0.5"}, 'solver default lambda must be a JSON number, got "0.5"'),
     ({"rho_schedule": ["1", 10]}, r'solver default rho_schedule\[0\] must be a JSON number, got "1"'),
     ([["k", 2]], r'solver_defaults must be a JSON object, got \[\["k", 2\]\]'),
@@ -408,9 +408,16 @@ def test_solver_defaults_reject_unknown_keys(tmp_path, planted):
     path.write_text(json.dumps({**_two_image_problem([]), "solver_defaults": {"k": 2, "lamda": 0.0}}))
     with pytest.raises(ParseError, match=r"unknown solver defaults: \['lamda'\]"):
         load_problem(path)
+    # the solve draws no random numbers: a seed is neither read nor written
+    path.write_text(json.dumps({**_two_image_problem([]), "solver_defaults": {"k": 2, "seed": 0}}))
+    with pytest.raises(ParseError, match=r"unknown solver defaults: \['seed'\]"):
+        load_problem(path)
     inst = planted.instance
     with pytest.raises(ParseError, match=r"unknown solver defaults: \['lambda'\]"):
         problem_document(inst.features, inst.scores, {"k": 2, "lambda": 0.0})
+    with pytest.raises(ParseError, match=r"unknown solver defaults: \['seed'\]"):
+        save_problem(tmp_path / "seeded.json", inst.features, inst.scores, {"seed": 3})
+    assert not (tmp_path / "seeded.json").exists()
 
 
 def test_load_features_reads_only_image_records(tmp_path, planted):

@@ -290,7 +290,7 @@ def test_document_frame_decodes_as_the_json_module(case, indent, separators):
 
 SOLVER_DEFAULTS = st.fixed_dictionaries({}, optional={
     "k": st.integers(1, 5), "lambda": st.floats(0.0, 2.0), "r": st.integers(1, 4),
-    "rho_schedule": st.lists(st.floats(0.1, 100.0), max_size=3), "seed": st.integers(0, 9),
+    "rho_schedule": st.lists(st.floats(0.1, 100.0), max_size=3),
 })
 
 

@@ -13,6 +13,7 @@ import multimatch.solver
 
 from multimatch import (
     BlockLayout,
+    InfeasibleK,
     MatchingError,
     PairwiseScores,
     ProblemInstance,
@@ -948,6 +949,44 @@ def test_solve_reports_line_search_stalls(monkeypatch):
     # the stage's stalled sweeps are one message with their count
     sweeps = state.objective_trace[-1].iteration
     assert state.warnings == [f"line search stalled in {sweeps} sweeps at rho=1"]
+
+
+def test_update_y_keeps_its_iterate_when_the_line_search_stalls(monkeypatch):
+    # every trial step lies below a stall threshold this large
+    monkeypatch.setattr(multimatch.solver, "STALL_ETA", 1e300)
+    planted = generate(4, 4, outliers_per_image=1, seed=5)
+    layout = planted.instance.layout
+    cycle = Contraction(planted.instance.scores.matrix)
+    y, x = initialize(cycle, SolverConfig(k=4), layout)
+    out, history, stalled = update_Y(y, x.stacked(), cycle, 1.0, layout)
+    assert out is y and len(history) == 1 and stalled
+    state = solve(planted.instance, SolverConfig(k=4))
+    assert state.warnings == ["line search stalled in 1 sweeps at rho=1"]
+
+
+def test_solve_shows_a_foreign_warning_once_per_solve(monkeypatch):
+    real = multimatch.solver.update_Z
+
+    def warns(*args, **kwargs):
+        warnings.warn("raised outside the package", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multimatch.solver, "update_Z", warns)
+    planted = generate(4, 4, outliers_per_image=1, seed=5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        states = [solve(planted.instance, SolverConfig(k=4)) for _ in range(3)]
+    # raised at one call site in every sweep, it reaches the caller once per solve
+    assert [str(w.message) for w in caught] == ["raised outside the package"] * 3
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert all(state.warnings == [] for state in states)
+
+
+def test_solve_refuses_a_k_above_the_smallest_image():
+    # the instance was validated for k = 4; its images hold 5 candidates
+    planted = generate(4, 4, outliers_per_image=1, seed=5)
+    with pytest.raises(InfeasibleK, match="k=6 exceeds the smallest candidate count 5"):
+        solve(planted.instance, SolverConfig(k=6))
 
 
 def test_solve_recovers_noiseless_planted():

@@ -143,6 +143,7 @@ def test_generate_rejects_bad_parameters():
     with pytest.raises(ValueError):
         generate(3, 3, coord_noise_sigma=-0.1)
     for kwargs, message in [
+        ({"outliers_per_image": -1}, "outlier count must be nonnegative"),
         ({"seed": -1}, "seed must be a nonnegative integer, got -1"),
         ({"seed": True}, "seed must be a nonnegative integer, got True"),
         ({"seed": 1.0}, "seed must be a nonnegative integer, got 1.0"),
